@@ -92,8 +92,10 @@ def cmd_eval(args) -> int:
         record["dn2_re"] = "pole" if v is None else v.real
         record["dn2_im"] = "pole" if v is None else v.imag
     if real:
-        record["s2"] = core.s2(z.real, mod)
-        record["phi"] = core.phi(z.real, mod)
+        # s2 is sin(phi): one solve serves both (the PHI route keeps its own)
+        p = core.phi(z.real, mod)
+        record["s2"] = math.sin(p)
+        record["phi"] = p
     _emit([record], args.format, sys.stdout)
     return 0
 

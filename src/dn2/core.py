@@ -11,16 +11,28 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1
 from .jacobi import PoleError, jacobi_complex, jacobi_real
-from .kernel import DomainError, integrate, newton_invert
+from .kernel import DomainError, integrate, newton_invert, reduction_limit
 from .weier import LatticeData, PeriodPair
 
 
 @dataclass(frozen=True)
 class Modulus:
-    """Modulus kappa in (0, 1) with derived complementary quantities."""
+    """Modulus kappa in (0, 1) with derived complementary quantities.
+
+    A Modulus compares and hashes by kappa alone and is immutable.  Build it
+    once and reuse it: these values depend on kappa only, are computed on
+    first use and then cached on the instance:
+
+    - ``lam``, the complementary modulus sqrt(1 - kappa^2);
+    - ``sn_parameter``, the Jacobian parameter and argument scale (m, c)
+      shared by the SN and WP routes;
+    - ``lattice``, the lattice data ``invariants_of(self)`` of the WP route;
+    - ``two_k``, the ELLIPTIC period 2K by which ``phi`` reduces.
+    """
 
     kappa: float
 
@@ -28,7 +40,7 @@ class Modulus:
         if not 0.0 < self.kappa < 1.0:
             raise DomainError(f"modulus must lie in (0, 1), got {self.kappa}")
 
-    @property
+    @cached_property
     def lam(self) -> float:
         return math.sqrt(1.0 - self.kappa**2)
 
@@ -39,6 +51,19 @@ class Modulus:
     @property
     def beta(self) -> float:
         return math.acos(self.lam)
+
+    @cached_property
+    def sn_parameter(self) -> tuple[float, float]:
+        lam = self.lam
+        return (1.0 - lam) / (1.0 + lam), math.sqrt(0.5 * (1.0 + lam))
+
+    @cached_property
+    def lattice(self) -> LatticeData:
+        return invariants_of(self)
+
+    @cached_property
+    def two_k(self) -> float:
+        return 2.0 * periods(self, PeriodMethod.ELLIPTIC).K
 
 
 class Route(enum.Enum):
@@ -51,12 +76,6 @@ class PeriodMethod(enum.Enum):
     INTEGRAL = "integral"
     ELLIPTIC = "elliptic"
     HYPER = "hyper"
-
-
-def _sn_parameter(mod: Modulus) -> tuple[float, float]:
-    # Jacobian parameter and argument scaling shared by the SN and WP routes
-    lam = mod.lam
-    return (1.0 - lam) / (1.0 + lam), math.sqrt(0.5 * (1.0 + lam))
 
 
 def invariants_of(mod: Modulus) -> LatticeData:
@@ -73,7 +92,7 @@ def invariants_of(mod: Modulus) -> LatticeData:
     e1 = 1.0 / 6.0 + 0.5 * lam
     e2 = 1.0 / 6.0 - 0.5 * lam
     e3 = -1.0 / 3.0
-    m, scale = _sn_parameter(mod)
+    m, scale = mod.sn_parameter
     return LatticeData(g2, g3, g2**3 - 27.0 * g3**2, e1, e2, e3, m, scale)
 
 
@@ -92,7 +111,7 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
         s = mod.kappa * math.sin(phi(z, mod))
         return math.sqrt(1.0 - s * s)
 
-    m, scale = _sn_parameter(mod)
+    m, scale = mod.sn_parameter
     real_input = not isinstance(z, complex)
     if real_input and route is Route.SN:
         s = jacobi_real(z * scale, m).sn
@@ -104,7 +123,7 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
     if route is Route.SN:
         val = 1.0 - (1.0 - mod.lam) * sn2
     else:
-        lat = invariants_of(mod)
+        lat = mod.lattice
         if abs(sn2) < 1e-26:
             # lattice point: P has its pole here and dn2 tends to 1
             val = complex(1.0)
@@ -122,7 +141,7 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
 
 def dn2_deriv(x: float, mod: Modulus) -> float:
     """d/dx of dn2 on the real axis, by the sn-route chain rule."""
-    m, scale = _sn_parameter(mod)
+    m, scale = mod.sn_parameter
     t = jacobi_real(x * scale, m)
     return -2.0 * (1.0 - mod.lam) * t.sn * t.cn * t.dn * scale
 
@@ -146,10 +165,18 @@ def phi(u: float, mod: Modulus, tol: float = 1e-12) -> float:
 
     Reduction uses f(T + pi) = f(T) + 2K, then a safeguarded Newton solve on
     the reduced interval; the derivative of f is at least 1 everywhere.
+    Raises DomainError when |u| is so large (or not finite) that fewer than
+    8 significant digits of u survive reduction modulo 2K.
     """
     if u == 0.0:
         return 0.0
-    two_k = 2.0 * periods(mod, PeriodMethod.ELLIPTIC).K
+    two_k = mod.two_k
+    limit = reduction_limit(two_k)
+    if not abs(u) <= limit:
+        raise DomainError(
+            f"phi argument {u!r} is beyond {limit:.6g}: fewer than 8 "
+            f"digits survive reduction modulo 2K = {two_k!r}"
+        )
     n = math.floor(u / two_k)
     ur = u - two_k * n
     if ur == 0.0:

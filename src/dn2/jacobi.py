@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .hyper import complete_K
-from .kernel import DomainError
+from .kernel import DomainError, reduction_limit
 
 # below this denominator magnitude the quotient's relative error is
 # uncontrolled; callers get an explicit pole signal instead of a number
@@ -23,25 +24,25 @@ class PoleError(ArithmeticError):
     """Evaluation at (or numerically indistinguishable from) a pole."""
 
 
-@dataclass(frozen=True)
-class JacobiTriple:
+class JacobiTriple(NamedTuple):
     sn: float | complex
     cn: float | complex
     dn: float | complex
 
 
-def jacobi_real(x: float, m: float) -> JacobiTriple:
-    """sn, cn, dn of a real argument, 0 <= m < 1."""
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"jacobi_real requires 0 <= m < 1, got m={m}")
-    if m == 0.0:
-        return JacobiTriple(math.sin(x), math.cos(x), 1.0)
-    # reduce modulo the real period to keep the recursion well conditioned
-    x = math.remainder(x, 4.0 * complete_K(m))
+@lru_cache(maxsize=128)
+def _ladder(m: float) -> tuple[float, float, tuple[tuple[float, float], ...], float]:
+    """Everything jacobi_real needs that depends on m alone.
 
+    Returns the real period 4K(m), the largest |x| that reduction modulo it
+    keeps to 8 significant digits, the descending Landen ladder as (a_n, b_n)
+    rungs in the order the ascent walks them (top rung first), and the
+    ladder's limit c.  Bounded, because a sweep over moduli would otherwise
+    grow it without end.
+    """
+    period = 4.0 * complete_K(m)
     emc = 1.0 - m
     a = 1.0
-    dn = 1.0
     em: list[float] = []
     en: list[float] = []
     c = 0.0
@@ -54,18 +55,40 @@ def jacobi_real(x: float, m: float) -> JacobiTriple:
             break
         emc *= a
         a = c
+    rungs = tuple(zip(reversed(em), reversed(en)))
+    return period, reduction_limit(period), rungs, c
 
+
+def jacobi_real(x: float, m: float) -> JacobiTriple:
+    """sn, cn, dn of a real argument, 0 <= m < 1.
+
+    Raises DomainError when |x| is so large (or not finite) that fewer than
+    8 significant digits of x survive reduction modulo the period 4K(m).
+    """
+    if not 0.0 <= m < 1.0:
+        raise DomainError(f"jacobi_real requires 0 <= m < 1, got m={m}")
+    period, limit, rungs, c = _ladder(m)
+    if not abs(x) <= limit:
+        raise DomainError(
+            f"jacobi_real argument {x!r} is beyond {limit:.6g}: fewer than 8 digits "
+            f"survive reduction modulo the period {period!r}"
+        )
+    if m == 0.0:
+        return JacobiTriple(math.sin(x), math.cos(x), 1.0)
+    # reduce modulo the real period to keep the recursion well conditioned
+    x = math.remainder(x, period)
+
+    dn = 1.0
     u = x * c
     sn = math.sin(u)
     cn = math.cos(u)
     if sn != 0.0:
         aa = cn / sn
         cc = c * aa
-        for i in range(len(em) - 1, -1, -1):
-            b = em[i]
+        for b, e in rungs:
             aa *= cc
             cc *= dn
-            dn = (en[i] + aa) / (b + aa)
+            dn = (e + aa) / (b + aa)
             aa = cc / b
         amp = 1.0 / math.sqrt(cc * cc + 1.0)
         sn = amp if sn >= 0.0 else -amp

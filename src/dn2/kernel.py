@@ -35,6 +35,19 @@ class QuadResult:
     evaluations: int
 
 
+def reduction_limit(period: float) -> float:
+    """Largest |x| whose ulp is at most 1e-8 * period.
+
+    Beyond it fewer than 8 significant digits of x survive reduction modulo
+    the period, so callers raise DomainError for ``not abs(x) <= limit``,
+    a test that also catches inf and nan.
+    """
+    # ulp(x) = 2**(e - 52) for |x| in [2**e, 2**(e + 1)), and
+    # 1e-8 * period lies in [2**(k - 1), 2**k)
+    k = math.frexp(1e-8 * period)[1]
+    return math.nextafter(math.ldexp(1.0, k + 52), 0.0)
+
+
 # |t| beyond which the tanh-sinh weight underflows double precision
 _T_CUTOFF = 6.115
 

@@ -90,6 +90,35 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("route", ["sn", "wp", "phi", "all"])
+    @pytest.mark.parametrize("z", ["1e400", "1e300", "0-1e400", "1e400-1e400"])
+    def test_unreducible_z_exit_2(self, capsys, z, route):
+        # 1e400 parses to inf and used to end in a traceback; at 1e300 no digit
+        # of the result is significant, and it used to print digits anyway
+        code, out, err = run(capsys, "eval", "--kappa", "0.6", "--z", z, "--route", route)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("z", ["1e400i", "0.3+1e300i"])
+    def test_unreducible_imaginary_part_exit_2(self, capsys, z):
+        code, out, err = run(capsys, "eval", "--kappa", "0.6", "--z", z, "--route", "all")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_phi_solved_once_for_s2_and_phi(self, capsys, monkeypatch):
+        from dn2 import core
+
+        calls = []
+        solve = core.phi
+        monkeypatch.setattr(core, "phi", lambda *a: calls.append(a) or solve(*a))
+        code, out, _ = run(capsys, "--format", "jsonl", "eval", "--kappa", "0.6", "--z", "1.7")
+        assert code == 0
+        assert len(calls) == 1
+        rec = json.loads(out)
+        assert list(rec)[-2:] == ["s2", "phi"]
+        assert rec["s2"] == math.sin(rec["phi"]) == core.s2(1.7, Modulus(0.6))
+
 
 class TestPeriods:
     def test_double_ratio(self, capsys):

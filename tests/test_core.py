@@ -145,6 +145,12 @@ class TestDn2:
         with pytest.raises(PoleError):
             dn2(complex(0.0, Kp), mod, Route.WP)
 
+    @pytest.mark.parametrize("route", list(Route))
+    @pytest.mark.parametrize("x", [math.nan, math.inf, 1e300])
+    def test_unreducible_argument_raises(self, route, x):
+        with pytest.raises(DomainError):
+            dn2(x, Modulus(0.6), route)
+
     def test_phi_route_rejects_complex(self):
         with pytest.raises(DomainError):
             dn2(complex(0.1, 0.2), Modulus(0.5), Route.PHI)
@@ -186,6 +192,14 @@ class TestAmplitude:
         mod = Modulus(0.8)
         for u in [1.1, -0.7, 5.3]:
             assert abs(f_forward(phi(u, mod), mod) - u) <= 1e-11
+
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan, 1e300])
+    def test_phi_unreducible_argument(self, u):
+        # inf used to raise OverflowError and nan ValueError from math.floor
+        with pytest.raises(DomainError):
+            phi(u, Modulus(0.6))
+        with pytest.raises(DomainError):
+            s2(u, Modulus(0.6))
 
     def test_s2_landmarks(self):
         mod = Modulus(0.7)

@@ -80,6 +80,23 @@ class TestReal:
         with pytest.raises(DomainError):
             jacobi_real(0.5, -0.1)
 
+    @pytest.mark.parametrize("x", [1e300, -1e300, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("m", [0.0, 0.5])
+    def test_unreducible_argument(self, x, m):
+        # fewer than 8 digits of x would survive reduction modulo 4K(m)
+        with pytest.raises(DomainError):
+            jacobi_real(x, m)
+
+    def test_reduction_limit_edge(self):
+        # 4K(0.5) = 7.42, so ulp(x) may reach 2**-24 and |x| stays below 2**29
+        edge = math.nextafter(2.0**29, 0.0)
+        j = jacobi_real(edge, 0.5)
+        assert abs(j.sn**2 + j.cn**2 - 1.0) <= 1e-12
+        with pytest.raises(DomainError):
+            jacobi_real(2.0**29, 0.5)
+        with pytest.raises(DomainError):
+            jacobi_complex(complex(0.3, math.inf), 0.5)
+
 
 class TestComplex:
     def test_real_axis_agrees_exactly(self):
