@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -49,19 +51,105 @@ def _emit(records, fmt: str, stream) -> None:
                 stream.write(f"{k} = {_fmt(v)}\n")
 
 
+# a number, K', K, i, an operator or a parenthesis
+_TOKEN = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|K'|[Ki()*/+-]")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _postfix(tokens: list[str]) -> list:
+    """Parse tokens into postfix order; raise ValueError on a syntax error.
+
+    expr := term (('+' | '-') term)*
+    term := factor (('*' | '/') factor | factor)*   juxtaposition multiplies
+    factor := ('+' | '-') factor | NUMBER | 'K' | "K'" | 'i' | '(' expr ')'
+
+    A juxtaposed factor follows K, K', i or ')', or it follows a number and
+    is not one itself: 2K, iK'/3 and (1+i)K, but not 1 2.  Numbers become
+    int or float, and "neg" marks a unary minus, so that evaluating the
+    result applies Python's own arithmetic in Python's own order.
+    """
+    out: list = []
+    pos = 0
+
+    def peek() -> str:
+        return tokens[pos] if pos < len(tokens) else ""
+
+    def take() -> str:
+        nonlocal pos
+        if pos == len(tokens):
+            raise ValueError("unexpected end of input")
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr() -> None:
+        term()
+        while peek() in ("+", "-"):
+            op = take()
+            term()
+            out.append(op)
+
+    def term() -> None:
+        factor()
+        while True:
+            nxt = peek()[:1]
+            if nxt in ("*", "/"):
+                take()
+                factor()
+                out.append(nxt)
+            elif nxt and (nxt in "Ki(" or nxt in "0123456789."
+                          and tokens[pos - 1] in ("K", "K'", "i", ")")):
+                factor()
+                out.append("*")
+            else:
+                return
+
+    def factor() -> None:
+        tok = take()
+        if tok in ("+", "-"):
+            factor()
+            if tok == "-":
+                out.append("neg")
+        elif tok == "(":
+            expr()
+            if take() != ")":
+                raise ValueError("unbalanced parenthesis")
+        elif tok in ("K", "K'", "i"):
+            out.append(tok)
+        elif tok[0] in "0123456789.":
+            out.append(int(tok) if tok.isdigit() else float(tok))
+        else:
+            raise ValueError(f"unexpected {tok!r}")
+
+    expr()
+    if pos != len(tokens):
+        raise ValueError(f"unexpected {tokens[pos]!r}")
+    return out
+
+
 def parse_z(text: str, K: float, Kprime: float) -> complex:
-    """Parse a z argument: a number like 0.3+0.4i, or symbolic K / iK' forms."""
-    s = text.strip().replace(" ", "").replace("K'", "Q")
-    s = re.sub(r"(?<=[0-9.])(?=[iKQ(])", "*", s)
-    s = re.sub(r"(?<=[iKQ)])(?=[0-9.iKQ(])", "*", s)
-    s = s.replace("i", "1j")
+    """Parse a z argument: a number like 0.3+0.4i, or symbolic K / iK' forms.
+
+    The grammar of ``_postfix`` admits numbers, K, K', i, + - * / and
+    parentheses; anything else raises DomainError before any arithmetic.
+    """
+    s = text.strip().replace(" ", "")
+    symbols = {"K": K, "K'": Kprime, "i": 1j}
     try:
-        value = eval(s, {"__builtins__": {}}, {"K": K, "Q": Kprime})  # noqa: S307
-    except Exception as exc:
+        tokens = _TOKEN.findall(s)
+        if "".join(tokens) != s:
+            raise ValueError("unexpected character")
+        stack: list = []
+        for item in _postfix(tokens):
+            if item in _BINARY:
+                rhs = stack.pop()
+                stack.append(_BINARY[item](stack.pop(), rhs))
+            elif item == "neg":
+                stack.append(-stack.pop())
+            else:
+                stack.append(symbols.get(item, item))
+        return complex(stack.pop())
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         raise DomainError(f"cannot parse z value {text!r}") from exc
-    if not isinstance(value, (int, float, complex)):
-        raise DomainError(f"cannot parse z value {text!r}")
-    return complex(value)
 
 
 def cmd_eval(args) -> int:
@@ -156,6 +244,12 @@ def cmd_identities(args) -> int:
     records = []
     worst: dict[str, dict] = {}
 
+    def add(name: str, rep: identities.ResidualReport) -> None:
+        rec = {"identity": name, **dataclasses.asdict(rep)}
+        records.append(rec)
+        if name not in worst or abs(rec["residual"]) > abs(worst[name]["residual"]):
+            worst[name] = rec
+
     def run(name: str, checker, param: float, tol_default: float):
         tol = args.tol if args.tol is not None else tol_default
         rep = checker(param, tol=tol)
@@ -165,18 +259,7 @@ def cmd_identities(args) -> int:
             rep = identities.ResidualReport(
                 param, rep.lhs, other.rhs, residual, tol, abs(residual) <= tol
             )
-        rec = {
-            "identity": name,
-            "parameter": rep.parameter,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "residual": rep.residual,
-            "tol": rep.tol,
-            "passed": rep.passed,
-        }
-        records.append(rec)
-        if name not in worst or abs(rec["residual"]) > abs(worst[name]["residual"]):
-            worst[name] = rec
+        add(name, rep)
 
     for lam in grid:
         run("bbg_91", identities.identity_bbg_91, lam, 1e-12)
@@ -188,19 +271,7 @@ def cmd_identities(args) -> int:
         for label, rep in zip(
             identities.PERIOD_RELATION_LABELS, identities.period_relations(kappa, tol=tol)
         ):
-            rec = {
-                "identity": f"period_{label}",
-                "parameter": rep.parameter,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "residual": rep.residual,
-                "tol": rep.tol,
-                "passed": rep.passed,
-            }
-            records.append(rec)
-            name = rec["identity"]
-            if name not in worst or abs(rec["residual"]) > abs(worst[name]["residual"]):
-                worst[name] = rec
+            add(f"period_{label}", rep)
 
     for name in sorted(worst):
         rec = dict(worst[name])

@@ -108,7 +108,18 @@ def jacobi_complex(z: complex, m: float) -> JacobiTriple:
     if m == 0.0:
         return JacobiTriple(cmath.sin(z), cmath.cos(z), complex(1.0))
     rx = jacobi_real(z.real, m)
-    ry = jacobi_real(z.imag, 1.0 - m)
+    m1 = 1.0 - m
+    if m1 == 1.0:
+        # m is below half an ulp of 1, so the complementary parameter rounds
+        # to 1, where sn, cn, dn are tanh, sech, sech
+        y = z.imag
+        if not math.isfinite(y):
+            raise DomainError(f"jacobi_complex requires a finite argument, got {z!r}")
+        e = math.exp(-abs(y))
+        sech = 2.0 * e / (1.0 + e * e)
+        ry = JacobiTriple(math.tanh(y), sech, sech)
+    else:
+        ry = jacobi_real(z.imag, m1)
     s, c, d = rx.sn, rx.cn, rx.dn
     s1, c1, d1 = ry.sn, ry.cn, ry.dn
     denom = c1 * c1 + m * s * s * s1 * s1

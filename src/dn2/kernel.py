@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 
@@ -50,6 +51,36 @@ def reduction_limit(period: float) -> float:
 
 # |t| beyond which the tanh-sinh weight underflows double precision
 _T_CUTOFF = 6.115
+# finest refinement level integrate accepts; bounds the node table
+MAX_LEVEL = 11
+
+
+@lru_cache(maxsize=MAX_LEVEL + 1)
+def _level(level: int) -> tuple[tuple[int, float, float, float, float], ...]:
+    """The tanh-sinh nodes integrate adds at refinement level ``level``.
+
+    Level 0 holds every node t = k on [-6, 6]; level L >= 1 adds the nodes
+    t = k h, h = 2**-L, at odd k.  Each node, in increasing t, is stored as
+    (side, e, 1 + e, cosh t, cosh(u)**2) with u = (pi/2) sinh t and
+    e = exp(-2|u|), where side is the sign of t: everything about a node
+    that does not depend on the interval.  Built on first use, so a caller
+    pays only for the levels its integrands reach.
+    """
+    h = math.ldexp(1.0, -level)
+    nmax = int(_T_CUTOFF / h)
+    if level == 0:
+        ks = range(-nmax, nmax + 1)
+    else:
+        start = nmax if nmax % 2 == 1 else nmax - 1
+        ks = range(-start, nmax + 1, 2)
+    nodes = []
+    for k in ks:
+        t = k * h
+        u = 0.5 * math.pi * math.sinh(t)
+        e = math.exp(-2.0 * abs(u))
+        side = -1 if t < 0.0 else 1 if t > 0.0 else 0
+        nodes.append((side, e, 1.0 + e, math.cosh(t), math.cosh(u) ** 2))
+    return tuple(nodes)
 
 
 def integrate(
@@ -60,35 +91,41 @@ def integrate(
     singular_left: bool = False,
     singular_right: bool = False,
     tol: float = 1e-12,
-    max_level: int = 11,
+    max_level: int = MAX_LEVEL,
 ) -> QuadResult:
     """Tanh-sinh (double-exponential) quadrature of ``f`` over ``(a, b)``.
 
     Integrable inverse-square-root endpoint singularities are absorbed by the
     transformation; flag them so that nodes which round onto a singular
-    endpoint can be discarded instead of aborting the computation.
+    endpoint can be discarded instead of aborting the computation.  The
+    abscissae and weights come from the shared node table ``_level``;
+    ``max_level`` must lie in [2, MAX_LEVEL].
     """
     if not (a < b):
         raise DomainError(f"integrate requires a < b, got a={a}, b={b}")
+    if not 2 <= max_level <= MAX_LEVEL:
+        raise DomainError(f"integrate requires 2 <= max_level <= {MAX_LEVEL}, got {max_level}")
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     span_eps = 8.0 * math.ulp(max(abs(a), abs(b), 1.0))
+    # hoisted out of the node loop: Python groups 2.0 * half * e as
+    # (2.0 * half) * e, so hoisting leaves every product bit for bit the same
+    two_half = 2.0 * half
+    weight_scale = half * 0.5 * math.pi
 
-    def node_sum(ts) -> tuple[float, int]:
+    def node_sum(nodes) -> tuple[float, int]:
         acc = 0.0
         used = 0
-        for t in ts:
-            u = 0.5 * math.pi * math.sinh(t)
+        for side, e, one_plus_e, cosh_t, cosh_u2 in nodes:
             # distance from the nearer endpoint, computed without cancellation
             # so that endpoint singularities see an accurate abscissa
-            e = math.exp(-2.0 * abs(u))
-            dist = 2.0 * half * e / (1.0 + e)
-            x = (a + dist) if t < 0.0 else (b - dist) if t > 0.0 else mid
+            dist = two_half * e / one_plus_e
+            x = (a + dist) if side < 0 else (b - dist) if side > 0 else mid
             if x <= a or x >= b:
                 # node rounded onto an endpoint; its true weight is far below
                 # double resolution
                 continue
-            w = half * 0.5 * math.pi * math.cosh(t) / math.cosh(u) ** 2
+            w = weight_scale * cosh_t / cosh_u2
             if w == 0.0:
                 continue
             fx = f(x)
@@ -103,17 +140,14 @@ def integrate(
         return acc, used
 
     h = 1.0
-    n0 = int(_T_CUTOFF / h)
-    acc, used = node_sum(k * h for k in range(-n0, n0 + 1))
+    acc, used = node_sum(_level(0))
     evaluations = used
     total = h * acc
     prev = total
     delta = math.inf
     for level in range(1, max_level + 1):
         h *= 0.5
-        nmax = int(_T_CUTOFF / h)
-        start = nmax if nmax % 2 == 1 else nmax - 1
-        acc, used = node_sum(k * h for k in range(-start, nmax + 1, 2))
+        acc, used = node_sum(_level(level))
         evaluations += used
         total = 0.5 * prev + h * acc
         delta = abs(total - prev)

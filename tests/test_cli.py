@@ -44,6 +44,42 @@ class TestParseZ:
         with pytest.raises(DomainError):
             parse_z("$(rm)", 1.0, 1.0)
 
+    def test_implicit_products_and_precedence(self):
+        K, Kp = 1.7, 2.6
+        assert parse_z("iK'/3", K, Kp) == 1j * Kp / 3
+        assert parse_z("K/2+iK'/3", K, Kp) == K / 2 + 1j * Kp / 3
+        assert parse_z("(1+i)K", K, Kp) == (1 + 1j) * K
+        assert parse_z("2(1-i)", K, Kp) == 2 * (1 - 1j)
+        assert parse_z("-iK'", K, Kp) == -1j * Kp
+        assert parse_z("1/2K", K, Kp) == 1 / 2 * K
+        assert parse_z("1+2*3-4/8", K, Kp) == 6.5
+        assert parse_z(" 2 K' ", K, Kp) == 2 * Kp
+        assert parse_z("1e-3K+.5i", K, Kp) == 1e-3 * K + 0.5 * 1j
+
+    @pytest.mark.parametrize(
+        "text",
+        ["2**10", "9**9**9", "__import__('os')", "()", "", "1j", "Q", "K''", "1.2.3",
+         "(1", "1)", "1/0", "2^3", "1 _ 0", "9" * 400 + "K"],
+    )
+    def test_rejects_what_the_grammar_does_not_admit(self, text):
+        from dn2.kernel import DomainError
+
+        with pytest.raises(DomainError):
+            parse_z(text, 1.0, 1.0)
+
+    def test_rejected_before_any_arithmetic(self, monkeypatch):
+        from dn2 import cli
+        from dn2.kernel import DomainError
+
+        calls = []
+        monkeypatch.setattr(
+            cli, "_BINARY", {op: (lambda *a, op=op: calls.append(op)) for op in cli._BINARY}
+        )
+        for text in ("9**9**9", "2*3**4", "1+2+"):
+            with pytest.raises(DomainError):
+                parse_z(text, 1.0, 1.0)
+        assert calls == []
+
 
 class TestEval:
     def test_at_zero(self, capsys):
@@ -89,6 +125,13 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--kappa", "1.5", "--z", "0")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("z", ["2**10", "9**9**9", "__import__('os')", "()"])
+    def test_rejected_z_exit_2(self, capsys, z):
+        code, out, err = run(capsys, "eval", "--kappa", "0.6", "--z", z)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot parse z value")
 
     @pytest.mark.parametrize("route", ["sn", "wp", "phi", "all"])
     @pytest.mark.parametrize("z", ["1e400", "1e300", "0-1e400", "1e400-1e400"])
@@ -184,6 +227,18 @@ class TestIdentities:
             capsys, "identities", "--step", "0.45", "--perturb-lambda", "1e-6"
         )
         assert code == 1
+
+    def test_record_fields(self, capsys):
+        code, out, _ = run(capsys, "--format", "csv", "identities", "--step", "0.45")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["identity", "parameter", "lhs", "rhs", "residual", "tol", "passed"]
+        sweep = [r for r in rows[1:] if not r[0].startswith("worst:")]
+        worst = [r for r in rows[1:] if r[0].startswith("worst:")]
+        assert [r[0] for r in sweep[:3]] == ["bbg_91", "bbg_92", "transform_sig4"]
+        # one worst row per identity, sorted by name, repeating that sweep row
+        assert [r[0] for r in worst] == sorted("worst:" + r[0] for r in sweep)
+        assert all([f"worst:{r[0]}", *r[1:]] in worst for r in sweep)
 
     def test_bad_step_exit_2(self, capsys):
         code, _, _ = run(capsys, "identities", "--step", "0.7")

@@ -151,6 +151,24 @@ class TestDn2:
         with pytest.raises(DomainError):
             dn2(x, Modulus(0.6), route)
 
+    @pytest.mark.parametrize("route", [Route.SN, Route.WP])
+    @pytest.mark.parametrize("kappa", [1e-9, 1.5e-8, 2e-8])
+    def test_tiny_modulus_against_mpmath(self, kappa, route):
+        # at kappa = 1.5e-8 the Jacobian parameter is 2**-54 and its
+        # complement 1 - m rounds to 1; at 1e-9 the parameter itself is 0
+        import mpmath
+
+        mpmath.mp.dps = 40
+        k = mpmath.mpf(kappa)
+        lam = mpmath.sqrt(1 - k * k)
+        m = (1 - lam) / (1 + lam)
+        c = mpmath.sqrt((1 + lam) / 2)
+        mod = Modulus(kappa)
+        for z in (complex(0.3, 0.2), complex(1.2, 1.0), complex(-2.5, 3.0)):
+            sn = mpmath.ellipfun("sn", mpmath.mpc(z) * c, m=m)
+            ref = complex(1 - (1 - lam) * sn**2)
+            assert abs(dn2(z, mod, route) - ref) <= 1e-14 * abs(ref), z
+
     def test_phi_route_rejects_complex(self):
         with pytest.raises(DomainError):
             dn2(complex(0.1, 0.2), Modulus(0.5), Route.PHI)

@@ -139,3 +139,20 @@ class TestComplex:
         assert abs(j.sn - cmath.sin(z)) <= 1e-14
         assert abs(j.cn - cmath.cos(z)) <= 1e-14
         assert abs(j.dn - 1.0) <= 1e-14
+
+    def test_complement_rounding_to_one(self):
+        # 1 - m rounds to 1 for m = 2**-54, where sn, cn, dn of the imaginary
+        # part are tanh, sech, sech
+        import mpmath
+
+        mpmath.mp.dps = 40
+        m = 2.0**-54
+        for z in (complex(0.4, 0.7), complex(-1.3, 2.5)):
+            j = jacobi_complex(z, m)
+            for name, got in zip(("sn", "cn", "dn"), j):
+                ref = complex(mpmath.ellipfun(name, mpmath.mpc(z), m=mpmath.mpf(m)))
+                assert abs(got - ref) <= 1e-14 * abs(ref), (z, name)
+        with pytest.raises(DomainError):
+            jacobi_complex(complex(0.3, math.inf), m)
+        with pytest.raises(DomainError):
+            jacobi_complex(complex(0.3, math.nan), m)

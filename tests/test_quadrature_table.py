@@ -1,0 +1,210 @@
+"""The tanh-sinh node table: integrate adds up precomputed nodes instead of
+working them out on every call, without changing a single bit of any result."""
+
+import math
+
+import pytest
+
+from dn2.core import (
+    Modulus,
+    PeriodMethod,
+    f_forward,
+    greenhill_check,
+    i_gamma,
+    periods,
+    phi,
+)
+from dn2.hyper import f14_34_12_closed
+from dn2.kernel import (
+    _T_CUTOFF,
+    MAX_LEVEL,
+    ConvergenceError,
+    DomainError,
+    QuadResult,
+    _level,
+    integrate,
+)
+
+T = [0.4, 1.3, -2.9, 7.0]
+X = [0.37, -3.1, 7.5]
+
+# kappa -> f at T, phi at X, I(alpha) and I(beta), INTEGRAL periods (K, K'),
+# greenhill_check(2, kappa, -1), and the QuadResult (value, err_estimate,
+# evaluations) of the f integrand over (0, 1.3), as float.hex; computed before
+# the node table existed, when integrate worked out every node on each call
+GOLDEN = {
+    0.3: (
+        ['0x1.9a518181dd78cp-2', '0x1.51803b35356f2p+0', '-0x1.7a5268a3cc9c7p+1', '0x1.c762b3c48a346p+2'],
+        ['0x1.7a4fd280c59d1p-2', '-0x1.85a8c81896327p+1', '0x1.d817891c15e62p+2'],
+        ('0x1.2bc3b27509f94p+1', '0x1.994410fba5435p+0'),
+        ('0x1.994410fba5435p+0', '0x1.a7ee520651b1ap+1'),
+        ('0x1.0000000000000p-51', '-0x1.0000000000000p-51'),
+        ('0x1.51803b35356f2p+0', '0x0.0p+0', 148),
+    ),
+    0.6: (
+        ['0x1.9c87005260fa8p-2', '0x1.62aa6d30d09d0p+0', '-0x1.957175fa82c6cp+1', '0x1.e35af8012f8ccp+2'],
+        ['0x1.789a156ff5f62p-2', '-0x1.6aa4e1f8a78f1p+1', '0x1.bcd6f15a6ae1cp+2'],
+        ('0x1.e27d6a71d3d3ep+0', '0x1.b472b565457b4p+0'),
+        ('0x1.b472b565457b4p+0', '0x1.552c009726818p+1'),
+        ('0x0.0p+0', '-0x1.0000000000000p-51'),
+        ('0x1.62aa6d30d09d0p+0', '0x1.0000000000000p-51', 148),
+    ),
+    0.9: (
+        ['0x1.a06717659446ep-2', '0x1.95fcf2e530dbap+0', '-0x1.f872eeae67236p+1', '0x1.2402b48c93cfdp+3'],
+        ['0x1.75bbe7d9fed3cp-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f947cp+2'],
+        ('0x1.a22a6fbf05360p+0', '0x1.0bc753100a5e0p+1'),
+        ('0x1.0bc753100a5e0p+1', '0x1.27b016eefc587p+1'),
+        ('0x0.0p+0', '0x0.0p+0'),
+        ('0x1.95fcf2e530dbap+0', '0x1.0000000000000p-52', 148),
+    ),
+}
+# phi(5.0, Modulus(0.999999)) fails in f's quadrature; its ConvergenceError.best
+GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.5481890c0e93ap+3', '0x1.c55ddb0380000p-16', 19019)
+
+
+def _quad_hex(r: QuadResult):
+    return (r.value.hex(), r.err_estimate.hex(), r.evaluations)
+
+
+def _values(kappa):
+    mod = Modulus(kappa)
+    k2 = kappa * kappa
+    p = periods(mod, PeriodMethod.INTEGRAL)
+    quad = integrate(lambda t: f14_34_12_closed(k2 * math.sin(t) ** 2), 0.0, 1.3)
+    return (
+        [f_forward(t, mod).hex() for t in T],
+        [phi(x, mod).hex() for x in X],
+        (i_gamma(mod.alpha).hex(), i_gamma(mod.beta).hex()),
+        (p.K.hex(), p.Kprime.hex()),
+        tuple(v.hex() for v in greenhill_check(2.0, kappa, -1.0)),
+        _quad_hex(quad),
+    )
+
+
+@pytest.mark.parametrize("kappa", sorted(GOLDEN))
+def test_values_match_the_untabled_quadrature_bit_for_bit(kappa):
+    _level.cache_clear()
+    assert _values(kappa) == GOLDEN[kappa]  # cold table
+    assert _values(kappa) == GOLDEN[kappa]  # warm table
+
+
+def test_kappa_to_one_failure_keeps_its_best_estimate():
+    _level.cache_clear()
+    for _table in ("cold", "warm"):
+        with pytest.raises(ConvergenceError) as info:
+            phi(5.0, Modulus(0.999999))
+        assert _quad_hex(info.value.best) == GOLDEN_KAPPA_TO_ONE_BEST
+
+
+def _reference_integrate(f, a, b, *, singular_left=False, singular_right=False,
+                         tol=1e-12, max_level=11):
+    """integrate as it was before the node table: every node worked out anew."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    span_eps = 8.0 * math.ulp(max(abs(a), abs(b), 1.0))
+
+    def node_sum(ts):
+        acc = 0.0
+        used = 0
+        for t in ts:
+            u = 0.5 * math.pi * math.sinh(t)
+            e = math.exp(-2.0 * abs(u))
+            dist = 2.0 * half * e / (1.0 + e)
+            x = (a + dist) if t < 0.0 else (b - dist) if t > 0.0 else mid
+            if x <= a or x >= b:
+                continue
+            w = half * 0.5 * math.pi * math.cosh(t) / math.cosh(u) ** 2
+            if w == 0.0:
+                continue
+            fx = f(x)
+            used += 1
+            if not math.isfinite(fx):
+                near_left = singular_left and (x - a) <= span_eps
+                near_right = singular_right and (b - x) <= span_eps
+                if near_left or near_right:
+                    continue
+                raise ConvergenceError(f"non-finite integrand value at x={x}")
+            acc += w * fx
+        return acc, used
+
+    h = 1.0
+    n0 = int(_T_CUTOFF / h)
+    acc, used = node_sum(k * h for k in range(-n0, n0 + 1))
+    evaluations = used
+    total = h * acc
+    prev = total
+    delta = math.inf
+    for level in range(1, max_level + 1):
+        h *= 0.5
+        nmax = int(_T_CUTOFF / h)
+        start = nmax if nmax % 2 == 1 else nmax - 1
+        acc, used = node_sum(k * h for k in range(-start, nmax + 1, 2))
+        evaluations += used
+        total = 0.5 * prev + h * acc
+        delta = abs(total - prev)
+        if level >= 2 and delta <= max(tol, 1e-15 * abs(total)):
+            return QuadResult(total, delta, evaluations)
+        prev = total
+    raise ConvergenceError("no convergence", best=QuadResult(total, delta, evaluations))
+
+
+CASES = [
+    # (integrand, a, b, keyword arguments)
+    (math.cos, 0.0, 1.0, {}),
+    (math.exp, -3.0, 2.5, {"tol": 1e-14}),
+    (lambda t: 1.0 / math.sqrt(1.0 - 0.7 * math.sin(t) ** 2), 0.0, 0.5 * math.pi, {}),
+    (lambda t: t ** -0.5, 0.0, 1.0, {"singular_left": True}),
+    (lambda t: (1.0 - t) ** -0.5, 0.0, 1.0, {"singular_right": True, "tol": 1e-8}),
+    (lambda t: 1.0 / math.sqrt(t * (2.0 - t)), 0.0, 2.0,
+     {"singular_left": True, "singular_right": True, "tol": 1e-6}),
+    # nodes round onto the endpoints of a short interval far from 0
+    (lambda t: t * t, 1e6, 1e6 + 1e-4, {}),
+    (lambda t: math.log(t), 1e-300, 1e-290, {"tol": 1e-300}),
+    (lambda t: math.sin(1e3 * t), -1.0, 1.0, {"max_level": 6}),
+    (lambda t: abs(t - 0.123456789) ** 0.5, 0.0, 1.0, {"tol": 1e-16, "max_level": 4}),
+]
+
+
+def _outcome(fn, f, a, b, kwargs):
+    try:
+        return ("ok", _quad_hex(fn(f, a, b, **kwargs)))
+    except ConvergenceError as exc:
+        best = exc.best
+        return ("fail", None if best is None else _quad_hex(best))
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_integrate_matches_the_per_node_reference(case):
+    f, a, b, kwargs = CASES[case]
+    expected = _outcome(_reference_integrate, f, a, b, kwargs)
+    _level.cache_clear()
+    assert _outcome(integrate, f, a, b, kwargs) == expected
+    assert _outcome(integrate, f, a, b, kwargs) == expected
+
+
+def test_node_table_is_bounded_and_lazy():
+    assert _level.cache_info().maxsize == MAX_LEVEL + 1
+    _level.cache_clear()
+    integrate(math.cos, 0.0, 1.0)
+    assert _level.cache_info().currsize < MAX_LEVEL + 1  # only the levels reached
+    with pytest.raises(ConvergenceError):
+        integrate(lambda t: abs(t - 0.123456789) ** 0.5, 0.0, 1.0, tol=1e-16)
+    assert _level.cache_info().currsize == MAX_LEVEL + 1
+
+
+@pytest.mark.parametrize("max_level", [-1, 0, 1, MAX_LEVEL + 1, 40])
+def test_max_level_outside_the_table_is_rejected(max_level):
+    with pytest.raises(DomainError):
+        integrate(math.cos, 0.0, 1.0, max_level=max_level)
+
+
+def test_level_nodes():
+    for level in range(MAX_LEVEL + 1):
+        nodes = _level(level)
+        sides = [n[0] for n in nodes]
+        assert sides == sorted(sides)
+        for side, e, one_plus_e, cosh_t, cosh_u2 in nodes:
+            assert 0.0 < e <= 1.0 and one_plus_e == 1.0 + e
+            assert cosh_t >= 1.0 and math.isfinite(cosh_u2) and cosh_u2 >= 1.0
+        # level 0 holds t = -6..6, each finer level the odd multiples of h
+        assert len(nodes) == (13 if level == 0 else 2 * ((int(_T_CUTOFF * 2**level) + 1) // 2))
