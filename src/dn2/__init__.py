@@ -36,14 +36,7 @@ from .identities import (
     transform_signature4,
 )
 from .jacobi import POLE_THRESHOLD, JacobiTriple, PoleError, jacobi_complex, jacobi_real
-from .kernel import (
-    ConvergenceError,
-    DomainError,
-    QuadResult,
-    integrate,
-    newton_invert,
-    sum_series,
-)
+from .kernel import ConvergenceError, DomainError, QuadResult, integrate, newton_invert
 from .weier import LatticeData, PeriodPair, lattice_from_invariants, wp, wp_halfperiods
 
 __version__ = "0.1.0"
@@ -86,7 +79,6 @@ __all__ = [
     "QuadResult",
     "integrate",
     "newton_invert",
-    "sum_series",
     "LatticeData",
     "PeriodPair",
     "lattice_from_invariants",

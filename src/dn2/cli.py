@@ -56,19 +56,23 @@ _TOKEN = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|K'|[Ki()*/+-]")
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _postfix(tokens: list[str]) -> list:
-    """Parse tokens into postfix order; raise ValueError on a syntax error.
+def parse_z(text: str, K: float, Kprime: float) -> complex:
+    """Parse a z argument: a number like 0.3+0.4i, or symbolic K / iK' forms.
 
     expr := term (('+' | '-') term)*
     term := factor (('*' | '/') factor | factor)*   juxtaposition multiplies
     factor := ('+' | '-') factor | NUMBER | 'K' | "K'" | 'i' | '(' expr ')'
 
     A juxtaposed factor follows K, K', i or ')', or it follows a number and
-    is not one itself: 2K, iK'/3 and (1+i)K, but not 1 2.  Numbers become
-    int or float, and "neg" marks a unary minus, so that evaluating the
-    result applies Python's own arithmetic in Python's own order.
+    is not one itself: 2K, iK'/3 and (1+i)K, but not 1 2.  Numbers stay int
+    or float and each operator is applied as soon as its right operand is
+    parsed, so the value is what Python computes for the same expression.
+    Anything else raises DomainError at the first token the grammar does
+    not admit.
     """
-    out: list = []
+    s = text.strip().replace(" ", "")
+    symbols = {"K": K, "K'": Kprime, "i": 1j}
+    tokens = _TOKEN.findall(s)
     pos = 0
 
     def peek() -> str:
@@ -81,75 +85,59 @@ def _postfix(tokens: list[str]) -> list:
         pos += 1
         return tokens[pos - 1]
 
-    def expr() -> None:
-        term()
+    def expr():
+        value = term()
         while peek() in ("+", "-"):
             op = take()
-            term()
-            out.append(op)
+            value = _BINARY[op](value, term())
+        return value
 
-    def term() -> None:
-        factor()
+    def term():
+        value = factor()
         while True:
             nxt = peek()[:1]
             if nxt in ("*", "/"):
                 take()
-                factor()
-                out.append(nxt)
+                value = _BINARY[nxt](value, factor())
             elif nxt and (nxt in "Ki(" or nxt in "0123456789."
                           and tokens[pos - 1] in ("K", "K'", "i", ")")):
-                factor()
-                out.append("*")
+                value = _BINARY["*"](value, factor())
             else:
-                return
+                return value
 
-    def factor() -> None:
+    def factor():
         tok = take()
         if tok in ("+", "-"):
-            factor()
-            if tok == "-":
-                out.append("neg")
-        elif tok == "(":
-            expr()
+            value = factor()
+            return -value if tok == "-" else value
+        if tok == "(":
+            value = expr()
             if take() != ")":
                 raise ValueError("unbalanced parenthesis")
-        elif tok in ("K", "K'", "i"):
-            out.append(tok)
-        elif tok[0] in "0123456789.":
-            out.append(int(tok) if tok.isdigit() else float(tok))
-        else:
-            raise ValueError(f"unexpected {tok!r}")
+            return value
+        if tok in symbols:
+            return symbols[tok]
+        if tok[0] in "0123456789.":
+            return int(tok) if tok.isdigit() else float(tok)
+        raise ValueError(f"unexpected {tok!r}")
 
-    expr()
-    if pos != len(tokens):
-        raise ValueError(f"unexpected {tokens[pos]!r}")
-    return out
-
-
-def parse_z(text: str, K: float, Kprime: float) -> complex:
-    """Parse a z argument: a number like 0.3+0.4i, or symbolic K / iK' forms.
-
-    The grammar of ``_postfix`` admits numbers, K, K', i, + - * / and
-    parentheses; anything else raises DomainError before any arithmetic.
-    """
-    s = text.strip().replace(" ", "")
-    symbols = {"K": K, "K'": Kprime, "i": 1j}
     try:
-        tokens = _TOKEN.findall(s)
         if "".join(tokens) != s:
             raise ValueError("unexpected character")
-        stack: list = []
-        for item in _postfix(tokens):
-            if item in _BINARY:
-                rhs = stack.pop()
-                stack.append(_BINARY[item](stack.pop(), rhs))
-            elif item == "neg":
-                stack.append(-stack.pop())
-            else:
-                stack.append(symbols.get(item, item))
-        return complex(stack.pop())
+        value = expr()
+        if pos != len(tokens):
+            raise ValueError(f"unexpected {tokens[pos]!r}")
+        return complex(value)
     except (ValueError, ArithmeticError, RecursionError) as exc:
         raise DomainError(f"cannot parse z value {text!r}") from exc
+
+
+def _dn2_or_pole(z: float | complex, mod: Modulus, route: Route) -> complex | None:
+    """dn2 at z as a complex number, or None at a pole."""
+    try:
+        return complex(core.dn2(z, mod, route))
+    except PoleError:
+        return None
 
 
 def cmd_eval(args) -> int:
@@ -160,15 +148,9 @@ def cmd_eval(args) -> int:
     zin: float | complex = z.real if real else z
     record = {"kappa": args.kappa, "z_re": z.real, "z_im": z.imag, "route": args.route}
 
-    def one(route: Route):
-        try:
-            return complex(core.dn2(zin, mod, route))
-        except PoleError:
-            return None
-
     if args.route == "all":
         routes = [Route.SN, Route.WP] + ([Route.PHI] if real else [])
-        vals = {r.value: one(r) for r in routes}
+        vals = {r.value: _dn2_or_pole(zin, mod, r) for r in routes}
         for name, v in vals.items():
             record[f"dn2_{name}_re"] = "pole" if v is None else v.real
             record[f"dn2_{name}_im"] = "pole" if v is None else v.imag
@@ -176,7 +158,7 @@ def cmd_eval(args) -> int:
         deltas = [abs(p - q) for i, p in enumerate(nums) for q in nums[i + 1:]]
         record["delta_max"] = max(deltas) if deltas else 0.0
     else:
-        v = one(Route(args.route))
+        v = _dn2_or_pole(zin, mod, Route(args.route))
         record["dn2_re"] = "pole" if v is None else v.real
         record["dn2_im"] = "pole" if v is None else v.imag
     if real:
@@ -306,53 +288,48 @@ def cmd_sample(args) -> int:
     if args.region != "real-axis" and route is Route.PHI:
         raise DomainError("phi route samples the real axis only")
 
-    rows = []
+    # real-axis points stay floats, so that the real SN path runs there
     if args.region == "real-axis":
-        for i in range(n):
-            x = 2.0 * K * i / (n - 1)
-            v = complex(core.dn2(x, mod, route))
-            rows.append(
-                {"z_re": x, "z_im": 0.0, "dn2_re": v.real, "dn2_im": v.imag, "route": route.value}
-            )
+        points = [2.0 * K * i / (n - 1) for i in range(n)]
     elif args.region == "perimeter":
         total = 2.0 * (K + Kprime)
         # keep clear of the pole vertex at iK' (start and end of the walk)
         margin = 0.01 * total
-        prev = None
-        for i in range(n):
-            s = margin + (total - 2.0 * margin) * i / (n - 1)
-            z = _perimeter_point(s, K, Kprime)
-            v = complex(core.dn2(z, mod, route))
-            dec = "true" if prev is None or v.real < prev else "false"
-            prev = v.real
-            rows.append(
-                {
-                    "z_re": z.real,
-                    "z_im": z.imag,
-                    "dn2_re": v.real,
-                    "dn2_im": v.imag,
-                    "route": route.value,
-                    "decreasing": dec,
-                }
-            )
+        points = [
+            _perimeter_point(margin + (total - 2.0 * margin) * i / (n - 1), K, Kprime)
+            for i in range(n)
+        ]
+    elif args.seed is not None:
+        rng = random.Random(args.seed)
+        points = [
+            complex(rng.uniform(0.0, 2.0 * K), rng.uniform(0.0, 2.0 * Kprime))
+            for _ in range(n * n)
+        ]
     else:
-        rng = random.Random(args.seed) if args.seed is not None else None
-        for i in range(n):
-            for j in range(n):
-                if rng is not None:
-                    x = rng.uniform(0.0, 2.0 * K)
-                    y = rng.uniform(0.0, 2.0 * Kprime)
-                else:
-                    x = 2.0 * K * j / (n - 1)
-                    y = 2.0 * Kprime * i / (n - 1)
-                try:
-                    v = complex(core.dn2(complex(x, y), mod, route))
-                    re_v, im_v = v.real, v.imag
-                except PoleError:
-                    re_v = im_v = "pole"
-                rows.append(
-                    {"z_re": x, "z_im": y, "dn2_re": re_v, "dn2_im": im_v, "route": route.value}
-                )
+        points = [
+            complex(2.0 * K * j / (n - 1), 2.0 * Kprime * i / (n - 1))
+            for i in range(n)
+            for j in range(n)
+        ]
+
+    rows = []
+    prev = None
+    for z in points:
+        v = _dn2_or_pole(z, mod, route)
+        row = {
+            "z_re": z.real,
+            "z_im": z.imag,
+            "dn2_re": "pole" if v is None else v.real,
+            "dn2_im": "pole" if v is None else v.imag,
+            "route": route.value,
+        }
+        if args.region == "perimeter":
+            # a pole row is not decreasing; the row after it, like the
+            # first row, has no value to compare with
+            dec = v is not None and (prev is None or v.real < prev)
+            row["decreasing"] = "true" if dec else "false"
+            prev = None if v is None else v.real
+        rows.append(row)
 
     fmt = "jsonl" if args.format == "jsonl" else "csv"
     if args.out == "-":
@@ -411,10 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

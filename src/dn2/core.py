@@ -165,11 +165,14 @@ def phi(u: float, mod: Modulus, tol: float = 1e-12) -> float:
 
     Reduction uses f(T + pi) = f(T) + 2K, then a safeguarded Newton solve on
     the reduced interval; the derivative of f is at least 1 everywhere.
-    Raises DomainError when |u| is so large (or not finite) that fewer than
-    8 significant digits of u survive reduction modulo 2K.
+    Below |u| = 1e-4, where the Newton tolerance, being absolute, would cost
+    relative accuracy, it returns the series u - kappa^2 u^3 / 8 instead,
+    whose next term is below 1e-17 u there.  Raises DomainError when |u| is
+    so large (or not finite) that fewer than 8 significant digits of u
+    survive reduction modulo 2K.
     """
-    if u == 0.0:
-        return 0.0
+    if abs(u) < 1e-4:
+        return u - mod.kappa**2 * u**3 / 8.0
     two_k = mod.two_k
     limit = reduction_limit(two_k)
     if not abs(u) <= limit:

@@ -18,6 +18,9 @@ from .kernel import DomainError, reduction_limit
 # below this denominator magnitude the quotient's relative error is
 # uncontrolled; callers get an explicit pole signal instead of a number
 POLE_THRESHOLD = 1e-13
+# below this |x| the Landen ascent in jacobi_real overflows (its first step
+# squares cot(x c)), while sn, cn, dn round to x, 1, 1 from |x| < 1e-9 on
+_TINY = 1e-150
 
 
 class PoleError(ArithmeticError):
@@ -77,22 +80,23 @@ def jacobi_real(x: float, m: float) -> JacobiTriple:
         return JacobiTriple(math.sin(x), math.cos(x), 1.0)
     # reduce modulo the real period to keep the recursion well conditioned
     x = math.remainder(x, period)
+    if abs(x) < _TINY:
+        return JacobiTriple(x, 1.0, 1.0)
 
     dn = 1.0
     u = x * c
     sn = math.sin(u)
     cn = math.cos(u)
-    if sn != 0.0:
-        aa = cn / sn
-        cc = c * aa
-        for b, e in rungs:
-            aa *= cc
-            cc *= dn
-            dn = (e + aa) / (b + aa)
-            aa = cc / b
-        amp = 1.0 / math.sqrt(cc * cc + 1.0)
-        sn = amp if sn >= 0.0 else -amp
-        cn = cc * sn
+    aa = cn / sn
+    cc = c * aa
+    for b, e in rungs:
+        aa *= cc
+        cc *= dn
+        dn = (e + aa) / (b + aa)
+        aa = cc / b
+    amp = 1.0 / math.sqrt(cc * cc + 1.0)
+    sn = amp if sn >= 0.0 else -amp
+    cn = cc * sn
     return JacobiTriple(sn, cn, dn)
 
 

@@ -1,4 +1,4 @@
-"""Numeric foundations: tanh-sinh quadrature, safeguarded root-finding, series summation.
+"""Numeric foundations: tanh-sinh quadrature and safeguarded root-finding.
 
 Everything here works in plain double precision and is a pure function of its
 inputs; any non-finite intermediate aborts with an explicit error instead of
@@ -223,37 +223,3 @@ def newton_invert(
         x = xn
     raise ConvergenceError("root iteration exceeded the iteration cap", best=x)
 
-
-def sum_series(
-    term: Callable[[int], float],
-    tol: float = 1e-15,
-    max_terms: int = 10000,
-) -> float:
-    """Sum term(0) + term(1) + ... until a geometric tail bound drops below tol.
-
-    The tail is bounded from the last two term magnitudes; terms must
-    eventually decrease geometrically for the bound to trigger.
-    """
-    total = 0.0
-    comp = 0.0
-    prev_mag: float | None = None
-    for n in range(max_terms):
-        t = term(n)
-        if not math.isfinite(t):
-            raise ConvergenceError(f"non-finite series term at n={n}")
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        mag = abs(t)
-        if prev_mag is not None:
-            if mag == 0.0 and prev_mag == 0.0:
-                return total
-            if prev_mag > 0.0 and mag < prev_mag:
-                ratio = mag / prev_mag
-                if mag <= tol and mag * ratio / (1.0 - ratio) <= tol:
-                    return total
-        prev_mag = mag
-    raise ConvergenceError(
-        f"series tail bound not met within {max_terms} terms", best=total
-    )

@@ -67,18 +67,24 @@ class TestParseZ:
         with pytest.raises(DomainError):
             parse_z(text, 1.0, 1.0)
 
-    def test_rejected_before_any_arithmetic(self, monkeypatch):
+    def test_evaluation_stops_at_the_first_rejected_token(self, monkeypatch):
+        # parsing and evaluation are one pass: the operators of a valid
+        # prefix are applied, nothing after the first token the grammar
+        # rejects is, and no input reaches any operator but + - * /
         from dn2 import cli
         from dn2.kernel import DomainError
 
         calls = []
         monkeypatch.setattr(
-            cli, "_BINARY", {op: (lambda *a, op=op: calls.append(op)) for op in cli._BINARY}
+            cli, "_BINARY",
+            {op: (lambda a, b, op=op: calls.append(op) or a) for op in cli._BINARY},
         )
-        for text in ("9**9**9", "2*3**4", "1+2+"):
+        for text, applied in (("9**9**9", []), ("2*3**4", ["*"]), ("1+2+", ["+"]),
+                              ("1+2*)", []), ("(1-2)3(", ["-", "*"])):
+            calls.clear()
             with pytest.raises(DomainError):
                 parse_z(text, 1.0, 1.0)
-        assert calls == []
+            assert calls == applied, text
 
 
 class TestEval:
@@ -161,6 +167,19 @@ class TestEval:
         rec = json.loads(out)
         assert list(rec)[-2:] == ["s2", "phi"]
         assert rec["s2"] == math.sin(rec["phi"]) == core.s2(1.7, Modulus(0.6))
+
+    @pytest.mark.parametrize("z", ["1e-320", "-1e-200", "5e-324", "1e-320i", "0.3+1e-160i"])
+    def test_tiny_z(self, capsys, z):
+        # z = 1e-320 used to print nan for dn2, and 1.19e-24 for phi and s2
+        code, out, _ = run(
+            capsys, "--format", "jsonl", "eval", "--kappa", "0.6", f"--z={z}", "--route", "all"
+        )
+        assert code == 0
+        rec = json.loads(out)
+        assert all(math.isfinite(v) for v in rec.values() if isinstance(v, float))
+        if rec["z_im"] == 0.0:
+            assert rec["dn2_sn_re"] == rec["dn2_wp_re"] == rec["dn2_phi_re"] == 1.0
+            assert rec["phi"] == rec["s2"] == rec["z_re"] == float(z)
 
 
 class TestPeriods:
@@ -329,3 +348,50 @@ class TestSample:
         )
         assert code == 2
         assert "error" in err
+
+    def test_poles_print_pole_rows(self, capsys):
+        # this used to die with a PoleError traceback and exit 1
+        code, out, err = run(
+            capsys, "sample", "--kappa", "1e-8", "--region", "perimeter",
+            "--n", "50", "--out", "-",
+        )
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 50
+        poles = [r for r in rows if r["dn2_re"] == "pole"]
+        assert poles and all(r["dn2_im"] == "pole" for r in poles)
+        assert all(r["decreasing"] == "false" for r in poles)
+
+    @pytest.mark.parametrize(
+        "region, extra", [("real-axis", []), ("perimeter", ["decreasing"]), ("grid", [])]
+    )
+    def test_row_keys_and_pole_rows_in_every_region(self, capsys, monkeypatch, region, extra):
+        from dn2 import core
+        from dn2.jacobi import PoleError
+
+        points = []
+        evaluate = core.dn2
+
+        def dn2_with_a_pole(z, mod, route):
+            points.append(z)
+            if len(points) == 2:
+                raise PoleError("pole")
+            return evaluate(z, mod, route)
+
+        monkeypatch.setattr(core, "dn2", dn2_with_a_pole)
+        code, out, _ = run(
+            capsys, "--format", "jsonl", "--seed", "1", "sample", "--kappa", "0.6",
+            "--region", region, "--n", "3", "--out", "-",
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == len(points) == (9 if region == "grid" else 3)
+        keys = ["z_re", "z_im", "dn2_re", "dn2_im", "route", *extra]
+        assert all(list(r) == keys for r in rows)
+        assert rows[1]["dn2_re"] == rows[1]["dn2_im"] == "pole"
+        assert all(isinstance(r["dn2_re"], float) for r in rows[:1] + rows[2:])
+        # real-axis points stay floats, so that the real SN path runs there
+        assert all(isinstance(z, float if region == "real-axis" else complex) for z in points)
+        if region == "perimeter":
+            # the row after a pole has no value to compare with
+            assert [r["decreasing"] for r in rows] == ["true", "false", "true"]

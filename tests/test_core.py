@@ -169,6 +169,29 @@ class TestDn2:
             ref = complex(1 - (1 - lam) * sn**2)
             assert abs(dn2(z, mod, route) - ref) <= 1e-14 * abs(ref), z
 
+    @pytest.mark.parametrize("route", [Route.SN, Route.WP])
+    def test_tiny_arguments_against_mpmath(self, route):
+        # used to give nan: below about 1e-154 the Landen ascent overflowed.
+        # Off the real axis dn2(x + iy) = dn2(x) + i y dn2'(x) + O(y^2),
+        # exact in double precision for these y
+        import mpmath
+
+        mod = Modulus(0.6)
+        m, scale = mod.sn_parameter
+        with mpmath.workdps(30):
+            lam = mpmath.mpf(mod.lam)
+            c = mpmath.mpf(scale)
+            u = mpmath.mpf(0.3) * c
+            sn, cn, dn = (mpmath.ellipfun(name, u, m=m) for name in ("sn", "cn", "dn"))
+            re = float(1 - (1 - lam) * sn**2)
+            slope = -2 * (1 - lam) * sn * cn * dn * c
+        for y in (1e-155, -1e-160, 1e-200, 1e-300, -1e-320, 5e-324):
+            assert dn2(y, mod, route) == 1.0
+            got = dn2(complex(0.3, y), mod, route)
+            im = float(slope * mpmath.mpf(y))
+            assert abs(got.real - re) <= 1e-15 * abs(re), y
+            assert abs(got.imag - im) <= 1e-14 * abs(im) + 1e-323, y
+
     def test_phi_route_rejects_complex(self):
         with pytest.raises(DomainError):
             dn2(complex(0.1, 0.2), Modulus(0.5), Route.PHI)
@@ -210,6 +233,31 @@ class TestAmplitude:
         mod = Modulus(0.8)
         for u in [1.1, -0.7, 5.3]:
             assert abs(f_forward(phi(u, mod), mod) - u) <= 1e-11
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.999999])
+    def test_phi_small_argument_against_mpmath(self, kappa):
+        # |u| log-spaced from just below 1e-4, where phi switches from Newton
+        # to its series, down to the smallest subnormal; Newton's absolute
+        # tolerance used to leave 1.2e-9 relative error at u = 1e-15.  The
+        # reference inverts f(T) = F(theta | m)/c, where
+        # sin^2 theta = (1 + lam) sin^2 T / (1 + cos psi), sin psi = kappa sin T
+        import mpmath
+
+        mod = Modulus(kappa)
+        with mpmath.workdps(30):
+            k = mpmath.mpf(kappa)
+            lam = mpmath.sqrt(1 - k * k)
+            m = (1 - lam) / (1 + lam)
+            c = mpmath.sqrt((1 + lam) / 2)
+            for u in [10.0 ** -(4.05 + 2.0 * j) for j in range(160)] + [5e-324]:
+                sn = mpmath.ellipfun("sn", u * c, m=m)
+                sin_t = sn * mpmath.sqrt((2 - (1 - lam) * sn**2) / (1 + lam))
+                ref_phi, ref_s2 = float(mpmath.asin(sin_t)), float(sin_t)
+                for sign in (1.0, -1.0):
+                    got = phi(sign * u, mod)
+                    assert abs(got - sign * ref_phi) <= 1e-13 * ref_phi, sign * u
+                    got = s2(sign * u, mod)
+                    assert abs(got - sign * ref_s2) <= 1e-13 * ref_s2, sign * u
 
     @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan, 1e300])
     def test_phi_unreducible_argument(self, u):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -156,3 +157,64 @@ class TestComplex:
             jacobi_complex(complex(0.3, math.inf), m)
         with pytest.raises(DomainError):
             jacobi_complex(complex(0.3, math.nan), m)
+
+
+# x = +-10**-k for k = 1..323 and the smallest subnormal; below about 1e-154
+# the Landen ascent in jacobi_real used to overflow and return nan
+TINY = [s * x for x in [10.0**-k for k in range(1, 324)] + [5e-324] for s in (1.0, -1.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_triple_abs(x, m):
+    import mpmath
+
+    with mpmath.workdps(30):
+        sn = mpmath.ellipfun("sn", x, m=m)
+        return sn, mpmath.sqrt(1 - sn**2), mpmath.sqrt(1 - m * sn**2)
+
+
+def mp_triple(x, m):
+    # sn from mpmath at 30 digits; cn and dn from sn^2 + cn^2 = 1 and
+    # dn^2 + m sn^2 = 1, both positive for |x| < K(m); sn is odd, cn and dn
+    # even, and the cache shares values between a parameter and its
+    # complement
+    sn, cn, dn = _mp_triple_abs(abs(x), m)
+    return (-sn if x < 0 else sn), cn, dn
+
+
+def close(got, ref, rel):
+    # relative, or within two units of the smallest subnormal
+    return abs(got - ref) <= rel * abs(ref) + 1e-323
+
+
+class TestTinyArguments:
+    @pytest.mark.parametrize("m", [0.25, 0.75])
+    def test_real_part_against_mpmath(self, m):
+        import mpmath
+
+        with mpmath.workdps(30):
+            for x in TINY:
+                for name, got, ref in zip("scd", jacobi_real(x, m), mp_triple(x, m)):
+                    assert close(got, float(ref), 1e-15), (x, name, got)
+
+    @pytest.mark.parametrize("m", [0.25, 0.75])
+    def test_imaginary_part_against_mpmath(self, m):
+        # mpmath's complex ellipfun carries an absolute error near 10**-dps
+        # in the imaginary part, so the reference is the addition formula
+        # on mpmath's real values
+        import mpmath
+
+        with mpmath.workdps(30):
+            s, c, d = mp_triple(0.3, m)
+            for y in TINY:
+                s1, c1, d1 = mp_triple(y, 1 - m)
+                den = c1**2 + m * s**2 * s1**2
+                refs = (
+                    mpmath.mpc(s * d1, c * d * s1 * c1) / den,
+                    mpmath.mpc(c * c1, -s * d * s1 * d1) / den,
+                    mpmath.mpc(d * c1 * d1, -m * s * c * s1) / den,
+                )
+                for name, got, ref in zip("scd", jacobi_complex(complex(0.3, y), m), refs):
+                    ref = complex(ref)
+                    assert close(got.real, ref.real, 1e-15), (y, name, got)
+                    assert close(got.imag, ref.imag, 1e-14), (y, name, got)

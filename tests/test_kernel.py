@@ -2,13 +2,7 @@ import math
 
 import pytest
 
-from dn2.kernel import (
-    ConvergenceError,
-    DomainError,
-    integrate,
-    newton_invert,
-    sum_series,
-)
+from dn2.kernel import ConvergenceError, DomainError, integrate, newton_invert
 
 
 def agm(a, b):
@@ -103,27 +97,3 @@ class TestNewtonInvert:
         with pytest.raises(ConvergenceError):
             newton_invert(math.tanh, lambda t: 1.0 / math.cosh(t) ** 2, 5.0, 0.0)
 
-
-class TestSumSeries:
-    def test_geometric(self):
-        assert abs(sum_series(lambda n: 0.5 ** n) - 2.0) <= 1e-14
-
-    def test_single_term(self):
-        assert sum_series(lambda n: 1.0 if n == 0 else 0.0) == 1.0
-
-    def test_hypergeometric_partial_sum(self):
-        # 2F1(1/4, 3/4; 1; 0.25); reference is a 50-digit partial sum
-        # (mpmath.hyp2f1 at dps=50)
-        ref = 1.0546486148314670479
-
-        def term(n):
-            t = 1.0
-            for j in range(n):
-                t *= (0.25 + j) * (0.75 + j) / ((1.0 + j) * (1.0 + j)) * 0.25
-            return t
-
-        assert abs(sum_series(term) - ref) <= 1e-15
-
-    def test_divergent_fails(self):
-        with pytest.raises(ConvergenceError):
-            sum_series(lambda n: 1.0 / (n + 1.0), max_terms=500)
