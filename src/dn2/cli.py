@@ -385,6 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse would take a --z value that starts with '-' (-iK'/3, -1e-200)
+    # for an option: hand it over as --z=VALUE
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--z":
+            argv[i:i + 2] = [f"--z={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

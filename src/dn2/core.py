@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1
 from .jacobi import PoleError, jacobi_complex, jacobi_real
@@ -19,43 +19,40 @@ from .kernel import DomainError, integrate, newton_invert, reduction_limit
 from .weier import LatticeData, PeriodPair
 
 
+_derived = partial(field, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Modulus:
-    """Modulus kappa in (0, 1) with derived complementary quantities.
+    """Modulus kappa in (0, 1) and the quantities derived from it.
 
-    A Modulus compares and hashes by kappa alone and is immutable.  Build it
-    once and reuse it: these values depend on kappa only, are computed on
-    first use and then cached on the instance:
-
-    - ``lam``, the complementary modulus sqrt(1 - kappa^2);
-    - ``sn_parameter``, the Jacobian parameter and argument scale (m, c)
-      shared by the SN and WP routes;
-    - ``lattice``, the lattice data ``invariants_of(self)`` of the WP route;
-    - ``two_k``, the ELLIPTIC period 2K by which ``phi`` reduces.
+    A Modulus compares and hashes by kappa alone and is immutable.  It is the
+    one place that derives kappa's quantities, each once on construction and
+    in a form that does not cancel at either end of (0, 1).  ``lattice``, the
+    lattice data ``invariants_of(self)`` of the WP route, and ``two_k``, the
+    ELLIPTIC period 2K by which ``phi`` reduces, are cached on first use.
     """
 
     kappa: float
+    lam: float = _derived()  # sqrt((1 - kappa)(1 + kappa)), the complementary modulus
+    d: float = _derived()  # 1 - lam = kappa^2 / (1 + lam)
+    m: float = _derived()  # d / (1 + lam), the Jacobian parameter of the SN and WP routes
+    m1: float = _derived()  # 2 lam / (1 + lam) = 1 - m
+    c: float = _derived()  # sqrt((1 + lam) / 2), the argument scale of the SN and WP routes
+    alpha: float = _derived()  # atan2(lam, kappa) = acos(kappa), the INTEGRAL angle of K'
+    beta: float = _derived()  # atan2(kappa, lam) = acos(lam), the INTEGRAL angle of K
 
     def __post_init__(self):
-        if not 0.0 < self.kappa < 1.0:
-            raise DomainError(f"modulus must lie in (0, 1), got {self.kappa}")
-
-    @cached_property
-    def lam(self) -> float:
-        return math.sqrt(1.0 - self.kappa**2)
-
-    @property
-    def alpha(self) -> float:
-        return math.acos(self.kappa)
-
-    @property
-    def beta(self) -> float:
-        return math.acos(self.lam)
-
-    @cached_property
-    def sn_parameter(self) -> tuple[float, float]:
-        lam = self.lam
-        return (1.0 - lam) / (1.0 + lam), math.sqrt(0.5 * (1.0 + lam))
+        k = self.kappa
+        if not 0.0 < k < 1.0:
+            raise DomainError(f"modulus must lie in (0, 1), got {k}")
+        lam = math.sqrt((1.0 - k) * (1.0 + k))
+        d = k * k / (1.0 + lam)
+        # frozen: set the derived fields the way cached_property does
+        vars(self).update(
+            lam=lam, d=d, m=d / (1.0 + lam), m1=2.0 * lam / (1.0 + lam),
+            c=math.sqrt(0.5 * (1.0 + lam)), alpha=math.atan2(lam, k), beta=math.atan2(k, lam),
+        )
 
     @cached_property
     def lattice(self) -> LatticeData:
@@ -92,8 +89,10 @@ def invariants_of(mod: Modulus) -> LatticeData:
     e1 = 1.0 / 6.0 + 0.5 * lam
     e2 = 1.0 / 6.0 - 0.5 * lam
     e3 = -1.0 / 3.0
-    m, scale = mod.sn_parameter
-    return LatticeData(g2, g3, g2**3 - 27.0 * g3**2, e1, e2, e3, m, scale)
+    # 16 (e1 - e2)^2 (e1 - e3)^2 (e2 - e3)^2 = (lam (1 + lam) d)^2 = (lam k2)^2,
+    # where g2^3 - 27 g3^2 would cancel
+    delta = (lam * k2) ** 2
+    return LatticeData(g2, g3, delta, e1, e2, e3, mod.m, mod.m1, mod.c)
 
 
 def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | complex:
@@ -111,17 +110,16 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
         s = mod.kappa * math.sin(phi(z, mod))
         return math.sqrt(1.0 - s * s)
 
-    m, scale = mod.sn_parameter
     real_input = not isinstance(z, complex)
     if real_input and route is Route.SN:
-        s = jacobi_real(z * scale, m).sn
-        return 1.0 - (1.0 - mod.lam) * s * s
+        s = jacobi_real(z * mod.c, mod.m, mod.m1).sn
+        return 1.0 - mod.d * s * s
 
     zc = complex(z)
-    sn = jacobi_complex(zc * scale, m).sn
+    sn = jacobi_complex(zc * mod.c, mod.m, mod.m1).sn
     sn2 = sn * sn
     if route is Route.SN:
-        val = 1.0 - (1.0 - mod.lam) * sn2
+        val = 1.0 - mod.d * sn2
     else:
         lat = mod.lattice
         if abs(sn2) < 1e-26:
@@ -141,9 +139,8 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
 
 def dn2_deriv(x: float, mod: Modulus) -> float:
     """d/dx of dn2 on the real axis, by the sn-route chain rule."""
-    m, scale = mod.sn_parameter
-    t = jacobi_real(x * scale, m)
-    return -2.0 * (1.0 - mod.lam) * t.sn * t.cn * t.dn * scale
+    t = jacobi_real(x * mod.c, mod.m, mod.m1)
+    return -2.0 * mod.d * t.sn * t.cn * t.dn * mod.c
 
 
 def f_forward(T: float, mod: Modulus) -> float:
@@ -200,36 +197,38 @@ def s2(x: float, mod: Modulus) -> float:
 
 
 def i_gamma(gamma: float, tol: float = 1e-10) -> float:
-    """The period integral I(gamma) for an acute angle gamma."""
-    if not 0.0 < gamma < 0.5 * math.pi:
-        raise DomainError(f"gamma must be an acute angle, got {gamma}")
+    """The period integral I(gamma) for an acute angle gamma of at least 1e-140."""
+    if not 1e-140 <= gamma < 0.5 * math.pi:
+        raise DomainError(f"gamma must be an acute angle of at least 1e-140, got {gamma}")
 
     def integrand(u: float) -> float:
         # substituted t = gamma - u so the singularity sits at u = 0, where
         # quadrature nodes carry an exact endpoint distance; here
         # sin(u) sin(2 gamma - u) = cos^2 t - cos^2 gamma
         s = math.sin(u) * math.sin(2.0 * gamma - u)
-        return math.cos(0.5 * (gamma - u)) / math.sqrt(s)
+        # s underflows to 0 next to u = 0 for gamma below about 1e-50, and
+        # integrate skips a value that is not finite there; below gamma =
+        # 1e-140 the nodes it skips would carry more than an ulp of I
+        return math.cos(0.5 * (gamma - u)) / math.sqrt(s) if s > 0.0 else math.inf
 
     return integrate(integrand, 0.0, gamma, singular_left=True, tol=tol).value
 
 
 def periods(mod: Modulus, method: PeriodMethod = PeriodMethod.ELLIPTIC) -> PeriodPair:
     """Half-period magnitudes (K, K'); fundamental periods are 2K and 2iK'."""
-    lam = mod.lam
     if method is PeriodMethod.ELLIPTIC:
-        pref = math.sqrt(2.0 / (1.0 + lam))
+        pref = math.sqrt(2.0 / (1.0 + mod.lam))
         return PeriodPair(
-            pref * complete_K((1.0 - lam) / (1.0 + lam)),
-            pref * complete_K(2.0 * lam / (1.0 + lam)),
+            pref * complete_K(mod.m, mod.m1),
+            pref * complete_K(mod.m1, mod.m),
         )
     if method is PeriodMethod.HYPER:
         k2 = mod.kappa**2
-        l2 = lam * lam
+        l2 = mod.lam * mod.lam
         half_pi = 0.5 * math.pi
         return PeriodPair(
-            half_pi * gauss_2f1(F_QUARTER_ONE, k2, one_minus_x=l2),
-            math.sqrt(2.0) * half_pi * gauss_2f1(F_QUARTER_ONE, l2, one_minus_x=k2),
+            half_pi * gauss_2f1(F_QUARTER_ONE, k2, l2),
+            math.sqrt(2.0) * half_pi * gauss_2f1(F_QUARTER_ONE, l2, k2),
         )
     return PeriodPair(i_gamma(mod.beta), math.sqrt(2.0) * i_gamma(mod.alpha))
 
@@ -264,6 +263,6 @@ def greenhill_check(a: float, b: float, c: float, tol: float = 1e-10) -> tuple[f
         bc,
     )
     return (
-        mid - pref * complete_K((a - b) / (a - c)),
-        low - pref * complete_K((b - c) / (a - c)),
+        mid - pref * complete_K(ab / ac, bc / ac),
+        low - pref * complete_K(bc / ac, ab / ac),
     )

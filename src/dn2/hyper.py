@@ -2,7 +2,9 @@
 form of F(1/4,3/4;1/2;.), and the complete elliptic integral K(m) via the
 arithmetic-geometric mean.
 
-The K argument is the parameter m = k^2 throughout.
+The K argument is the parameter m = k^2 throughout.  complete_K and gauss_2f1
+take their argument with its complement, computed by the caller in a form
+that does not cancel; neither forms 1 - m itself.
 """
 
 from __future__ import annotations
@@ -45,11 +47,17 @@ def agm(a: float, b: float) -> float:
     raise ConvergenceError("agm iteration failed to converge")
 
 
-def complete_K(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter m = k^2."""
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"complete_K requires 0 <= m < 1, got {m}")
-    return 0.5 * math.pi / agm(1.0, math.sqrt(1.0 - m))
+def _check_pair(name: str, m: float, mc: float) -> None:
+    """Raise DomainError unless 0 <= m < 1 and mc = 1 - m to within 1e-12."""
+    if not (0.0 <= m <= 1.0 and 0.0 < mc <= 1.0 and abs(m + mc - 1.0) <= 1e-12):
+        raise DomainError(f"{name} requires 0 <= m < 1 and mc = 1 - m, got ({m!r}, {mc!r})")
+
+
+def complete_K(m: float, mc: float) -> float:
+    """Complete elliptic integral of the first kind, parameter m = k^2 with
+    complement mc = 1 - m: K(m) = pi / (2 agm(1, sqrt(mc)))."""
+    _check_pair("complete_K", m, mc)
+    return 0.5 * math.pi / agm(1.0, math.sqrt(mc))
 
 
 def _digamma(x: float) -> float:
@@ -118,22 +126,16 @@ def _log_connection(p: HyperParams, xc: float) -> float:
     return pref * total
 
 
-def gauss_2f1(p: HyperParams, x: float, one_minus_x: float | None = None) -> float:
-    """2F1(a, b; c; x) for 0 <= x < 1.
+def gauss_2f1(p: HyperParams, x: float, xc: float) -> float:
+    """2F1(a, b; c; x) for 0 <= x < 1, given x and its complement xc = 1 - x.
 
-    Past the cutover, zero-balanced families (c = a + b) switch to the
-    logarithmic connection series at 1 - x; an accurately computed 1 - x may
-    be supplied to avoid cancellation in that regime.  Other families stay on
-    the direct series, which fails loudly if it cannot meet its tail bound.
+    Once xc falls below 1 - cutover, zero-balanced families (c = a + b)
+    switch to the logarithmic connection series in xc, so an x that rounds
+    to 1 is still accepted while xc > 0.  Other families stay on the direct
+    series, which fails loudly if it cannot meet its tail bound.
     """
-    if x < 0.0:
-        raise DomainError(f"gauss_2f1 requires x >= 0, got {x}")
-    if x >= 1.0:
-        raise DomainError(f"gauss_2f1 requires x < 1, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x > _CUTOVER and abs(p.c - p.a - p.b) <= 1e-12:
-        xc = (1.0 - x) if one_minus_x is None else one_minus_x
+    _check_pair("gauss_2f1", x, xc)
+    if xc < 1.0 - _CUTOVER and abs(p.c - p.a - p.b) <= 1e-12:
         return _log_connection(p, xc)
     return _direct_series(p, x)
 

@@ -33,11 +33,11 @@ def identity_bbg_92(lam: float, tol: float = 1e-12) -> ResidualReport:
     """F(1/4,3/4;1;1-lam^2) = sqrt(2/(1+lam)) F(1/2,1/2;1;(1-lam)/(1+lam))."""
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must lie in (0, 1), got {lam}")
-    lhs = gauss_2f1(F_QUARTER_ONE, (1.0 - lam) * (1.0 + lam), one_minus_x=lam * lam)
+    lhs = gauss_2f1(F_QUARTER_ONE, (1.0 - lam) * (1.0 + lam), lam * lam)
     rhs = math.sqrt(2.0 / (1.0 + lam)) * gauss_2f1(
         F_HALF_ONE,
         (1.0 - lam) / (1.0 + lam),
-        one_minus_x=2.0 * lam / (1.0 + lam),
+        2.0 * lam / (1.0 + lam),
     )
     return _report(lam, lhs, rhs, tol)
 
@@ -46,11 +46,11 @@ def identity_bbg_91(lam: float, tol: float = 1e-12) -> ResidualReport:
     """F(1/4,3/4;1;lam^2) = sqrt(1/(1+lam)) F(1/2,1/2;1;2 lam/(1+lam))."""
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must lie in (0, 1), got {lam}")
-    lhs = gauss_2f1(F_QUARTER_ONE, lam * lam, one_minus_x=(1.0 - lam) * (1.0 + lam))
+    lhs = gauss_2f1(F_QUARTER_ONE, lam * lam, (1.0 - lam) * (1.0 + lam))
     rhs = math.sqrt(1.0 / (1.0 + lam)) * gauss_2f1(
         F_HALF_ONE,
         2.0 * lam / (1.0 + lam),
-        one_minus_x=(1.0 - lam) / (1.0 + lam),
+        (1.0 - lam) / (1.0 + lam),
     )
     return _report(lam, lhs, rhs, tol)
 
@@ -68,9 +68,9 @@ def transform_signature4(x: float, tol: float = 1e-11) -> ResidualReport:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     y = symmetric_pair(x)
     lhs = math.sqrt(1.0 + 3.0 * x) * gauss_2f1(
-        F_QUARTER_ONE, x * x, one_minus_x=(1.0 - x) * (1.0 + x)
+        F_QUARTER_ONE, x * x, (1.0 - x) * (1.0 + x)
     )
-    rhs = gauss_2f1(F_QUARTER_ONE, (1.0 - y) * (1.0 + y), one_minus_x=y * y)
+    rhs = gauss_2f1(F_QUARTER_ONE, (1.0 - y) * (1.0 + y), y * y)
     return _report(x, lhs, rhs, tol)
 
 

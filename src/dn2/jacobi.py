@@ -1,8 +1,9 @@
 """Jacobian elliptic functions sn, cn, dn at parameter m = k^2.
 
-Real arguments go through the descending Landen/AGM recursion; complex
-arguments are split into two real evaluations by the classical addition
-formula, so the recursion itself stays entirely real.
+Every function takes m with its exact complement mc = 1 - m.  Real arguments
+go through the descending Landen/AGM recursion seeded from mc; complex
+arguments are split into two real evaluations at (m, mc) and (mc, m) by the
+classical addition formula, so the recursion itself stays entirely real.
 """
 
 from __future__ import annotations
@@ -34,17 +35,17 @@ class JacobiTriple(NamedTuple):
 
 
 @lru_cache(maxsize=128)
-def _ladder(m: float) -> tuple[float, float, tuple[tuple[float, float], ...], float]:
-    """Everything jacobi_real needs that depends on m alone.
+def _ladder(m: float, mc: float) -> tuple[float, float, tuple[tuple[float, float], ...], float]:
+    """Everything jacobi_real needs that depends on the pair (m, mc) alone.
 
     Returns the real period 4K(m), the largest |x| that reduction modulo it
     keeps to 8 significant digits, the descending Landen ladder as (a_n, b_n)
     rungs in the order the ascent walks them (top rung first), and the
-    ladder's limit c.  Bounded, because a sweep over moduli would otherwise
-    grow it without end.
+    ladder's limit c.  complete_K rejects a pair that is not (m, 1 - m).
+    Bounded, because a sweep over moduli would otherwise grow it without end.
     """
-    period = 4.0 * complete_K(m)
-    emc = 1.0 - m
+    period = 4.0 * complete_K(m, mc)
+    emc = mc
     a = 1.0
     em: list[float] = []
     en: list[float] = []
@@ -62,15 +63,13 @@ def _ladder(m: float) -> tuple[float, float, tuple[tuple[float, float], ...], fl
     return period, reduction_limit(period), rungs, c
 
 
-def jacobi_real(x: float, m: float) -> JacobiTriple:
-    """sn, cn, dn of a real argument, 0 <= m < 1.
+def jacobi_real(x: float, m: float, mc: float) -> JacobiTriple:
+    """sn, cn, dn of a real argument, 0 <= m < 1 with complement mc = 1 - m.
 
     Raises DomainError when |x| is so large (or not finite) that fewer than
     8 significant digits of x survive reduction modulo the period 4K(m).
     """
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"jacobi_real requires 0 <= m < 1, got m={m}")
-    period, limit, rungs, c = _ladder(m)
+    period, limit, rungs, c = _ladder(m, mc)
     if not abs(x) <= limit:
         raise DomainError(
             f"jacobi_real argument {x!r} is beyond {limit:.6g}: fewer than 8 digits "
@@ -100,30 +99,18 @@ def jacobi_real(x: float, m: float) -> JacobiTriple:
     return JacobiTriple(sn, cn, dn)
 
 
-def jacobi_complex(z: complex, m: float) -> JacobiTriple:
+def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     """sn, cn, dn of a complex argument via the real-real addition split.
 
+    The imaginary part runs at the pair (mc, m) and reduces modulo 4K'(m).
     Raises PoleError when the shared denominator drops below the pole
     threshold (z congruent to iK' modulo periods).
     """
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"jacobi_complex requires 0 <= m < 1, got m={m}")
     z = complex(z)
+    rx = jacobi_real(z.real, m, mc)
     if m == 0.0:
         return JacobiTriple(cmath.sin(z), cmath.cos(z), complex(1.0))
-    rx = jacobi_real(z.real, m)
-    m1 = 1.0 - m
-    if m1 == 1.0:
-        # m is below half an ulp of 1, so the complementary parameter rounds
-        # to 1, where sn, cn, dn are tanh, sech, sech
-        y = z.imag
-        if not math.isfinite(y):
-            raise DomainError(f"jacobi_complex requires a finite argument, got {z!r}")
-        e = math.exp(-abs(y))
-        sech = 2.0 * e / (1.0 + e * e)
-        ry = JacobiTriple(math.tanh(y), sech, sech)
-    else:
-        ry = jacobi_real(z.imag, m1)
+    ry = jacobi_real(z.imag, mc, m)
     s, c, d = rx.sn, rx.cn, rx.dn
     s1, c1, d1 = ry.sn, ry.cn, ry.dn
     denom = c1 * c1 + m * s * s * s1 * s1

@@ -19,6 +19,9 @@ class PeriodPair:
 
 @dataclass(frozen=True)
 class LatticeData:
+    """Invariants, discriminant, roots e1 > e2 > e3, the Jacobian parameter
+    m = (e2 - e3)/(e1 - e3), mc = (e1 - e2)/(e1 - e3) and scale sqrt(e1 - e3)."""
+
     g2: float
     g3: float
     delta: float
@@ -26,6 +29,7 @@ class LatticeData:
     e2: float
     e3: float
     m: float
+    mc: float
     scale: float
 
 
@@ -56,14 +60,14 @@ def lattice_from_invariants(g2: float, g3: float) -> LatticeData:
         reverse=True,
     )
     e1, e2, e3 = roots
-    m = (e2 - e3) / (e1 - e3)
-    return LatticeData(g2, g3, delta, e1, e2, e3, m, math.sqrt(e1 - e3))
+    ac = e1 - e3
+    return LatticeData(g2, g3, delta, e1, e2, e3, (e2 - e3) / ac, (e1 - e2) / ac, math.sqrt(ac))
 
 
 def wp(z: complex, lat: LatticeData) -> complex:
     """P(z) = e3 + (e1 - e3)/sn^2(z*scale); pole signal at lattice points."""
     try:
-        sn = jacobi_complex(complex(z) * lat.scale, lat.m).sn
+        sn = jacobi_complex(complex(z) * lat.scale, lat.m, lat.mc).sn
     except PoleError:
         # sn poles are regular points of P where 1/sn^2 underflows to zero
         return complex(lat.e3)
@@ -76,6 +80,6 @@ def wp(z: complex, lat: LatticeData) -> complex:
 def wp_halfperiods(lat: LatticeData) -> PeriodPair:
     """Half-periods (omega, omega'/i) of the lattice."""
     return PeriodPair(
-        complete_K(lat.m) / lat.scale,
-        complete_K(1.0 - lat.m) / lat.scale,
+        complete_K(lat.m, lat.mc) / lat.scale,
+        complete_K(lat.mc, lat.m) / lat.scale,
     )

@@ -181,6 +181,33 @@ class TestEval:
             assert rec["dn2_sn_re"] == rec["dn2_wp_re"] == rec["dn2_phi_re"] == 1.0
             assert rec["phi"] == rec["s2"] == rec["z_re"] == float(z)
 
+    @pytest.mark.parametrize("z", ["-iK'/3", "-1e-200"])
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_z_with_leading_minus(self, capsys, z, joined):
+        # argparse used to take these for options ("expected one argument")
+        argv = [f"--z={z}"] if joined else ["--z", z]
+        code, out, _ = run(capsys, "--format", "jsonl", "eval", "--kappa", "0.6", *argv)
+        assert code == 0
+        rec = json.loads(out)
+        mod = Modulus(0.6)
+        pp = periods(mod)
+        want = parse_z(z, pp.K, pp.Kprime)
+        assert (rec["z_re"], rec["z_im"]) == (want.real, want.imag)
+        assert complex(rec["dn2_re"], rec["dn2_im"]) == complex(
+            dn2(want if want.imag else want.real, mod)
+        )
+
+    def test_bare_z_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--kappa", "0.6", "--z"])
+        assert info.value.code == 2
+
+    def test_kappa_where_lam_rounds_to_one(self, capsys):
+        # lam = sqrt(1 - 1e-18) rounds to 1: this used to exit 2 from periods
+        code, out, _ = run(capsys, "--format", "jsonl", "eval", "--kappa", "1e-9", "--z", "0.3")
+        assert code == 0
+        assert json.loads(out)["dn2_re"] == dn2(0.3, Modulus(1e-9))
+
 
 class TestPeriods:
     def test_double_ratio(self, capsys):
@@ -208,6 +235,20 @@ class TestPeriods:
         # K = (pi/2) F(1/4,3/4;1;0.25); mpmath reference at dps=50
         assert abs(float(d["K"]) - 0.5 * math.pi * 1.0546486148314670479) <= 1e-13
 
+    @pytest.mark.parametrize("method", ["elliptic", "hyper"])
+    def test_kappa_where_lam_rounds_to_one(self, capsys, method):
+        import mpmath
+
+        code, out, _ = run(
+            capsys, "--format", "jsonl", "periods", "--kappa", "1e-9", "--method", method
+        )
+        assert code == 0
+        rec = json.loads(out)
+        with mpmath.workdps(40):
+            k = mpmath.mpf(1e-9)
+            Kp = mpmath.sqrt(2) * mpmath.pi / 2 * mpmath.hyp2f1(0.25, 0.75, 1, 1 - k * k)
+        assert abs(rec["Kprime"] / Kp - 1) <= 1e-14
+
 
 class TestLattice:
     def test_square_lattice(self, capsys):
@@ -229,6 +270,19 @@ class TestLattice:
         d = human_to_dict(out)
         k = math.sqrt(float(d["k2"]))
         assert abs(k - (3.0 - 2.0 * math.sqrt(2.0))) <= 1e-12
+
+    @pytest.mark.parametrize("kappa", ["1e-6", "0.1"])
+    def test_discriminant(self, capsys, kappa):
+        # g2^3 - 27 g3^2 cancels: it printed -4.4e-16 at kappa = 1e-6
+        import mpmath
+
+        code, out, _ = run(capsys, "--format", "jsonl", "lattice", "--kappa", kappa)
+        assert code == 0
+        rec = json.loads(out)
+        with mpmath.workdps(60):
+            k2 = mpmath.mpf(float(kappa)) ** 2
+            delta = (mpmath.mpf(4) / 3 - k2) ** 3 - 27 * (mpmath.mpf(8) / 27 - k2 / 3) ** 2
+        assert abs(rec["delta"] / delta - 1) <= 1e-14
 
 
 class TestIdentities:

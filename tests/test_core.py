@@ -62,6 +62,18 @@ class TestInvariants:
             assert abs(lat.delta - kappa**4 * mod.lam**2) <= 1e-13
             assert abs(lat.m - (1.0 - mod.lam) / (1.0 + mod.lam)) <= 1e-15
 
+    @pytest.mark.parametrize("kappa", [10.0**-k for k in range(1, 13)] + [0.5, 0.9, 1 - 1e-9])
+    def test_discriminant_against_mpmath(self, kappa):
+        # g2^3 - 27 g3^2 cancels as kappa -> 0 (it was -4.4e-16 at 1e-6);
+        # 16 (e1 - e2)^2 (e1 - e3)^2 (e2 - e3)^2 does not
+        import mpmath
+
+        lat = invariants_of(Modulus(kappa))
+        with mpmath.workdps(80):
+            k2 = mpmath.mpf(kappa) ** 2
+            delta = (mpmath.mpf(4) / 3 - k2) ** 3 - 27 * (mpmath.mpf(8) / 27 - k2 / 3) ** 2
+            assert abs(lat.delta / delta - 1) <= 1e-14
+
 
 def dn2_rk(x, lam):
     """Oracle: integrate y'' = -3y^2 + 2y + lam^2 (the derivative of the
@@ -177,12 +189,11 @@ class TestDn2:
         import mpmath
 
         mod = Modulus(0.6)
-        m, scale = mod.sn_parameter
         with mpmath.workdps(30):
             lam = mpmath.mpf(mod.lam)
-            c = mpmath.mpf(scale)
+            c = mpmath.mpf(mod.c)
             u = mpmath.mpf(0.3) * c
-            sn, cn, dn = (mpmath.ellipfun(name, u, m=m) for name in ("sn", "cn", "dn"))
+            sn, cn, dn = (mpmath.ellipfun(name, u, m=mod.m) for name in ("sn", "cn", "dn"))
             re = float(1 - (1 - lam) * sn**2)
             slope = -2 * (1 - lam) * sn * cn * dn * c
         for y in (1e-155, -1e-160, 1e-200, 1e-300, -1e-320, 5e-324):
@@ -210,7 +221,8 @@ class TestAmplitude:
         mod = Modulus(0.5)
         k2 = 0.25
         ref = integrate(
-            lambda t: gauss_2f1(F_QUARTER_HALF, k2 * math.sin(t) ** 2),
+            lambda t: gauss_2f1(F_QUARTER_HALF, k2 * math.sin(t) ** 2,
+                                1.0 - k2 * math.sin(t) ** 2),
             0.0,
             0.3,
         ).value
@@ -311,12 +323,18 @@ class TestPeriods:
     def test_i_gamma_small_angle(self):
         # integrand ~ 1/sqrt(gamma^2 - t^2), so I(gamma) -> pi/2
         assert abs(i_gamma(0.01) - 0.5 * math.pi) <= 1e-3
+        # the integrand's product underflows next to u = 0 from gamma ~ 1e-50
+        # on, which used to end in a ZeroDivisionError; I(gamma) = pi/2 + O(gamma^2)
+        for gamma in (1e-12, 1e-50, 1e-100, 1e-140):
+            assert abs(i_gamma(gamma) - 0.5 * math.pi) <= 1e-15, gamma
 
     def test_i_gamma_domain(self):
         with pytest.raises(DomainError):
             i_gamma(0.0)
         with pytest.raises(DomainError):
             i_gamma(2.0)
+        with pytest.raises(DomainError):
+            i_gamma(1e-141)  # below the floor the quadrature would lose digits
 
 
 class TestGreenhill:

@@ -33,23 +33,23 @@ def rk_triple(x, m):
 
 class TestReal:
     def test_at_zero(self):
-        j = jacobi_real(0.0, 0.3)
+        j = jacobi_real(0.0, 0.3, 0.7)
         assert (j.sn, j.cn, j.dn) == (0.0, 1.0, 1.0)
 
     def test_quarter_period(self):
         for m in [0.1, 0.3, 0.5, 0.7, 0.9]:
-            j = jacobi_real(complete_K(m), m)
+            j = jacobi_real(complete_K(m, 1.0 - m), m, 1.0 - m)
             assert abs(j.sn - 1.0) <= 1e-12, m
 
     def test_vs_ode_oracle(self):
         s, c, d = rk_triple(0.8, 0.5)
-        j = jacobi_real(0.8, 0.5)
+        j = jacobi_real(0.8, 0.5, 0.5)
         assert abs(j.sn - s) <= 1e-10
         assert abs(j.cn - c) <= 1e-10
         assert abs(j.dn - d) <= 1e-10
 
     def test_reference_values(self):
-        j = jacobi_real(0.8, 0.5)
+        j = jacobi_real(0.8, 0.5, 0.5)
         assert abs(j.sn - REF_SN_08_05) <= 1e-13
         assert abs(j.cn - REF_CN_08_05) <= 1e-13
         assert abs(j.dn - REF_DN_08_05) <= 1e-13
@@ -57,53 +57,57 @@ class TestReal:
     def test_identities_on_grid(self):
         for m in [0.1, 0.5, 0.9]:
             for x in np.linspace(-6.0, 6.0, 25):
-                j = jacobi_real(float(x), m)
+                j = jacobi_real(float(x), m, 1.0 - m)
                 assert abs(j.sn**2 + j.cn**2 - 1.0) <= 1e-12
                 assert abs(j.dn**2 + m * j.sn**2 - 1.0) <= 1e-12
 
     def test_periodicity(self):
         for m in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
-            K4 = 4.0 * complete_K(m)
+            K4 = 4.0 * complete_K(m, 1.0 - m)
             for x in np.linspace(0.0, 3.0, 7):
-                a = jacobi_real(float(x), m)
-                b = jacobi_real(float(x) + K4, m)
+                a = jacobi_real(float(x), m, 1.0 - m)
+                b = jacobi_real(float(x) + K4, m, 1.0 - m)
                 assert abs(a.sn - b.sn) <= 1e-11, m
 
     def test_trigonometric_limit(self):
-        j = jacobi_real(0.7, 0.0)
+        j = jacobi_real(0.7, 0.0, 1.0)
         assert abs(j.sn - math.sin(0.7)) <= 1e-15
         assert abs(j.cn - math.cos(0.7)) <= 1e-15
         assert j.dn == 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            jacobi_real(0.5, 1.0)
+            jacobi_real(0.5, 1.0, 0.0)
         with pytest.raises(DomainError):
-            jacobi_real(0.5, -0.1)
+            jacobi_real(0.5, -0.1, 1.1)
+        with pytest.raises(DomainError):
+            jacobi_real(0.5, 0.5, 0.6)  # not a complement pair
+        with pytest.raises(DomainError):
+            jacobi_complex(complex(0.5, 0.5), 0.5, 0.6)
 
     @pytest.mark.parametrize("x", [1e300, -1e300, math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("m", [0.0, 0.5])
     def test_unreducible_argument(self, x, m):
         # fewer than 8 digits of x would survive reduction modulo 4K(m)
         with pytest.raises(DomainError):
-            jacobi_real(x, m)
+            jacobi_real(x, m, 1.0 - m)
 
     def test_reduction_limit_edge(self):
         # 4K(0.5) = 7.42, so ulp(x) may reach 2**-24 and |x| stays below 2**29
         edge = math.nextafter(2.0**29, 0.0)
-        j = jacobi_real(edge, 0.5)
+        j = jacobi_real(edge, 0.5, 0.5)
         assert abs(j.sn**2 + j.cn**2 - 1.0) <= 1e-12
         with pytest.raises(DomainError):
-            jacobi_real(2.0**29, 0.5)
+            jacobi_real(2.0**29, 0.5, 0.5)
         with pytest.raises(DomainError):
-            jacobi_complex(complex(0.3, math.inf), 0.5)
+            jacobi_complex(complex(0.3, math.inf), 0.5, 0.5)
 
 
 class TestComplex:
     def test_real_axis_agrees_exactly(self):
         for x in [0.2, 0.8, 1.7]:
-            jr = jacobi_real(x, 0.4)
-            jc = jacobi_complex(complex(x, 0.0), 0.4)
+            jr = jacobi_real(x, 0.4, 0.6)
+            jc = jacobi_complex(complex(x, 0.0), 0.4, 0.6)
             assert jc.sn == complex(jr.sn, 0.0)
             assert jc.cn == complex(jr.cn, 0.0)
             assert jc.dn == complex(jr.dn, 0.0)
@@ -111,30 +115,30 @@ class TestComplex:
     def test_imaginary_transformation(self):
         m = 0.3
         y = 0.6
-        jc = jacobi_complex(complex(0.0, y), m)
-        jp = jacobi_real(y, 1.0 - m)
+        jc = jacobi_complex(complex(0.0, y), m, 1.0 - m)
+        jp = jacobi_real(y, 1.0 - m, m)
         assert abs(jc.sn - 1j * jp.sn / jp.cn) <= 1e-13
 
     def test_identities_at_complex_point(self):
-        j = jacobi_complex(complex(0.3, 0.4), 0.3)
+        j = jacobi_complex(complex(0.3, 0.4), 0.3, 0.7)
         assert abs(j.sn**2 + j.cn**2 - 1.0) <= 1e-11
         assert abs(j.dn**2 + 0.3 * j.sn**2 - 1.0) <= 1e-11
 
     def test_reference_values(self):
-        j = jacobi_complex(complex(0.3, 0.4), 0.3)
+        j = jacobi_complex(complex(0.3, 0.4), 0.3, 0.7)
         assert abs(j.sn - REF_SN_Z) <= 1e-13
         assert abs(j.cn - REF_CN_Z) <= 1e-13
         assert abs(j.dn - REF_DN_Z) <= 1e-13
 
     def test_pole_signalled(self):
         m = 0.5
-        Kp = complete_K(1.0 - m)
+        Kp = complete_K(1.0 - m, m)
         with pytest.raises(PoleError):
-            jacobi_complex(complex(0.0, Kp), m)
+            jacobi_complex(complex(0.0, Kp), m, 1.0 - m)
 
     def test_trigonometric_limit(self):
         z = complex(0.4, 0.2)
-        j = jacobi_complex(z, 0.0)
+        j = jacobi_complex(z, 0.0, 1.0)
         import cmath
 
         assert abs(j.sn - cmath.sin(z)) <= 1e-14
@@ -142,21 +146,21 @@ class TestComplex:
         assert abs(j.dn - 1.0) <= 1e-14
 
     def test_complement_rounding_to_one(self):
-        # 1 - m rounds to 1 for m = 2**-54, where sn, cn, dn of the imaginary
-        # part are tanh, sech, sech
+        # 1 - m rounds to 1 for m = 2**-54: the imaginary part runs at the
+        # pair (1.0, m), whose Landen ladder is seeded from m itself
         import mpmath
 
         mpmath.mp.dps = 40
         m = 2.0**-54
         for z in (complex(0.4, 0.7), complex(-1.3, 2.5)):
-            j = jacobi_complex(z, m)
+            j = jacobi_complex(z, m, 1.0)
             for name, got in zip(("sn", "cn", "dn"), j):
                 ref = complex(mpmath.ellipfun(name, mpmath.mpc(z), m=mpmath.mpf(m)))
                 assert abs(got - ref) <= 1e-14 * abs(ref), (z, name)
         with pytest.raises(DomainError):
-            jacobi_complex(complex(0.3, math.inf), m)
+            jacobi_complex(complex(0.3, math.inf), m, 1.0)
         with pytest.raises(DomainError):
-            jacobi_complex(complex(0.3, math.nan), m)
+            jacobi_complex(complex(0.3, math.nan), m, 1.0)
 
 
 # x = +-10**-k for k = 1..323 and the smallest subnormal; below about 1e-154
@@ -194,7 +198,7 @@ class TestTinyArguments:
 
         with mpmath.workdps(30):
             for x in TINY:
-                for name, got, ref in zip("scd", jacobi_real(x, m), mp_triple(x, m)):
+                for name, got, ref in zip("scd", jacobi_real(x, m, 1.0 - m), mp_triple(x, m)):
                     assert close(got, float(ref), 1e-15), (x, name, got)
 
     @pytest.mark.parametrize("m", [0.25, 0.75])
@@ -214,7 +218,7 @@ class TestTinyArguments:
                     mpmath.mpc(c * c1, -s * d * s1 * d1) / den,
                     mpmath.mpc(d * c1 * d1, -m * s * c * s1) / den,
                 )
-                for name, got, ref in zip("scd", jacobi_complex(complex(0.3, y), m), refs):
+                for name, got, ref in zip("scd", jacobi_complex(complex(0.3, y), m, 1.0 - m), refs):
                     ref = complex(ref)
                     assert close(got.real, ref.real, 1e-15), (y, name, got)
                     assert close(got.imag, ref.imag, 1e-14), (y, name, got)

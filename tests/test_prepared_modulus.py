@@ -14,23 +14,25 @@ Z = [complex(0.4, 0.3), complex(1.9, 2.2), complex(-2.7, 0.8)]
 X = [0.37, -3.1, 7.5]
 
 # kappa -> dn2 by SN and by WP at Z, dn2 by SN at X, phi at X, as float.hex;
-# computed before the caches existed, when every call derived everything anew
+# first computed before the caches existed, when every call derived
+# everything anew, and regenerated when Modulus began to derive m, m1 and
+# 1 - lam without cancellation (the complex values moved by a few ulp)
 GOLDEN = {
     0.3: (
-        [('0x1.fdfef3446e5a5p-1', '-0x1.50a9ba1420892p-7'), ('0x1.557f6090e0a56p-2', '0x1.54ad3c82f4384p-2'), ('0x1.024a250761509p+0', '-0x1.6e82a70dc8fe7p-5')],
-        [('0x1.fdfef3446e5a5p-1', '-0x1.50a9ba1420895p-7'), ('0x1.557f6090e0a50p-2', '0x1.54ad3c82f4386p-2'), ('0x1.024a250761509p+0', '-0x1.6e82a70dc8fe9p-5')],
+        [('0x1.fdfef3446e5a5p-1', '-0x1.50a9ba1420891p-7'), ('0x1.557f6090e0a42p-2', '0x1.54ad3c82f438ap-2'), ('0x1.024a250761509p+0', '-0x1.6e82a70dc8fe5p-5')],
+        [('0x1.fdfef3446e5a5p-1', '-0x1.50a9ba1420893p-7'), ('0x1.557f6090e0a40p-2', '0x1.54ad3c82f438ap-2'), ('0x1.024a250761509p+0', '-0x1.6e82a70dc8fe6p-5')],
         ['0x1.fcfca5ef2a572p-1', '0x1.ffc83bb61acd3p-1', '0x1.ed7e06a451782p-1'],
         ['0x1.7a4fd280c59d1p-2', '-0x1.85a8c81896327p+1', '0x1.d817891c15e62p+2'],
     ),
     0.6: (
-        [('0x1.f7ffbd1d3a5d0p-1', '-0x1.507d0b88ebe0fp-5'), ('-0x1.17916abf0d8eap-1', '0x1.b4582472db42dp-3'), ('0x1.e4273f4ee76e8p-1', '-0x1.a6821d75cb7dbp-3')],
-        [('0x1.f7ffbd1d3a5d0p-1', '-0x1.507d0b88ebe10p-5'), ('-0x1.17916abf0d8eep-1', '0x1.b4582472db42fp-3'), ('0x1.e4273f4ee76e7p-1', '-0x1.a6821d75cb7dep-3')],
+        [('0x1.f7ffbd1d3a5d0p-1', '-0x1.507d0b88ebe10p-5'), ('-0x1.17916abf0d8ecp-1', '0x1.b4582472db42cp-3'), ('0x1.e4273f4ee76e8p-1', '-0x1.a6821d75cb7dcp-3')],
+        [('0x1.f7ffbd1d3a5d0p-1', '-0x1.507d0b88ebe10p-5'), ('-0x1.17916abf0d8eep-1', '0x1.b4582472db42dp-3'), ('0x1.e4273f4ee76e7p-1', '-0x1.a6821d75cb7dep-3')],
         ['0x1.f3f1d26c8640dp-1', '0x1.f76f7a6d12edcp-1', '0x1.db61ac8d646f7p-1'],
         ['0x1.789a156ff5f62p-2', '-0x1.6aa4e1f8a78f1p+1', '0x1.bcd6f15a6ae1cp+2'],
     ),
     0.9: (
-        [('0x1.ee0e26cade521p-1', '-0x1.7a38e6dd3a72cp-4'), ('-0x1.cdebad4360644p-2', '-0x1.b9b259cb37620p-6'), ('0x1.81392a75157d0p-2', '-0x1.00514f342a774p-2')],
-        [('0x1.ee0e26cade521p-1', '-0x1.7a38e6dd3a72cp-4'), ('-0x1.cdebad4360644p-2', '-0x1.b9b259cb37621p-6'), ('0x1.81392a75157d4p-2', '-0x1.00514f342a772p-2')],
+        [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a72bp-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb37620p-6'), ('0x1.81392a75157d0p-2', '-0x1.00514f342a775p-2')],
+        [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a729p-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb3761fp-6'), ('0x1.81392a75157d4p-2', '-0x1.00514f342a773p-2')],
         ['0x1.e4dd3533d49b4p-1', '0x1.559342b13745cp-1', '0x1.849f9f52fa6cfp-1'],
         ['0x1.75bbe7d9fed3cp-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f947cp+2'],
     ),
@@ -68,8 +70,8 @@ def test_reused_and_fresh_modulus_agree_bit_for_bit():
 def test_jacobi_real_same_on_cold_and_warm_ladder_cache():
     for m in (0.0, 0.09, 0.5, 0.95):
         _ladder.cache_clear()
-        cold = [jacobi_real(x, m) for x in X]
-        warm = [jacobi_real(x, m) for x in X]
+        cold = [jacobi_real(x, m, 1.0 - m) for x in X]
+        warm = [jacobi_real(x, m, 1.0 - m) for x in X]
         assert [tuple(map(_hex, t)) for t in cold] == [tuple(map(_hex, t)) for t in warm]
 
 
@@ -84,23 +86,27 @@ def test_modulus_compares_and_hashes_by_kappa_and_stays_frozen():
     assert hash(warm) == hash(Modulus(0.6))
     assert warm != Modulus(0.7)
     assert len({warm, Modulus(0.6)}) == 1
-    for name in ("kappa", "lam", "sn_parameter", "lattice", "two_k", "other"):
+    for name in ("kappa", "lam", "d", "m", "m1", "c", "alpha", "beta", "lattice", "two_k",
+                 "other"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(warm, name, 0.5)
 
 
 def test_cached_values_are_the_derived_quantities():
     mod = Modulus(0.6)
-    lam = math.sqrt(1.0 - 0.6**2)
-    assert mod.lam == lam
-    assert mod.sn_parameter == ((1.0 - lam) / (1.0 + lam), math.sqrt(0.5 * (1.0 + lam)))
-    assert (mod.lattice.m, mod.lattice.scale) == mod.sn_parameter
+    lam = math.sqrt((1.0 - 0.6) * (1.0 + 0.6))
+    d = 0.6 * 0.6 / (1.0 + lam)
+    assert (mod.lam, mod.d) == (lam, d)
+    assert (mod.m, mod.m1) == (d / (1.0 + lam), 2.0 * lam / (1.0 + lam))
+    assert mod.c == math.sqrt(0.5 * (1.0 + lam))
+    assert (mod.alpha, mod.beta) == (math.atan2(lam, 0.6), math.atan2(0.6, lam))
+    assert (mod.lattice.m, mod.lattice.mc, mod.lattice.scale) == (mod.m, mod.m1, mod.c)
     assert mod.lattice is mod.lattice
     assert mod.two_k > 0.0
 
 
 def test_jacobi_triple_fields_and_immutability():
-    for t in (jacobi_real(0.8, 0.5), jacobi_complex(complex(0.4, 0.3), 0.5)):
+    for t in (jacobi_real(0.8, 0.5, 0.5), jacobi_complex(complex(0.4, 0.3), 0.5, 0.5)):
         assert isinstance(t, JacobiTriple)
         assert (t.sn, t.cn, t.dn) == tuple(t)
         with pytest.raises(AttributeError):

@@ -59,7 +59,9 @@ GOLDEN = {
     ),
 }
 # phi(5.0, Modulus(0.999999)) fails in f's quadrature; its ConvergenceError.best
-GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.5481890c0e93ap+3', '0x1.c55ddb0380000p-16', 19019)
+# (the failing f is at Newton's second iterate, which follows 2K: regenerated
+# when lam = sqrt((1 - kappa)(1 + kappa)) took 2K's error from 6e-13 to 1e-16)
+GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.5481890c0deb9p+3', '0x1.c55dcf4b00000p-16', 19019)
 
 
 def _quad_hex(r: QuadResult):

@@ -118,4 +118,4 @@ class TestHalfperiods:
 
     def test_hypergeometric_cross_check(self):
         hp = wp_halfperiods(lattice_from_invariants(*invariants(0.5)))
-        assert abs(hp.K - 0.5 * math.pi * gauss_2f1(F_QUARTER_ONE, 0.25)) <= 1e-12
+        assert abs(hp.K - 0.5 * math.pi * gauss_2f1(F_QUARTER_ONE, 0.25, 0.75)) <= 1e-12
