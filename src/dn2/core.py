@@ -20,11 +20,13 @@ from .weier import LatticeData, PeriodPair
 
 
 _derived = partial(field, init=False, repr=False, compare=False)
+# below it kappa^2 is subnormal, and m and d lose their digits or vanish
+KAPPA_MIN = 2.0**-510
 
 
 @dataclass(frozen=True)
 class Modulus:
-    """Modulus kappa in (0, 1) and the quantities derived from it.
+    """Modulus kappa in [2**-510, 1) and the quantities derived from it.
 
     A Modulus compares and hashes by kappa alone and is immutable.  It is the
     one place that derives kappa's quantities, each once on construction and
@@ -44,8 +46,8 @@ class Modulus:
 
     def __post_init__(self):
         k = self.kappa
-        if not 0.0 < k < 1.0:
-            raise DomainError(f"modulus must lie in (0, 1), got {k}")
+        if not KAPPA_MIN <= k < 1.0:
+            raise DomainError(f"modulus must lie in [2**-510, 1), got {k}")
         lam = math.sqrt((1.0 - k) * (1.0 + k))
         d = k * k / (1.0 + lam)
         # frozen: set the derived fields the way cached_property does
@@ -143,52 +145,48 @@ def dn2_deriv(x: float, mod: Modulus) -> float:
     return -2.0 * mod.d * t.sn * t.cn * t.dn * mod.c
 
 
+def _f_prime(mod: Modulus):
+    """f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t), the integrand of f."""
+    k2 = mod.kappa**2
+    return lambda t: f14_34_12_closed(k2 * math.sin(t) ** 2)
+
+
 def f_forward(T: float, mod: Modulus) -> float:
     """The incomplete integral f(T); strictly increasing in T."""
     if T == 0.0:
         return 0.0
-    k2 = mod.kappa**2
-
-    def integrand(t: float) -> float:
-        return f14_34_12_closed(k2 * math.sin(t) ** 2)
-
     lo, hi = (0.0, T) if T > 0.0 else (T, 0.0)
-    value = integrate(integrand, lo, hi, tol=1e-12).value
+    value = integrate(_f_prime(mod), lo, hi).value
     return value if T > 0.0 else -value
 
 
-def phi(u: float, mod: Modulus, tol: float = 1e-12) -> float:
+def phi(u: float, mod: Modulus) -> float:
     """Inverse of f on the whole real line.
 
-    Reduction uses f(T + pi) = f(T) + 2K, then a safeguarded Newton solve on
-    the reduced interval; the derivative of f is at least 1 everywhere.
-    Below |u| = 1e-4, where the Newton tolerance, being absolute, would cost
-    relative accuracy, it returns the series u - kappa^2 u^3 / 8 instead,
-    whose next term is below 1e-17 u there.  Raises DomainError when |u| is
-    so large (or not finite) that fewer than 8 significant digits of u
-    survive reduction modulo 2K.
+    phi is odd, so it solves for |u| and takes u's sign.  Reduction uses
+    f(T + pi) = f(T) + 2K, then a safeguarded Newton solve of f(T) = u_r on
+    [0, pi], where f runs from 0 to 2K; the derivative of f is at least 1
+    everywhere.  Below |u| = 1e-4 it returns the series u - kappa^2 u^3 / 8
+    instead, whose next term is below 1e-17 u there: quadrature cannot
+    integrate over an interval as short as [0, 5e-324].  Raises DomainError
+    when |u| is so large (or not finite) that fewer than 8 significant
+    digits of u survive reduction modulo 2K.
     """
-    if abs(u) < 1e-4:
-        return u - mod.kappa**2 * u**3 / 8.0
+    a = abs(u)
+    if a < 1e-4:
+        return math.copysign(a - mod.kappa**2 * a**3 / 8.0, u)
     two_k = mod.two_k
     limit = reduction_limit(two_k)
-    if not abs(u) <= limit:
+    if not a <= limit:
         raise DomainError(
             f"phi argument {u!r} is beyond {limit:.6g}: fewer than 8 "
             f"digits survive reduction modulo 2K = {two_k!r}"
         )
-    n = math.floor(u / two_k)
-    ur = u - two_k * n
-    if ur == 0.0:
-        return math.pi * n
-    k2 = mod.kappa**2
-
-    def deriv(t: float) -> float:
-        return f14_34_12_closed(k2 * math.sin(t) ** 2)
-
-    x0 = min(max(ur * math.pi / two_k, 0.05), math.pi - 0.05)
-    t = newton_invert(lambda T: f_forward(T, mod), deriv, ur, x0, tol=tol)
-    return t + math.pi * n
+    ur = math.fmod(a, two_k)  # exact: a = n 2K + ur, 0 <= ur < 2K
+    n = round((a - ur) / two_k)
+    x0 = ur * math.pi / two_k
+    t = newton_invert(lambda T: f_forward(T, mod), _f_prime(mod), ur, 0.0, math.pi, x0)
+    return math.copysign(t + math.pi * n, u)
 
 
 def s2(x: float, mod: Modulus) -> float:
@@ -196,7 +194,7 @@ def s2(x: float, mod: Modulus) -> float:
     return math.sin(phi(x, mod))
 
 
-def i_gamma(gamma: float, tol: float = 1e-10) -> float:
+def i_gamma(gamma: float) -> float:
     """The period integral I(gamma) for an acute angle gamma of at least 1e-140."""
     if not 1e-140 <= gamma < 0.5 * math.pi:
         raise DomainError(f"gamma must be an acute angle of at least 1e-140, got {gamma}")
@@ -211,7 +209,7 @@ def i_gamma(gamma: float, tol: float = 1e-10) -> float:
         # 1e-140 the nodes it skips would carry more than an ulp of I
         return math.cos(0.5 * (gamma - u)) / math.sqrt(s) if s > 0.0 else math.inf
 
-    return integrate(integrand, 0.0, gamma, singular_left=True, tol=tol).value
+    return integrate(integrand, 0.0, gamma, singular_left=True, tol=1e-10).value
 
 
 def periods(mod: Modulus, method: PeriodMethod = PeriodMethod.ELLIPTIC) -> PeriodPair:
@@ -233,7 +231,7 @@ def periods(mod: Modulus, method: PeriodMethod = PeriodMethod.ELLIPTIC) -> Perio
     return PeriodPair(i_gamma(mod.beta), math.sqrt(2.0) * i_gamma(mod.alpha))
 
 
-def greenhill_check(a: float, b: float, c: float, tol: float = 1e-10) -> tuple[float, float]:
+def greenhill_check(a: float, b: float, c: float) -> tuple[float, float]:
     """Residuals of the two cubic-integral reductions to complete K.
 
     For the cubic (t-a)(t-b)(t-c) with a > b > c, returns the quadrature
@@ -248,8 +246,8 @@ def greenhill_check(a: float, b: float, c: float, tol: float = 1e-10) -> tuple[f
         # each half is parametrised by the distance s from its own singular
         # root, so quadrature nodes keep full accuracy at the endpoints
         m = 0.5 * length
-        lo = integrate(f_lo, 0.0, m, singular_left=True, tol=tol)
-        hi = integrate(f_hi, 0.0, length - m, singular_left=True, tol=tol)
+        lo = integrate(f_lo, 0.0, m, singular_left=True, tol=1e-10)
+        hi = integrate(f_hi, 0.0, length - m, singular_left=True, tol=1e-10)
         return lo.value + hi.value
 
     mid = halved(

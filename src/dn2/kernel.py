@@ -51,8 +51,11 @@ def reduction_limit(period: float) -> float:
 
 # |t| beyond which the tanh-sinh weight underflows double precision
 _T_CUTOFF = 6.115
-# finest refinement level integrate accepts; bounds the node table
+# finest refinement level of integrate; bounds the node table
 MAX_LEVEL = 11
+# newton_invert stops once a step is at most this share of the iterate
+NEWTON_RTOL = 1e-9
+NEWTON_MAX_ITER = 60
 
 
 @lru_cache(maxsize=MAX_LEVEL + 1)
@@ -89,22 +92,18 @@ def integrate(
     b: float,
     *,
     singular_left: bool = False,
-    singular_right: bool = False,
     tol: float = 1e-12,
-    max_level: int = MAX_LEVEL,
 ) -> QuadResult:
     """Tanh-sinh (double-exponential) quadrature of ``f`` over ``(a, b)``.
 
     Integrable inverse-square-root endpoint singularities are absorbed by the
-    transformation; flag them so that nodes which round onto a singular
-    endpoint can be discarded instead of aborting the computation.  The
-    abscissae and weights come from the shared node table ``_level``;
-    ``max_level`` must lie in [2, MAX_LEVEL].
+    transformation.  Put a singular endpoint at ``a`` and flag it, so that
+    nodes which round onto it can be discarded instead of aborting the
+    computation.  The abscissae and weights come from the shared node table
+    ``_level``, refined up to ``MAX_LEVEL``.
     """
     if not (a < b):
         raise DomainError(f"integrate requires a < b, got a={a}, b={b}")
-    if not 2 <= max_level <= MAX_LEVEL:
-        raise DomainError(f"integrate requires 2 <= max_level <= {MAX_LEVEL}, got {max_level}")
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     span_eps = 8.0 * math.ulp(max(abs(a), abs(b), 1.0))
@@ -131,9 +130,7 @@ def integrate(
             fx = f(x)
             used += 1
             if not math.isfinite(fx):
-                near_left = singular_left and (x - a) <= span_eps
-                near_right = singular_right and (b - x) <= span_eps
-                if near_left or near_right:
+                if singular_left and (x - a) <= span_eps:
                     continue
                 raise ConvergenceError(f"non-finite integrand value at x={x}")
             acc += w * fx
@@ -145,7 +142,7 @@ def integrate(
     total = h * acc
     prev = total
     delta = math.inf
-    for level in range(1, max_level + 1):
+    for level in range(1, MAX_LEVEL + 1):
         h *= 0.5
         acc, used = node_sum(_level(level))
         evaluations += used
@@ -155,7 +152,7 @@ def integrate(
             return QuadResult(total, delta, evaluations)
         prev = total
     raise ConvergenceError(
-        f"quadrature did not converge to tol={tol} within {max_level} levels",
+        f"quadrature did not converge to tol={tol} within {MAX_LEVEL} levels",
         best=QuadResult(total, delta, evaluations),
     )
 
@@ -164,62 +161,47 @@ def newton_invert(
     f: Callable[[float], float],
     fprime: Callable[[float], float],
     target: float,
+    lo: float,
+    hi: float,
     x0: float,
-    tol: float = 1e-12,
-    max_iter: int = 60,
 ) -> float:
-    """Solve f(x) = target for monotone f, starting from x0.
+    """Solve f(x) = target for increasing f with f(lo) <= target <= f(hi).
 
-    Newton steps are taken only while they stay inside the current bracket;
-    otherwise the step falls back to bisection, so convergence is guaranteed
-    once a sign change has been found.
+    Newton steps from x0 in [lo, hi] stay inside a bracket that every
+    evaluation shrinks; a step that would leave it, or a derivative that is
+    not positive, gives way to bisection.  Once a step is at most
+    ``NEWTON_RTOL`` |x| the next iterate, kept in [lo, hi], is returned
+    without evaluating f again: Newton's quadratic convergence puts it within
+    rounding of the root.  A target outside [f(lo), f(hi)] by more than
+    that collapses the bracket onto lo or hi without f ever crossing it, and
+    raises ConvergenceError, as does the iteration cap; ``best`` is the last
+    iterate.
     """
-    gx = f(x0) - target
-    if not math.isfinite(gx):
-        raise ConvergenceError(f"non-finite function value at x0={x0}")
-    if abs(gx) <= tol:
-        return x0
-    slope = fprime(x0)
-    if not math.isfinite(slope) or slope == 0.0:
-        slope = 1.0
-    direction = -1.0 if (gx > 0.0) == (slope > 0.0) else 1.0
-
-    step = 0.5 * max(1.0, abs(x0))
-    prev_x, prev_g = x0, gx
-    bracket = None
-    for _ in range(80):
-        x1 = x0 + direction * step
-        g1 = f(x1) - target
-        if not math.isfinite(g1):
-            raise ConvergenceError(f"non-finite function value at x={x1}")
-        if abs(g1) <= tol:
-            return x1
-        if (g1 > 0.0) != (prev_g > 0.0):
-            bracket = (prev_x, prev_g, x1, g1)
-            break
-        prev_x, prev_g = x1, g1
-        step *= 2.0
-    if bracket is None:
-        raise ConvergenceError("could not bracket the target value")
-
-    xa, ga, xb, _gb = bracket
-    lo, hi = (xa, xb) if xa < xb else (xb, xa)
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        gx = f(x) - target
-        if not math.isfinite(gx):
+    x = x0
+    below = above = False  # whether f has been seen on each side of target
+    for _ in range(NEWTON_MAX_ITER):
+        g = f(x) - target
+        if not math.isfinite(g):
             raise ConvergenceError(f"non-finite function value at x={x}")
-        if abs(gx) <= tol:
+        if g == 0.0:
             return x
-        if (gx > 0.0) == (ga > 0.0):
-            xa, ga = x, gx
+        if g < 0.0:
+            lo, below = x, True
         else:
-            xb = x
-        lo, hi = (xa, xb) if xa < xb else (xb, xa)
+            hi, above = x, True
         d = fprime(x)
-        xn = x - gx / d if (math.isfinite(d) and d != 0.0) else lo
-        if not (lo < xn < hi):
+        step = g / d if 0.0 < d < math.inf else math.inf
+        xn = x - step
+        if abs(step) <= NEWTON_RTOL * abs(x):
+            # a root within rounding of lo or hi can look just outside them
+            return min(max(xn, lo), hi)
+        if not lo <= xn <= hi:
             xn = 0.5 * (lo + hi)
+            if not lo < xn < hi:
+                if below and above:  # the root lies between adjacent doubles
+                    return x
+                raise ConvergenceError(
+                    f"target {target!r} lies outside f's range on the bracket", best=x
+                )
         x = xn
     raise ConvergenceError("root iteration exceeded the iteration cap", best=x)
-

@@ -40,6 +40,17 @@ class TestModulus:
         with pytest.raises(DomainError):
             Modulus(1.0)
 
+    def test_kappa_whose_square_is_subnormal_is_rejected(self):
+        # below 2**-510 m and 1 - lam lost their digits: dn2 at Im z = 700
+        # returned nan+nanj and at 720 raised an untyped OverflowError
+        for z in (complex(0.3, 700.0), complex(0.3, 720.0)):
+            with pytest.raises(DomainError):
+                dn2(z, Modulus(1e-163))
+        with pytest.raises(DomainError):
+            Modulus(math.nextafter(2.0**-510, 0.0))
+        mod = Modulus(2.0**-510)
+        assert mod.m > 0.0 and mod.d > 0.0 and mod.m1 == 1.0
+
 
 class TestInvariants:
     def test_square_lattice_modulus(self):
@@ -270,6 +281,44 @@ class TestAmplitude:
                     assert abs(got - sign * ref_phi) <= 1e-13 * ref_phi, sign * u
                     got = s2(sign * u, mod)
                     assert abs(got - sign * ref_s2) <= 1e-13 * ref_s2, sign * u
+
+    @pytest.mark.parametrize("kappa, bound", [(0.3, 2e-15), (0.6, 2e-15), (0.9, 2e-15),
+                                              (0.999, 5e-15)])
+    def test_phi_relative_accuracy_against_mpmath(self, kappa, bound):
+        # u seeded over three periods either side of 0, log-spaced over
+        # +-[1e-4, 1], and 1e-9 and an ulp either side of each multiple of
+        # 2K, where f(pi) by quadrature may round below the target.  The
+        # reference is theta = am(u c | m), the inverse of the closed form
+        # f(T) = F(theta | m)/c, taken back to T through
+        # sin^2 T = sin^2 theta (2 - (1 - lam) sin^2 theta)/(1 + lam), on the
+        # branch T > pi/2 where cn < 0, and shifted by pi per period 2K
+        import random
+
+        import mpmath
+
+        mod = Modulus(kappa)
+        two_k = 2.0 * periods(mod).K
+        rng = random.Random(f"phi:{kappa}")
+        us = [rng.uniform(-3.0 * two_k, 3.0 * two_k) for _ in range(40)]
+        us += [s * 10.0 ** (-0.16 * j) for j in range(26) for s in (1.0, -1.0)]
+        us += [two_k * n + e for n in range(-3, 4) for e in (1e-9, -1e-9)]
+        us += [math.nextafter(two_k * n, s * math.inf) for n in range(1, 4) for s in (1, -1)]
+        with mpmath.workdps(40):
+            k = mpmath.mpf(kappa)
+            lam = mpmath.sqrt((1 - k) * (1 + k))
+            m = (1 - lam) / (1 + lam)
+            c = mpmath.sqrt((1 + lam) / 2)
+            period = 2 * mpmath.ellipk(m) / c
+            for u in us:
+                a = abs(mpmath.mpf(u))
+                n = mpmath.floor(a / period)
+                w = (a - n * period) * c
+                sn, cn = mpmath.ellipfun("sn", w, m=m), mpmath.ellipfun("cn", w, m=m)
+                t = mpmath.asin(sn * mpmath.sqrt((2 - (1 - lam) * sn**2) / (1 + lam)))
+                ref = float(mpmath.sign(u) * ((mpmath.pi - t if cn < 0 else t) + n * mpmath.pi))
+                got = phi(u, mod)
+                assert abs(got - ref) <= bound * abs(ref), u
+                assert phi(-u, mod) == -got, u
 
     @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan, 1e300])
     def test_phi_unreducible_argument(self, u):
