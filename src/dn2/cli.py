@@ -30,25 +30,15 @@ def _fmt(v) -> str:
 
 
 def _emit(records, fmt: str, stream) -> None:
-    records = list(records)
-    if not records:
-        return
     if fmt == "jsonl":
-        for r in records:
-            stream.write(json.dumps(r) + "\n")
+        stream.writelines(json.dumps(r) + "\n" for r in records)
     elif fmt == "csv":
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(records[0].keys())
-        for r in records:
-            writer.writerow([_fmt(v) for v in r.values()])
+        writer.writerows([_fmt(v) for v in r.values()] for r in records)
     else:
-        first = True
-        for r in records:
-            if not first:
-                stream.write("\n")
-            first = False
-            for k, v in r.items():
-                stream.write(f"{k} = {_fmt(v)}\n")
+        blocks = ("".join(f"{k} = {_fmt(v)}\n" for k, v in r.items()) for r in records)
+        stream.write("\n".join(blocks))
 
 
 # a number, K', K, i, an operator or a parenthesis
@@ -132,12 +122,14 @@ def parse_z(text: str, K: float, Kprime: float) -> complex:
         raise DomainError(f"cannot parse z value {text!r}") from exc
 
 
-def _dn2_or_pole(z: float | complex, mod: Modulus, route: Route) -> complex | None:
-    """dn2 at z as a complex number, or None at a pole."""
+def _dn2_fields(key: str, z: float | complex, mod: Modulus, route: Route):
+    """Record fields {key_re, key_im} of dn2 at z, both "pole" at a pole,
+    and the value as a complex number, or None at a pole."""
     try:
-        return complex(core.dn2(z, mod, route))
+        v = complex(core.dn2(z, mod, route))
     except PoleError:
-        return None
+        return {f"{key}_re": "pole", f"{key}_im": "pole"}, None
+    return {f"{key}_re": v.real, f"{key}_im": v.imag}, v
 
 
 def cmd_eval(args) -> int:
@@ -147,20 +139,17 @@ def cmd_eval(args) -> int:
     real = z.imag == 0.0
     zin: float | complex = z.real if real else z
     record = {"kappa": args.kappa, "z_re": z.real, "z_im": z.imag, "route": args.route}
-
-    if args.route == "all":
-        routes = [Route.SN, Route.WP] + ([Route.PHI] if real else [])
-        vals = {r.value: _dn2_or_pole(zin, mod, r) for r in routes}
-        for name, v in vals.items():
-            record[f"dn2_{name}_re"] = "pole" if v is None else v.real
-            record[f"dn2_{name}_im"] = "pole" if v is None else v.imag
-        nums = [v for v in vals.values() if v is not None]
+    each = args.route == "all"
+    routes = [r for r in Route if real or r is not Route.PHI] if each else [Route(args.route)]
+    values = []
+    for route in routes:
+        fields, v = _dn2_fields(f"dn2_{route.value}" if each else "dn2", zin, mod, route)
+        record.update(fields)
+        values.append(v)
+    if each:
+        nums = [v for v in values if v is not None]
         deltas = [abs(p - q) for i, p in enumerate(nums) for q in nums[i + 1:]]
-        record["delta_max"] = max(deltas) if deltas else 0.0
-    else:
-        v = _dn2_or_pole(zin, mod, Route(args.route))
-        record["dn2_re"] = "pole" if v is None else v.real
-        record["dn2_im"] = "pole" if v is None else v.imag
+        record["delta_max"] = max(deltas, default=0.0)
     if real:
         # s2 is sin(phi): one solve serves both (the PHI route keeps its own)
         p = core.phi(z.real, mod)
@@ -173,21 +162,17 @@ def cmd_eval(args) -> int:
 def cmd_periods(args) -> int:
     mod = Modulus(args.kappa)
     record = {"kappa": args.kappa, "method": args.method}
-    if args.method == "all":
-        pairs = {m.value: core.periods(mod, m) for m in PeriodMethod}
-        for name, p in pairs.items():
-            record[f"K_{name}"] = p.K
-            record[f"Kprime_{name}"] = p.Kprime
-            record[f"ratio_{name}"] = p.Kprime / p.K
-        ks = [p.K for p in pairs.values()]
-        kps = [p.Kprime for p in pairs.values()]
+    each = args.method == "all"
+    methods = list(PeriodMethod) if each else [PeriodMethod(args.method)]
+    pairs = [core.periods(mod, m) for m in methods]
+    for m, p in zip(methods, pairs):
+        sfx = f"_{m.value}" if each else ""
+        record.update({f"K{sfx}": p.K, f"Kprime{sfx}": p.Kprime, f"ratio{sfx}": p.Kprime / p.K})
+    if each:
+        ks = [p.K for p in pairs]
+        kps = [p.Kprime for p in pairs]
         record["delta_K_max"] = max(ks) - min(ks)
         record["delta_Kprime_max"] = max(kps) - min(kps)
-    else:
-        p = core.periods(mod, PeriodMethod(args.method))
-        record["K"] = p.K
-        record["Kprime"] = p.Kprime
-        record["ratio"] = p.Kprime / p.K
     _emit([record], args.format, sys.stdout)
     return 0
 
@@ -221,44 +206,27 @@ def cmd_identities(args) -> int:
     while i * step < 1.0 - 0.5 * step:
         grid.append(i * step)
         i += 1
-    eps = args.perturb_lambda
-
-    records = []
+    tol = {} if args.tol is None else {"tol": args.tol}
+    reports = [
+        (name, check(lam, **tol))
+        for lam in grid
+        for name, check in (("bbg_91", identities.identity_bbg_91),
+                            ("bbg_92", identities.identity_bbg_92))
+    ]
+    reports += [("transform_sig4", identities.transform_signature4(x, **tol)) for x in grid]
+    reports += [
+        (f"period_{label}", rep)
+        for kappa in grid
+        for label, rep in zip(identities.PERIOD_RELATION_LABELS,
+                              identities.period_relations(kappa, **tol))
+    ]
+    records = [{"identity": name, **dataclasses.asdict(rep)} for name, rep in reports]
     worst: dict[str, dict] = {}
-
-    def add(name: str, rep: identities.ResidualReport) -> None:
-        rec = {"identity": name, **dataclasses.asdict(rep)}
-        records.append(rec)
-        if name not in worst or abs(rec["residual"]) > abs(worst[name]["residual"]):
+    for rec in records:
+        name = rec["identity"]
+        if abs(rec["residual"]) > abs(worst.setdefault(name, rec)["residual"]):
             worst[name] = rec
-
-    def run(name: str, checker, param: float, tol_default: float):
-        tol = args.tol if args.tol is not None else tol_default
-        rep = checker(param, tol=tol)
-        if eps is not None and name.startswith("bbg"):
-            other = checker(min(param + eps, 1.0 - 1e-9), tol=tol)
-            residual = rep.lhs - other.rhs
-            rep = identities.ResidualReport(
-                param, rep.lhs, other.rhs, residual, tol, abs(residual) <= tol
-            )
-        add(name, rep)
-
-    for lam in grid:
-        run("bbg_91", identities.identity_bbg_91, lam, 1e-12)
-        run("bbg_92", identities.identity_bbg_92, lam, 1e-12)
-    for x in grid:
-        run("transform_sig4", identities.transform_signature4, x, 1e-11)
-    for kappa in grid:
-        tol = args.tol if args.tol is not None else 1e-12
-        for label, rep in zip(
-            identities.PERIOD_RELATION_LABELS, identities.period_relations(kappa, tol=tol)
-        ):
-            add(f"period_{label}", rep)
-
-    for name in sorted(worst):
-        rec = dict(worst[name])
-        rec["identity"] = f"worst:{name}"
-        records.append(rec)
+    records += [{**worst[name], "identity": f"worst:{name}"} for name in sorted(worst)]
     _emit(records, args.format, sys.stdout)
     return 0 if all(r["passed"] for r in records) else 1
 
@@ -315,14 +283,8 @@ def cmd_sample(args) -> int:
     rows = []
     prev = None
     for z in points:
-        v = _dn2_or_pole(z, mod, route)
-        row = {
-            "z_re": z.real,
-            "z_im": z.imag,
-            "dn2_re": "pole" if v is None else v.real,
-            "dn2_im": "pole" if v is None else v.imag,
-            "route": route.value,
-        }
+        fields, v = _dn2_fields("dn2", z, mod, route)
+        row = {"z_re": z.real, "z_im": z.imag, **fields, "route": route.value}
         if args.region == "perimeter":
             # a pole row is not decreasing; the row after it, like the
             # first row, has no value to compare with
@@ -371,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identities", help="sweep all identity checkers over a grid")
     p.add_argument("--step", type=float, default=0.05)
-    p.add_argument("--perturb-lambda", type=float, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("sample", help="write CSV/JSONL samples for plotting")

@@ -295,11 +295,21 @@ class TestIdentities:
         code, out, _ = run(capsys, "identities", "--step", "0.05")
         assert code == 0
 
-    def test_perturbation_detected(self, capsys):
-        code, _, _ = run(
-            capsys, "identities", "--step", "0.45", "--perturb-lambda", "1e-6"
-        )
+    def test_tol_overrides_each_checkers_own(self, capsys):
+        code, out, _ = run(capsys, "--format", "csv", "--tol", "1e-300", "identities",
+                           "--step", "0.45")
         assert code == 1
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 14 and all(float(r["tol"]) == 1e-300 for r in rows)
+        assert any(r["passed"] == "False" for r in rows)
+        # without --tol each checker keeps its own default
+        code, out, _ = run(capsys, "--format", "csv", "identities", "--step", "0.45")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 14
+        for r in rows:
+            name = r["identity"].removeprefix("worst:")
+            assert float(r["tol"]) == (1e-11 if name == "transform_sig4" else 1e-12), name
 
     def test_record_fields(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "identities", "--step", "0.45")
@@ -316,6 +326,64 @@ class TestIdentities:
     def test_bad_step_exit_2(self, capsys):
         code, _, _ = run(capsys, "identities", "--step", "0.7")
         assert code == 2
+
+
+EVAL_KEYS = ["kappa", "z_re", "z_im", "route"]
+ALL_ROUTE_KEYS = ["dn2_sn_re", "dn2_sn_im", "dn2_wp_re", "dn2_wp_im"]
+
+
+class TestRecordShape:
+    # a record's key order is the CSV header, the JSONL key order and the
+    # human line order
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl", "human"])
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["eval", "--kappa", "0.6", "--z", "1.7"],
+             EVAL_KEYS + ["dn2_re", "dn2_im", "s2", "phi"]),
+            (["eval", "--kappa", "0.6", "--z", "0.6+0.4i", "--route", "wp"],
+             EVAL_KEYS + ["dn2_re", "dn2_im"]),
+            (["eval", "--kappa", "0.6", "--z", "1.7", "--route", "all"],
+             EVAL_KEYS + ALL_ROUTE_KEYS + ["dn2_phi_re", "dn2_phi_im", "delta_max", "s2", "phi"]),
+            (["eval", "--kappa", "0.6", "--z", "0.6+0.4i", "--route", "all"],
+             EVAL_KEYS + ALL_ROUTE_KEYS + ["delta_max"]),
+            (["eval", "--kappa", "0.6", "--z", "iK'", "--route", "all"],
+             EVAL_KEYS + ALL_ROUTE_KEYS + ["delta_max"]),
+            (["periods", "--kappa", "0.6"], ["kappa", "method", "K", "Kprime", "ratio"]),
+            (["periods", "--kappa", "0.6", "--method", "all"],
+             ["kappa", "method"]
+             + [f"{k}_{m}" for m in ("integral", "elliptic", "hyper")
+                for k in ("K", "Kprime", "ratio")]
+             + ["delta_K_max", "delta_Kprime_max"]),
+        ],
+    )
+    def test_key_order(self, capsys, fmt, argv, keys):
+        code, out, _ = run(capsys, "--format", fmt, *argv)
+        assert code == 0
+        if fmt == "csv":
+            header, row = csv.reader(io.StringIO(out))
+            assert header == keys and len(row) == len(keys)
+        elif fmt == "jsonl":
+            assert list(json.loads(out)) == keys
+        else:
+            assert [line.split(" = ")[0] for line in out.splitlines()] == keys
+
+    def test_poles_render_as_pole_in_every_field(self, capsys):
+        code, out, _ = run(capsys, "--format", "jsonl", "eval", "--kappa", "0.6",
+                           "--z", "iK'", "--route", "all")
+        assert code == 0
+        rec = json.loads(out)
+        assert all(rec[k] == "pole" for k in ALL_ROUTE_KEYS)
+
+    def test_human_records_are_separated_by_one_blank_line(self, capsys):
+        code, out, _ = run(capsys, "identities", "--step", "0.45")
+        assert code == 0
+        # seven checks at the one grid point 0.45, then one worst: record each
+        blocks = out.split("\n\n")
+        assert len(blocks) == 14
+        keys = ["identity", "parameter", "lhs", "rhs", "residual", "tol", "passed"]
+        assert all([line.split(" = ")[0] for line in b.splitlines()] == keys for b in blocks)
+        assert out.endswith("passed = True\n")
 
 
 class TestSample:

@@ -36,6 +36,13 @@ class TestBbg:
             assert identity_bbg_91(lam).passed, lam
             assert identity_bbg_92(lam).passed, lam
 
+    @pytest.mark.parametrize("check", [identity_bbg_91, identity_bbg_92])
+    @pytest.mark.parametrize("lam", [0.45, 0.9])
+    def test_lambda_shifted_between_sides_is_detected(self, check, lam):
+        # lhs at lam against rhs at lam + 1e-6 differ by 2e-7 to 2e-6
+        residual = check(lam).lhs - check(lam + 1e-6).rhs
+        assert abs(residual) > 1e-12
+
     def test_domain(self):
         with pytest.raises(DomainError):
             identity_bbg_91(0.0)
