@@ -147,9 +147,9 @@ def cmd_eval(args) -> int:
         record.update(fields)
         values.append(v)
     if each:
-        nums = [v for v in values if v is not None]
-        deltas = [abs(p - q) for i, p in enumerate(nums) for q in nums[i + 1:]]
-        record["delta_max"] = max(deltas, default=0.0)
+        # the routes share one pole set: every value is there, or none is
+        record["delta_max"] = "pole" if None in values else max(
+            abs(p - q) for i, p in enumerate(values) for q in values[i + 1:])
     if real:
         # s2 is sin(phi): one solve serves both (the PHI route keeps its own)
         p = core.phi(z.real, mod)

@@ -25,6 +25,8 @@ class ResidualReport:
 
 
 def _report(parameter: float, lhs: float, rhs: float, tol: float) -> ResidualReport:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     residual = lhs - rhs
     return ResidualReport(parameter, lhs, rhs, residual, tol, abs(residual) <= tol)
 

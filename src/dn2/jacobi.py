@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
 from .hyper import complete_K
 from .kernel import DomainError, reduction_limit
 
-# below this denominator magnitude the quotient's relative error is
-# uncontrolled; callers get an explicit pole signal instead of a number
-POLE_THRESHOLD = 1e-13
+# jacobi_complex's denominator is m |z - iK'|^2 near a pole: below this times
+# m, z lies within sqrt(POLE_THRESHOLD) of the pole, at every m
+POLE_THRESHOLD = 1e-12
 # below this |x| the Landen ascent in jacobi_real overflows (its first step
 # squares cot(x c)), while sn, cn, dn round to x, 1, 1 from |x| < 1e-9 on
 _TINY = 1e-150
@@ -103,8 +104,8 @@ def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     """sn, cn, dn of a complex argument via the real-real addition split.
 
     The imaginary part runs at the pair (mc, m) and reduces modulo 4K'(m).
-    Raises PoleError when the shared denominator drops below the pole
-    threshold (z congruent to iK' modulo periods).
+    Raises PoleError within about 1e-6 of a pole (z congruent to iK' modulo 2K
+    and 2iK') at every m, and where sn^2 would overflow (m below 1e-296 only).
     """
     z = complex(z)
     rx = jacobi_real(z.real, m, mc)
@@ -114,7 +115,7 @@ def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     s, c, d = rx.sn, rx.cn, rx.dn
     s1, c1, d1 = ry.sn, ry.cn, ry.dn
     denom = c1 * c1 + m * s * s * s1 * s1
-    if abs(denom) < POLE_THRESHOLD:
+    if denom < POLE_THRESHOLD * m or denom < sys.float_info.min:
         raise PoleError(f"jacobi functions at a pole (denominator {denom:.3e})")
     sn = complex(s * d1, c * d * s1 * c1) / denom
     cn = complex(c * c1, -s * d * s1 * d1) / denom

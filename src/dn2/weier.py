@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .hyper import complete_K
-from .jacobi import POLE_THRESHOLD, PoleError, jacobi_complex
+from .jacobi import PoleError, jacobi_complex
 from .kernel import DomainError
 
 
@@ -72,7 +72,7 @@ def wp(z: complex, lat: LatticeData) -> complex:
         # sn poles are regular points of P where 1/sn^2 underflows to zero
         return complex(lat.e3)
     sn2 = sn * sn
-    if abs(sn2) < POLE_THRESHOLD:
+    if abs(sn2) < 1e-13:
         raise PoleError("wp pole: z is congruent to a lattice point")
     return lat.e3 + (lat.e1 - lat.e3) / sn2
 

@@ -327,6 +327,13 @@ class TestIdentities:
         code, _, _ = run(capsys, "identities", "--step", "0.7")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0"])
+    def test_tol_not_finite_and_positive_exit_2(self, capsys, tol):
+        # each used to rule every check failed or every check passed
+        code, out, err = run(capsys, "--tol", tol, "identities", "--step", "0.45")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerance must be finite and positive")
+
 
 EVAL_KEYS = ["kappa", "z_re", "z_im", "route"]
 ALL_ROUTE_KEYS = ["dn2_sn_re", "dn2_sn_im", "dn2_wp_re", "dn2_wp_im"]
@@ -373,7 +380,8 @@ class TestRecordShape:
                            "--z", "iK'", "--route", "all")
         assert code == 0
         rec = json.loads(out)
-        assert all(rec[k] == "pole" for k in ALL_ROUTE_KEYS)
+        # no two values were compared, so there is no delta either
+        assert all(rec[k] == "pole" for k in ALL_ROUTE_KEYS + ["delta_max"])
 
     def test_human_records_are_separated_by_one_blank_line(self, capsys):
         code, out, _ = run(capsys, "identities", "--step", "0.45")
@@ -471,8 +479,10 @@ class TestSample:
         assert code == 2
         assert "error" in err
 
-    def test_poles_print_pole_rows(self, capsys):
-        # this used to die with a PoleError traceback and exit 1
+    def test_small_kappa_perimeter_rows_are_values(self, capsys):
+        # the walk keeps 0.01 of its length clear of the pole; this used to
+        # die with a PoleError traceback, and later printed spurious pole rows
+        mod = Modulus(1e-8)
         code, out, err = run(
             capsys, "sample", "--kappa", "1e-8", "--region", "perimeter",
             "--n", "50", "--out", "-",
@@ -480,9 +490,9 @@ class TestSample:
         assert (code, err) == (0, "")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 50
-        poles = [r for r in rows if r["dn2_re"] == "pole"]
-        assert poles and all(r["dn2_im"] == "pole" for r in poles)
-        assert all(r["decreasing"] == "false" for r in poles)
+        for r in rows:
+            v = complex(dn2(complex(float(r["z_re"]), float(r["z_im"])), mod))
+            assert (float(r["dn2_re"]), float(r["dn2_im"])) == (v.real, v.imag), r
 
     @pytest.mark.parametrize(
         "region, extra", [("real-axis", []), ("perimeter", ["decreasing"]), ("grid", [])]

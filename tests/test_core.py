@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -217,6 +219,77 @@ class TestDn2:
     def test_phi_route_rejects_complex(self):
         with pytest.raises(DomainError):
             dn2(complex(0.1, 0.2), Modulus(0.5), Route.PHI)
+
+
+def _raises_pole(z, mod, route):
+    try:
+        dn2(z, mod, route)
+    except PoleError:
+        return True
+    return False
+
+
+class TestPoleRule:
+    @pytest.mark.parametrize("kappa", [1e-12, 1e-9, 1e-7, 1e-100, 2.0**-510])
+    def test_no_pole_away_from_the_poles_at_small_kappa(self, kappa):
+        # an absolute threshold on jacobi_complex's denominator, which is
+        # m |z - iK'|^2 near a pole, used to raise PoleError at many of these
+        # points, all at least 0.05 K' from a pole
+        import mpmath
+
+        mod = Modulus(kappa)
+        p = periods(mod)
+        rng = random.Random(10)
+        points = []
+        while len(points) < 24:
+            z = complex(rng.uniform(0.0, 2.0 * p.K), rng.uniform(0.0, 2.0 * p.Kprime))
+            if all(abs(z - pole) >= 0.05 * p.Kprime
+                   for pole in (complex(0.0, p.Kprime), complex(2.0 * p.K, p.Kprime))):
+                points.append(z)
+        # the digits of kappa and of m = kappa^2 / (1 + lam)^2 must survive 1 - lam
+        with mpmath.workdps(int(2 * abs(math.log10(kappa))) + 50):
+            k = mpmath.mpf(kappa)
+            lam = mpmath.sqrt((1 - k) * (1 + k))
+            m = (1 - lam) / (1 + lam)
+            c = mpmath.sqrt((1 + lam) / 2)
+            for z in points:
+                sn = mpmath.ellipfun("sn", mpmath.mpc(z.real, z.imag) * c, m=m)
+                ref = complex(1 - (1 - lam) * sn**2)
+                for route in (Route.SN, Route.WP):
+                    assert abs(dn2(z, mod, route) - ref) <= 1e-13 * max(1.0, abs(ref)), (z, route)
+
+    @pytest.mark.parametrize("kappa", [2.0**-510, 1e-12, 0.3, 0.6, 0.9, 1.0 - 1e-12])
+    def test_sn_and_wp_raise_at_the_same_points(self, kappa):
+        mod = Modulus(kappa)
+        p = periods(mod)
+        raised = []
+        for pole in (complex(0.0, p.Kprime), complex(2.0 * p.K, p.Kprime)):
+            for r in (0.0, 1e-9, 5e-7, 9e-7, 1e-6, 1.1e-6, 2e-6, 1e-5, 1e-3, 2.0):
+                for j in range(8):
+                    t = j * math.pi / 4
+                    z = pole + r / mod.c * complex(math.cos(t), math.sin(t))
+                    sn_raised = _raises_pole(z, mod, Route.SN)
+                    assert _raises_pole(z, mod, Route.WP) == sn_raised, z
+                    raised.append(sn_raised)
+        assert any(raised) and not all(raised)
+
+    @pytest.mark.parametrize("kappa", [2.0**-510, 3e-154])
+    def test_finite_or_pole_near_the_pole_line_at_the_smallest_kappa(self, kappa):
+        # here m is about the smallest normal float, so the denominator
+        # m |z - iK'|^2 is subnormal on and near the line Im z = K'; a
+        # quotient by it used to overflow to inf and nan
+        mod = Modulus(kappa)
+        p = periods(mod)
+        for x in (0.0, 1e-300, 1e-8, 0.3, 0.5 * p.K, p.K, 1.5 * p.K, 2.0 * p.K, -p.K):
+            for y in (p.Kprime, -p.Kprime, 3.0 * p.Kprime):
+                for dy in (0.0, 1e-300, 1e-12, -1e-6, 1e-3, 0.5, -1.0, 5.0):
+                    z = complex(x, y + dy)
+                    for route in (Route.SN, Route.WP):
+                        try:
+                            v = dn2(z, mod, route)
+                        except PoleError:
+                            continue
+                        assert cmath.isfinite(v), (z, route, v)
 
 
 class TestAmplitude:

@@ -132,3 +132,12 @@ def test_bbg_pair_implies_transform():
             + abs(identity_bbg_92(lam).residual)
             + 1e-11
         )
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize(
+    "check", [identity_bbg_91, identity_bbg_92, transform_signature4, period_relations]
+)
+def test_tol_not_finite_and_positive_is_a_domain_error(check, tol):
+    with pytest.raises(DomainError):
+        check(0.5, tol=tol)
