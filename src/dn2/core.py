@@ -150,12 +150,10 @@ def _f_prime(mod: Modulus):
 
 
 def f_forward(T: float, mod: Modulus) -> float:
-    """The incomplete integral f(T); strictly increasing in T."""
+    """The incomplete integral f(T); odd, bit for bit, and strictly increasing."""
     if T == 0.0:
-        return 0.0
-    lo, hi = (0.0, T) if T > 0.0 else (T, 0.0)
-    value = integrate(_f_prime(mod), lo, hi).value
-    return value if T > 0.0 else -value
+        return T
+    return math.copysign(integrate(_f_prime(mod), 0.0, abs(T)).value, T)
 
 
 def phi(u: float, mod: Modulus) -> float:
@@ -203,11 +201,11 @@ def i_gamma(gamma: float) -> float:
         # sin(u) sin(2 gamma - u) = cos^2 t - cos^2 gamma
         s = math.sin(u) * math.sin(2.0 * gamma - u)
         # s underflows to 0 next to u = 0 for gamma below about 1e-50, and
-        # integrate skips a value that is not finite there; below gamma =
-        # 1e-140 the nodes it skips would carry more than an ulp of I
-        return math.cos(0.5 * (gamma - u)) / math.sqrt(s) if s > 0.0 else math.inf
+        # such a node adds nothing; below gamma = 1e-140 the nodes dropped
+        # this way would carry more than an ulp of I
+        return math.cos(0.5 * (gamma - u)) / math.sqrt(s) if s > 0.0 else 0.0
 
-    return integrate(integrand, 0.0, gamma, singular_left=True, tol=1e-10).value
+    return integrate(integrand, 0.0, gamma).value
 
 
 def periods(mod: Modulus, method: PeriodMethod = PeriodMethod.ELLIPTIC) -> PeriodPair:
@@ -244,18 +242,21 @@ def greenhill_check(a: float, b: float, c: float) -> tuple[float, float]:
         # each half is parametrised by the distance s from its own singular
         # root, so quadrature nodes keep full accuracy at the endpoints
         m = 0.5 * length
-        lo = integrate(f_lo, 0.0, m, singular_left=True, tol=1e-10)
-        hi = integrate(f_hi, 0.0, length - m, singular_left=True, tol=1e-10)
-        return lo.value + hi.value
+        return integrate(f_lo, 0.0, m).value + integrate(f_hi, 0.0, length - m).value
+
+    def inv_root(x: float, y: float, z: float) -> float:
+        # 1/sqrt(x y z) as a product of roots: the product x y z underflows
+        # to 0 next to a root where x, y and z are still representable
+        return 1.0 / (math.sqrt(x) * math.sqrt(y) * math.sqrt(z))
 
     mid = halved(
-        lambda s: 1.0 / math.sqrt((ab - s) * s * (s + bc)),
-        lambda s: 1.0 / math.sqrt(s * (ab - s) * (ac - s)),
+        lambda s: inv_root(ab - s, s, s + bc),
+        lambda s: inv_root(s, ab - s, ac - s),
         ab,
     )
     low = halved(
-        lambda s: 1.0 / math.sqrt((ac - s) * (bc - s) * s),
-        lambda s: 1.0 / math.sqrt((ab + s) * s * (bc - s)),
+        lambda s: inv_root(ac - s, bc - s, s),
+        lambda s: inv_root(ab + s, s, bc - s),
         bc,
     )
     return (

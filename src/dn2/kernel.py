@@ -53,6 +53,8 @@ def reduction_limit(period: float) -> float:
 _T_CUTOFF = 6.115
 # finest refinement level of integrate; bounds the node table
 MAX_LEVEL = 11
+# integrate stops once successive levels differ by at most this much
+QUAD_TOL = 1e-10
 # newton_invert stops once a step is at most this share of the iterate
 NEWTON_RTOL = 1e-9
 NEWTON_MAX_ITER = 60
@@ -86,27 +88,22 @@ def _level(level: int) -> tuple[tuple[int, float, float, float, float], ...]:
     return tuple(nodes)
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    singular_left: bool = False,
-    tol: float = 1e-12,
-) -> QuadResult:
+def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     """Tanh-sinh (double-exponential) quadrature of ``f`` over ``(a, b)``.
 
     Integrable inverse-square-root endpoint singularities are absorbed by the
-    transformation.  Put a singular endpoint at ``a`` and flag it, so that
-    nodes which round onto it can be discarded instead of aborting the
-    computation.  The abscissae and weights come from the shared node table
-    ``_level``, refined up to ``MAX_LEVEL``.
+    transformation; nodes that round onto an endpoint are never evaluated.
+    The abscissae and weights come from the shared node table ``_level``,
+    refined up to ``MAX_LEVEL``.  Refinement stops once two successive
+    levels differ by at most ``QUAD_TOL``, or 1e-15 of the value.  Bounds
+    that are not finite, or not in order, raise DomainError; a non-finite
+    integrand value, or no convergence by ``MAX_LEVEL``, raises
+    ConvergenceError.
     """
-    if not (a < b):
-        raise DomainError(f"integrate requires a < b, got a={a}, b={b}")
+    if not -math.inf < a < b < math.inf:
+        raise DomainError(f"integrate requires finite a < b, got a={a}, b={b}")
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    span_eps = 8.0 * math.ulp(max(abs(a), abs(b), 1.0))
     # hoisted out of the node loop: Python groups 2.0 * half * e as
     # (2.0 * half) * e, so hoisting leaves every product bit for bit the same
     two_half = 2.0 * half
@@ -130,8 +127,6 @@ def integrate(
             fx = f(x)
             used += 1
             if not math.isfinite(fx):
-                if singular_left and (x - a) <= span_eps:
-                    continue
                 raise ConvergenceError(f"non-finite integrand value at x={x}")
             acc += w * fx
         return acc, used
@@ -148,11 +143,11 @@ def integrate(
         evaluations += used
         total = 0.5 * prev + h * acc
         delta = abs(total - prev)
-        if level >= 2 and delta <= max(tol, 1e-15 * abs(total)):
+        if level >= 2 and delta <= max(QUAD_TOL, 1e-15 * abs(total)):
             return QuadResult(total, delta, evaluations)
         prev = total
     raise ConvergenceError(
-        f"quadrature did not converge to tol={tol} within {MAX_LEVEL} levels",
+        f"quadrature did not converge to {QUAD_TOL} within {MAX_LEVEL} levels",
         best=QuadResult(total, delta, evaluations),
     )
 

@@ -20,9 +20,9 @@ from dn2.core import (
     phi,
     s2,
 )
-from dn2.hyper import F_QUARTER_HALF, gauss_2f1
+from dn2.hyper import F_QUARTER_HALF, complete_K, gauss_2f1
 from dn2.jacobi import PoleError
-from dn2.kernel import DomainError, integrate
+from dn2.kernel import ConvergenceError, DomainError, integrate
 
 # SN closed form evaluated with mpmath at dps=50
 REF_DN2_037_05 = 0.98365050427242663257
@@ -312,6 +312,14 @@ class TestAmplitude:
         ).value
         assert abs(f_forward(0.3, mod) - ref) <= 1e-11
 
+    def test_f_forward_is_odd_bit_for_bit(self):
+        rng = random.Random(2024)
+        for kappa in [0.3, 0.6, 0.9]:
+            mod = Modulus(kappa)
+            for _ in range(100):
+                T = rng.uniform(-3.0 * math.pi, 3.0 * math.pi)
+                assert f_forward(-T, mod) == -f_forward(T, mod), (kappa, T)
+
     def test_f_shift_rule(self):
         # f(T + pi) = f(T) + 2K
         mod = Modulus(0.7)
@@ -479,3 +487,19 @@ class TestGreenhill:
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             greenhill_check(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (1.0, 1e-200, 0.0), (1.0, 1e-100, 0.0), (1e-160, 5e-161, 0.0),
+    ])
+    def test_underflowing_cubic_is_accurate_or_a_typed_error(self, a, b, c):
+        # next to a root the cubic underflows to 0 while its factors are
+        # still representable
+        pref = 2.0 / math.sqrt(a - c)
+        closed = (pref * complete_K((a - b) / (a - c), (b - c) / (a - c)),
+                  pref * complete_K((b - c) / (a - c), (a - b) / (a - c)))
+        try:
+            residuals = greenhill_check(a, b, c)
+        except (ConvergenceError, DomainError):
+            return
+        for r, k in zip(residuals, closed):
+            assert abs(r) <= 1e-14 * abs(k), (r, k)
