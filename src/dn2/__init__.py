@@ -39,7 +39,7 @@ from .jacobi import POLE_THRESHOLD, JacobiTriple, PoleError, jacobi_complex, jac
 from .kernel import ConvergenceError, DomainError, QuadResult, integrate, newton_invert
 from .weier import LatticeData, PeriodPair, lattice_from_invariants, wp, wp_halfperiods
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "Modulus",

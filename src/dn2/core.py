@@ -144,16 +144,55 @@ def dn2_deriv(x: float, mod: Modulus) -> float:
 
 
 def _f_prime(mod: Modulus):
-    """f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t), the integrand of f."""
-    k2 = mod.kappa**2
-    return lambda t: f14_34_12_closed(k2 * math.sin(t) ** 2)
+    """f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t), the integrand of f.
+
+    The complement is cos^2 psi = lam^2 + kappa^2 cos^2 t, with
+    sin psi = kappa sin t, which does not cancel as kappa sin t -> 1.
+    """
+    k = mod.kappa
+    l2 = mod.lam * mod.lam
+
+    def f_prime(t: float) -> float:
+        s = k * math.sin(t)
+        c = k * math.cos(t)
+        return f14_34_12_closed(s * s, l2 + c * c)
+
+    return f_prime
 
 
 def f_forward(T: float, mod: Modulus) -> float:
-    """The incomplete integral f(T); odd, bit for bit, and strictly increasing."""
+    """The incomplete integral f(T); odd, bit for bit, and strictly increasing.
+
+    |T| beyond pi is reduced by f(T + n pi) = f(T) + n 2K, so the quadrature
+    runs over at most [0, pi].  Raises DomainError when |T| is so large (or
+    not finite) that fewer than 8 significant digits of T survive reduction
+    modulo pi.
+    """
     if T == 0.0:
         return T
-    return math.copysign(integrate(_f_prime(mod), 0.0, abs(T)).value, T)
+    a = abs(T)
+    if a <= math.pi:
+        return math.copysign(integrate(_f_prime(mod), 0.0, a).value, T)
+    n, r = _reduce(a, math.pi, f"f argument {T!r}")
+    fr = integrate(_f_prime(mod), 0.0, r).value if r > 0.0 else 0.0
+    return math.copysign(n * mod.two_k + fr, T)
+
+
+def _reduce(a: float, period: float, what: str) -> tuple[int, float]:
+    """n and r with a = n period + r, 0 <= r < period, exactly, for a >= 0.
+
+    Raises DomainError for ``not a <= reduction_limit(period)``: fewer than 8
+    significant digits of a survive the reduction there, and inf and nan
+    fail the test too.
+    """
+    limit = reduction_limit(period)
+    if not a <= limit:
+        raise DomainError(
+            f"{what} is beyond {limit:.6g}: fewer than 8 "
+            f"digits survive reduction modulo {period!r}"
+        )
+    r = math.fmod(a, period)  # exact
+    return round((a - r) / period), r
 
 
 def phi(u: float, mod: Modulus) -> float:
@@ -172,14 +211,7 @@ def phi(u: float, mod: Modulus) -> float:
     if a < 1e-4:
         return math.copysign(a - mod.kappa**2 * a**3 / 8.0, u)
     two_k = mod.two_k
-    limit = reduction_limit(two_k)
-    if not a <= limit:
-        raise DomainError(
-            f"phi argument {u!r} is beyond {limit:.6g}: fewer than 8 "
-            f"digits survive reduction modulo 2K = {two_k!r}"
-        )
-    ur = math.fmod(a, two_k)  # exact: a = n 2K + ur, 0 <= ur < 2K
-    n = round((a - ur) / two_k)
+    n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
     x0 = ur * math.pi / two_k
     t = newton_invert(lambda T: f_forward(T, mod), _f_prime(mod), ur, 0.0, math.pi, x0)
     return math.copysign(t + math.pi * n, u)
@@ -232,9 +264,17 @@ def greenhill_check(a: float, b: float, c: float) -> tuple[float, float]:
 
     For the cubic (t-a)(t-b)(t-c) with a > b > c, returns the quadrature
     value minus the closed form for the middle and lower root intervals.
+    The roots are first scaled by a power of 4 that brings a - c into
+    [1, 4), so the residuals of (4a, 4b, 4c) are those of (a, b, c) halved,
+    bit for bit.
     """
-    if not a > b > c:
-        raise DomainError("greenhill_check requires a > b > c")
+    if not (a > b > c and a - c < math.inf):
+        raise DomainError(f"greenhill_check requires a > b > c, a - c finite, got {(a, b, c)!r}")
+    # roots scaled by 4**-k scale both integrals and closed forms by 2**k,
+    # exactly; with a - c in [1, 4) no integrand overflows next to a root,
+    # and QUAD_TOL is an error relative to the integrals
+    k = (math.frexp(a - c)[1] - 1) // 2
+    a, b, c = (math.ldexp(x, -2 * k) for x in (a, b, c))
     pref = 2.0 / math.sqrt(a - c)
     ab, bc, ac = a - b, b - c, a - c
 
@@ -260,6 +300,6 @@ def greenhill_check(a: float, b: float, c: float) -> tuple[float, float]:
         bc,
     )
     return (
-        mid - pref * complete_K(ab / ac, bc / ac),
-        low - pref * complete_K(bc / ac, ab / ac),
+        math.ldexp(mid - pref * complete_K(ab / ac, bc / ac), -k),
+        math.ldexp(low - pref * complete_K(bc / ac, ab / ac), -k),
     )

@@ -2,9 +2,9 @@
 form of F(1/4,3/4;1/2;.), and the complete elliptic integral K(m) via the
 arithmetic-geometric mean.
 
-The K argument is the parameter m = k^2 throughout.  complete_K and gauss_2f1
-take their argument with its complement, computed by the caller in a form
-that does not cancel; neither forms 1 - m itself.
+The K argument is the parameter m = k^2 throughout.  complete_K, gauss_2f1
+and f14_34_12_closed take their argument with its complement, computed by the
+caller in a form that does not cancel; none forms 1 - m itself.
 """
 
 from __future__ import annotations
@@ -140,9 +140,17 @@ def gauss_2f1(p: HyperParams, x: float, xc: float) -> float:
     return _direct_series(p, x)
 
 
-def f14_34_12_closed(u: float) -> float:
-    """Closed form of F(1/4, 3/4; 1/2; u): cos(psi/2)/cos(psi), sin^2(psi) = u."""
-    if not 0.0 <= u < 1.0:
-        raise DomainError(f"closed form requires 0 <= u < 1, got {u}")
-    psi = math.asin(math.sqrt(u))
-    return math.cos(0.5 * psi) / math.cos(psi)
+def f14_34_12_closed(u: float, uc: float) -> float:
+    """Closed form of F(1/4, 3/4; 1/2; u), given u and its complement uc = 1 - u.
+
+    With sin^2(psi) = u it is cos(psi/2)/cos(psi) = sqrt((1 + c)/2)/c,
+    c = cos(psi) = sqrt(uc), so a u that rounds to 1 still works while uc > 0.
+    """
+    # the test of _check_pair, inlined: the quadrature of f runs it at every
+    # node, and calling _check_pair would double its cost
+    if not (0.0 <= u <= 1.0 and 0.0 < uc <= 1.0 and abs(u + uc - 1.0) <= 1e-12):
+        raise DomainError(
+            f"f14_34_12_closed requires 0 <= u < 1 and uc = 1 - u, got ({u!r}, {uc!r})"
+        )
+    c = math.sqrt(uc)
+    return math.sqrt(0.5 * (1.0 + c)) / c

@@ -106,10 +106,15 @@ def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     The imaginary part runs at the pair (mc, m) and reduces modulo 4K'(m).
     Raises PoleError within about 1e-6 of a pole (z congruent to iK' modulo 2K
     and 2iK') at every m, and where sn^2 would overflow (m below 1e-296 only).
+    At m = 0, where sn and cn are sin and cos, |Im z| beyond 710 (or not
+    finite), where they would overflow, raises DomainError.
     """
     z = complex(z)
     rx = jacobi_real(z.real, m, mc)
     if m == 0.0:
+        # cosh(710) is below the largest double, so sin and cos stay finite
+        if not abs(z.imag) <= 710.0:
+            raise DomainError(f"|Im z| must be at most 710 at m = 0, got {z!r}")
         return JacobiTriple(cmath.sin(z), cmath.cos(z), complex(1.0))
     ry = jacobi_real(z.imag, mc, m)
     s, c, d = rx.sn, rx.cn, rx.dn

@@ -61,15 +61,17 @@ NEWTON_MAX_ITER = 60
 
 
 @lru_cache(maxsize=MAX_LEVEL + 1)
-def _level(level: int) -> tuple[tuple[int, float, float, float, float], ...]:
+def _level(level: int) -> tuple[tuple[tuple[float, float, float, float], ...], ...]:
     """The tanh-sinh nodes integrate adds at refinement level ``level``.
 
     Level 0 holds every node t = k on [-6, 6]; level L >= 1 adds the nodes
-    t = k h, h = 2**-L, at odd k.  Each node, in increasing t, is stored as
-    (side, e, 1 + e, cosh t, cosh(u)**2) with u = (pi/2) sinh t and
-    e = exp(-2|u|), where side is the sign of t: everything about a node
-    that does not depend on the interval.  Built on first use, so a caller
-    pays only for the levels its integrands reach.
+    t = k h, h = 2**-L, at odd k.  They come split by the sign of t into
+    three runs, left (t < 0), centre (t = 0, level 0 only) and right
+    (t > 0), each in increasing t.  A node is stored as
+    (e, 1 + e, cosh t, cosh(u)**2) with u = (pi/2) sinh t and
+    e = exp(-2|u|): everything about it that does not depend on the
+    interval.  Built on first use, so a caller pays only for the levels its
+    integrands reach.
     """
     h = math.ldexp(1.0, -level)
     nmax = int(_T_CUTOFF / h)
@@ -78,14 +80,14 @@ def _level(level: int) -> tuple[tuple[int, float, float, float, float], ...]:
     else:
         start = nmax if nmax % 2 == 1 else nmax - 1
         ks = range(-start, nmax + 1, 2)
-    nodes = []
+    runs = ([], [], [])
     for k in ks:
         t = k * h
         u = 0.5 * math.pi * math.sinh(t)
         e = math.exp(-2.0 * abs(u))
-        side = -1 if t < 0.0 else 1 if t > 0.0 else 0
-        nodes.append((side, e, 1.0 + e, math.cosh(t), math.cosh(u) ** 2))
-    return tuple(nodes)
+        run = runs[0 if t < 0.0 else 2 if t > 0.0 else 1]
+        run.append((e, 1.0 + e, math.cosh(t), math.cosh(u) ** 2))
+    return tuple(tuple(run) for run in runs)
 
 
 def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
@@ -108,38 +110,47 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     # (2.0 * half) * e, so hoisting leaves every product bit for bit the same
     two_half = 2.0 * half
     weight_scale = half * 0.5 * math.pi
+    # per run of _level: the abscissa is base + scale * e / (1 + e), the
+    # distance from the nearer endpoint computed without cancellation, so
+    # that endpoint singularities see an accurate abscissa; negating the
+    # scale is exact, so b + (-2 half) e / (1 + e) is b - 2 half e / (1 + e),
+    # and the centre node (e = 1) is mid + 0.0
+    bases = (a, mid, b)
+    scales = (two_half, 0.0, -two_half)
 
-    def node_sum(nodes) -> tuple[float, int]:
+    def node_sum(level: int) -> tuple[float, int]:
         acc = 0.0
         used = 0
-        for side, e, one_plus_e, cosh_t, cosh_u2 in nodes:
-            # distance from the nearer endpoint, computed without cancellation
-            # so that endpoint singularities see an accurate abscissa
-            dist = two_half * e / one_plus_e
-            x = (a + dist) if side < 0 else (b - dist) if side > 0 else mid
-            if x <= a or x >= b:
-                # node rounded onto an endpoint; its true weight is far below
-                # double resolution
-                continue
-            w = weight_scale * cosh_t / cosh_u2
-            if w == 0.0:
-                continue
-            fx = f(x)
-            used += 1
-            if not math.isfinite(fx):
-                raise ConvergenceError(f"non-finite integrand value at x={x}")
-            acc += w * fx
+        for nodes, base, scale in zip(_level(level), bases, scales):
+            for e, one_plus_e, cosh_t, cosh_u2 in nodes:
+                x = base + scale * e / one_plus_e
+                # a node that rounds onto an endpoint is dropped: its true
+                # weight is far below double resolution.  x never decreases
+                # along a run, so once a node rounds onto b every later one
+                # does too
+                if x >= b:
+                    break
+                if x <= a:
+                    continue
+                w = weight_scale * cosh_t / cosh_u2
+                if w == 0.0:
+                    continue
+                fx = f(x)
+                used += 1
+                if not math.isfinite(fx):
+                    raise ConvergenceError(f"non-finite integrand value at x={x}")
+                acc += w * fx
         return acc, used
 
     h = 1.0
-    acc, used = node_sum(_level(0))
+    acc, used = node_sum(0)
     evaluations = used
     total = h * acc
     prev = total
     delta = math.inf
     for level in range(1, MAX_LEVEL + 1):
         h *= 0.5
-        acc, used = node_sum(_level(level))
+        acc, used = node_sum(level)
         evaluations += used
         total = 0.5 * prev + h * acc
         delta = abs(total - prev)

@@ -22,7 +22,55 @@ from dn2.core import (
 )
 from dn2.hyper import F_QUARTER_HALF, complete_K, gauss_2f1
 from dn2.jacobi import PoleError
-from dn2.kernel import ConvergenceError, DomainError, integrate
+from dn2.kernel import ConvergenceError, DomainError, integrate, reduction_limit
+
+def _mp_f(T, kappa):
+    """f(T) at the double T by mpmath at 40 digits: n 2K + f(r) with
+    |T| = n pi + r, 0 <= r < pi, f(r) by quadrature of the closed-form
+    integrand sqrt((1 + cos psi)/2)/cos psi, split at its peak pi/2, and
+    2K = 2 K(m)/c."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        k = mpmath.mpf(kappa)
+        lam = mpmath.sqrt((1 - k) * (1 + k))
+
+        def integrand(t):
+            c = mpmath.sqrt(1 - (k * mpmath.sin(t)) ** 2)
+            return mpmath.sqrt((1 + c) / 2) / c
+
+        a = abs(mpmath.mpf(T))
+        n = mpmath.floor(a / mpmath.pi)
+        r = a - n * mpmath.pi
+        two_k = 2 * mpmath.ellipk((1 - lam) / (1 + lam)) / mpmath.sqrt((1 + lam) / 2)
+        pts = [0, r] if r <= mpmath.pi / 2 else [0, mpmath.pi / 2, r]
+        return mpmath.sign(T) * (n * two_k + mpmath.quad(integrand, pts))
+
+
+def _mp_phi(u, kappa):
+    """phi(u) by mpmath at 40 digits: theta = am(u c | m), the inverse of the
+    closed form f(T) = F(theta | m)/c, taken back to T through
+    sin^2 T = sin^2 theta (2 - (1 - lam) sin^2 theta)/(1 + lam), on the
+    branch T > pi/2 where cn < 0, and shifted by pi per period 2K."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        k = mpmath.mpf(kappa)
+        lam = mpmath.sqrt((1 - k) * (1 + k))
+        m = (1 - lam) / (1 + lam)
+        c = mpmath.sqrt((1 + lam) / 2)
+        period = 2 * mpmath.ellipk(m) / c
+        a = abs(mpmath.mpf(u))
+        n = mpmath.floor(a / period)
+        w = (a - n * period) * c
+        sn, cn = mpmath.ellipfun("sn", w, m=m), mpmath.ellipfun("cn", w, m=m)
+        t = mpmath.asin(sn * mpmath.sqrt((2 - (1 - lam) * sn**2) / (1 + lam)))
+        return mpmath.sign(u) * ((mpmath.pi - t if cn < 0 else t) + n * mpmath.pi)
+
+
+def _rel_err(got, ref):
+    return float(abs(got - ref) / abs(ref))
+
 
 # SN closed form evaluated with mpmath at dps=50
 REF_DN2_037_05 = 0.98365050427242663257
@@ -368,15 +416,7 @@ class TestAmplitude:
     def test_phi_relative_accuracy_against_mpmath(self, kappa, bound):
         # u seeded over three periods either side of 0, log-spaced over
         # +-[1e-4, 1], and 1e-9 and an ulp either side of each multiple of
-        # 2K, where f(pi) by quadrature may round below the target.  The
-        # reference is theta = am(u c | m), the inverse of the closed form
-        # f(T) = F(theta | m)/c, taken back to T through
-        # sin^2 T = sin^2 theta (2 - (1 - lam) sin^2 theta)/(1 + lam), on the
-        # branch T > pi/2 where cn < 0, and shifted by pi per period 2K
-        import random
-
-        import mpmath
-
+        # 2K, where f(pi) by quadrature may round below the target
         mod = Modulus(kappa)
         two_k = 2.0 * periods(mod).K
         rng = random.Random(f"phi:{kappa}")
@@ -384,22 +424,56 @@ class TestAmplitude:
         us += [s * 10.0 ** (-0.16 * j) for j in range(26) for s in (1.0, -1.0)]
         us += [two_k * n + e for n in range(-3, 4) for e in (1e-9, -1e-9)]
         us += [math.nextafter(two_k * n, s * math.inf) for n in range(1, 4) for s in (1, -1)]
-        with mpmath.workdps(40):
-            k = mpmath.mpf(kappa)
-            lam = mpmath.sqrt((1 - k) * (1 + k))
-            m = (1 - lam) / (1 + lam)
-            c = mpmath.sqrt((1 + lam) / 2)
-            period = 2 * mpmath.ellipk(m) / c
-            for u in us:
-                a = abs(mpmath.mpf(u))
-                n = mpmath.floor(a / period)
-                w = (a - n * period) * c
-                sn, cn = mpmath.ellipfun("sn", w, m=m), mpmath.ellipfun("cn", w, m=m)
-                t = mpmath.asin(sn * mpmath.sqrt((2 - (1 - lam) * sn**2) / (1 + lam)))
-                ref = float(mpmath.sign(u) * ((mpmath.pi - t if cn < 0 else t) + n * mpmath.pi))
-                got = phi(u, mod)
-                assert abs(got - ref) <= bound * abs(ref), u
-                assert phi(-u, mod) == -got, u
+        for u in us:
+            got = phi(u, mod)
+            assert _rel_err(got, _mp_phi(u, kappa)) <= bound, u
+            assert phi(-u, mod) == -got, u
+
+    @pytest.mark.parametrize("kappa, f_bound, phi_bound", [(0.999, 2e-15, 4e-15),
+                                                          (0.9999, 1e-14, 2e-14)])
+    def test_f_and_phi_near_kappa_one_against_mpmath(self, kappa, f_bound, phi_bound):
+        # f' peaks at pi/2 with height about 1/lam; f' from the complement
+        # lam^2 + kappa^2 cos^2 t does not cancel there.  The bounds come
+        # from 400 seeded T and u per kappa over the same ranges: the worst
+        # f was 1.5e-15 at 0.999 and 5.9e-15 at 0.9999 (4.2e-15, and at
+        # 0.9999 3.9e-14 or a ConvergenceError for 137 of the 400, when f'
+        # was formed from kappa^2 sin^2 t alone and f integrated over all of
+        # [0, |T|]); phi is worst just past the peak, where a small f' makes
+        # f's absolute error a larger relative error of T: 3.0e-15 and 1.4e-14
+        mod = Modulus(kappa)
+        rng = random.Random(f"near one:{kappa}")
+        for _ in range(24):
+            T = rng.uniform(-3.0 * math.pi, 3.0 * math.pi)
+            assert _rel_err(f_forward(T, mod), _mp_f(T, kappa)) <= f_bound, T
+        for _ in range(24):
+            u = rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k)
+            assert _rel_err(phi(u, mod), _mp_phi(u, kappa)) <= phi_bound, u
+
+    def test_phi_past_the_peak_at_kappa_0999(self):
+        # Newton returned a T where f differed from |u| by 10 ulps, and phi
+        # was 6.45e-15 from mpmath
+        u = -7.214633969637685
+        assert _rel_err(phi(u, Modulus(0.999)), _mp_phi(u, 0.999)) <= 1e-15
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.9, 0.999])
+    def test_f_reduces_by_its_period_against_mpmath(self, kappa):
+        # f(T + n pi) = f(T) + n 2K: the quadrature runs over at most [0, pi],
+        # up to the largest |T| whose reduction keeps 8 digits; f(1e4)
+        # raised ConvergenceError when it integrated over all of [0, |T|]
+        mod = Modulus(kappa)
+        limit = math.nextafter(2.0**28, 0.0)
+        assert limit == reduction_limit(math.pi)
+        for T in [math.pi, 3.5, 2.0 * math.pi, 10.0, 123.456, 1e4, 98765.4321, 3.3e6, 1e8,
+                  limit]:
+            got = f_forward(T, mod)
+            assert _rel_err(got, _mp_f(T, kappa)) <= 1e-15, T
+            assert f_forward(-T, mod) == -got, T
+
+    @pytest.mark.parametrize("T", [2.0**28, -2.0**28, 1e300, math.inf, -math.inf, math.nan])
+    def test_f_unreducible_argument(self, T):
+        # fewer than 8 digits of T survive reduction modulo pi beyond 2**28
+        with pytest.raises(DomainError):
+            f_forward(T, Modulus(0.6))
 
     @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan, 1e300])
     def test_phi_unreducible_argument(self, u):
@@ -487,6 +561,30 @@ class TestGreenhill:
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
             greenhill_check(1.0, 1.0, 0.0)
+        # a - c overflows: the roots cannot be scaled
+        with pytest.raises(DomainError):
+            greenhill_check(1e308, 0.0, -1e308)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (2.0, 0.3, -1.0), (1.0, 0.999, 0.0), (3e-5, 1e-5, -2e-5), (5e9, -1e9, -3e9),
+        (1e-160, 5e-161, 0.0),
+    ])
+    def test_quadrupled_roots_halve_the_residuals_bit_for_bit(self, a, b, c):
+        # the roots are scaled by a power of 4 into a - c in [1, 4), exactly
+        r1, r2 = greenhill_check(a, b, c)
+        assert greenhill_check(4.0 * a, 4.0 * b, 4.0 * c) == (0.5 * r1, 0.5 * r2)
+        assert greenhill_check(0.25 * a, 0.25 * b, 0.25 * c) == (2.0 * r1, 2.0 * r2)
+
+    @pytest.mark.parametrize("a, b, c", [(1e-160, 5e-161, 0.0), (3e-323, 1e-323, 0.0)])
+    def test_tiny_cubic_is_accurate(self, a, b, c):
+        # next to a root 1/(sqrt(x) sqrt(y) sqrt(z)) overflowed, and
+        # greenhill_check(1e-160, 5e-161, 0) raised ConvergenceError;
+        # (3e-323, 1e-323, 0) returned residuals as large as the integrals
+        pref = 2.0 / math.sqrt(a - c)
+        closed = (pref * complete_K((a - b) / (a - c), (b - c) / (a - c)),
+                  pref * complete_K((b - c) / (a - c), (a - b) / (a - c)))
+        for r, k in zip(greenhill_check(a, b, c), closed):
+            assert math.isfinite(r) and abs(r) <= 1e-15 * k, (r, k)
 
     @pytest.mark.parametrize("a, b, c", [
         (1.0, 1e-200, 0.0), (1.0, 1e-100, 0.0), (1e-160, 5e-161, 0.0),

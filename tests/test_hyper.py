@@ -95,21 +95,35 @@ class TestGauss2F1:
 
 class TestClosedForm:
     def test_at_zero(self):
-        assert f14_34_12_closed(0.0) == 1.0
+        assert f14_34_12_closed(0.0, 1.0) == 1.0
 
     def test_at_half(self):
         ref = math.cos(math.pi / 8) / math.cos(math.pi / 4)
-        assert abs(f14_34_12_closed(0.5) - ref) <= 1e-15
+        assert abs(f14_34_12_closed(0.5, 0.5) - ref) <= 1e-15
 
     def test_matches_series(self):
-        assert abs(f14_34_12_closed(0.3) - REF_QH_030) <= 1e-14
+        assert abs(f14_34_12_closed(0.3, 0.7) - REF_QH_030) <= 1e-14
         for i in range(10):
             u = 0.1 * i
-            assert abs(f14_34_12_closed(u) - gauss_2f1(F_QUARTER_HALF, u, 1.0 - u)) <= 1e-13
+            ref = gauss_2f1(F_QUARTER_HALF, u, 1.0 - u)
+            assert abs(f14_34_12_closed(u, 1.0 - u) - ref) <= 1e-13
+
+    def test_u_that_rounds_to_one_uses_its_complement(self):
+        # F = sqrt((1 + c)/2)/c with c = sqrt(uc); from u alone, 1 - u would be 0
+        import mpmath
+
+        for uc in (1e-10, 1e-17, 1e-300):
+            u = 1.0 - uc
+            with mpmath.workdps(40):
+                c = mpmath.sqrt(mpmath.mpf(uc))
+                ref = float(mpmath.sqrt((1 + c) / 2) / c)
+            assert abs(f14_34_12_closed(u, uc) - ref) <= 2e-16 * ref, uc
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            f14_34_12_closed(1.0)
+            f14_34_12_closed(1.0, 0.0)
+        with pytest.raises(DomainError):
+            f14_34_12_closed(0.3, 0.3)  # not a pair
 
 
 class TestCompleteK:

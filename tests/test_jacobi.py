@@ -1,3 +1,4 @@
+import cmath
 import functools
 import math
 
@@ -139,11 +140,19 @@ class TestComplex:
     def test_trigonometric_limit(self):
         z = complex(0.4, 0.2)
         j = jacobi_complex(z, 0.0, 1.0)
-        import cmath
-
         assert abs(j.sn - cmath.sin(z)) <= 1e-14
         assert abs(j.cn - cmath.cos(z)) <= 1e-14
         assert abs(j.dn - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("y", [711.0, -711.0, 1e5, math.inf, math.nan])
+    def test_trigonometric_limit_beyond_double_range_is_a_domain_error(self, y):
+        # cmath.sin raised an untyped OverflowError from |Im z| of about 710
+        # on, and returned inf or nan for an Im z that is not finite
+        with pytest.raises(DomainError):
+            jacobi_complex(complex(0.3, y), 0.0, 1.0)
+        for x in (0.3, 1.5, 3.0):
+            j = jacobi_complex(complex(x, -710.0), 0.0, 1.0)  # still finite
+            assert cmath.isfinite(j.sn) and cmath.isfinite(j.cn)
 
     def test_complement_rounding_to_one(self):
         # 1 - m rounds to 1 for m = 2**-54: the imaginary part runs at the

@@ -8,13 +8,13 @@ import pytest
 from dn2.core import (
     Modulus,
     PeriodMethod,
+    _f_prime,
     f_forward,
     greenhill_check,
     i_gamma,
     periods,
     phi,
 )
-from dn2.hyper import f14_34_12_closed
 from dn2.kernel import (
     _T_CUTOFF,
     MAX_LEVEL,
@@ -34,10 +34,13 @@ X = [0.37, -3.1, 7.5]
 # (phi regenerated when its Newton solve took a relative stop; at 0.3, f(-2.9)
 # when f became odd bit for bit and the QuadResult when integrate's stop
 # tolerance became QUAD_TOL; at 0.9, the greenhill residual of the lower
-# interval when its integrand became a product of square roots)
+# interval when its integrand became a product of square roots; f at 7.0
+# when f began to reduce |T| > pi by its period, and at 0.6 f(1.3) and the
+# QuadResult, at 0.9 f(0.4), when f' began to take cos psi from
+# lam^2 + kappa^2 cos^2 t: each within 1.6e-16 of mpmath)
 GOLDEN = {
     0.3: (
-        ['0x1.9a518181dd78cp-2', '0x1.51803b35356f2p+0', '-0x1.7a5268a3cc9c8p+1', '0x1.c762b3c48a346p+2'],
+        ['0x1.9a518181dd78cp-2', '0x1.51803b35356f2p+0', '-0x1.7a5268a3cc9c8p+1', '0x1.c762b3c48a348p+2'],
         ['0x1.7a4fd280c59d1p-2', '-0x1.85a8c81896329p+1', '0x1.d817891c15e62p+2'],
         ('0x1.2bc3b27509f94p+1', '0x1.994410fba5435p+0'),
         ('0x1.994410fba5435p+0', '0x1.a7ee520651b1ap+1'),
@@ -45,15 +48,15 @@ GOLDEN = {
         ('0x1.51803b35356f2p+0', '0x1.4506000000000p-34', 74),
     ),
     0.6: (
-        ['0x1.9c87005260fa8p-2', '0x1.62aa6d30d09d0p+0', '-0x1.957175fa82c6cp+1', '0x1.e35af8012f8ccp+2'],
+        ['0x1.9c87005260fa8p-2', '0x1.62aa6d30d09cfp+0', '-0x1.957175fa82c6cp+1', '0x1.e35af8012f8cep+2'],
         ['0x1.789a156ff5ea0p-2', '-0x1.6aa4e1f8a78ffp+1', '0x1.bcd6f15a6adc0p+2'],
         ('0x1.e27d6a71d3d3ep+0', '0x1.b472b565457b4p+0'),
         ('0x1.b472b565457b4p+0', '0x1.552c009726818p+1'),
         ('0x0.0p+0', '-0x1.0000000000000p-51'),
-        ('0x1.62aa6d30d09d0p+0', '0x1.0000000000000p-51', 148),
+        ('0x1.62aa6d30d09cfp+0', '0x1.0000000000000p-52', 148),
     ),
     0.9: (
-        ['0x1.a06717659446ep-2', '0x1.95fcf2e530dbap+0', '-0x1.f872eeae67236p+1', '0x1.2402b48c93cfdp+3'],
+        ['0x1.a06717659446fp-2', '0x1.95fcf2e530dbap+0', '-0x1.f872eeae67236p+1', '0x1.2402b48c93cfcp+3'],
         ['0x1.75bbe7d9fd3f9p-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e5p+2'],
         ('0x1.a22a6fbf05360p+0', '0x1.0bc753100a5e0p+1'),
         ('0x1.0bc753100a5e0p+1', '0x1.27b016eefc587p+1'),
@@ -64,8 +67,9 @@ GOLDEN = {
 # phi(5.0, Modulus(0.999999)) fails in f's quadrature; its ConvergenceError.best
 # (the failing f is at Newton's second iterate, T = 2.4232, past the peak of
 # f' at pi/2: regenerated when phi began to solve on [0, pi] from
-# x0 = u pi / 2K, where it had searched for a bracket)
-GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.6e583cb82fd14p+3', '0x1.222a32c3d2000p-7', 18994)
+# x0 = u pi / 2K, where it had searched for a bracket, and when f' began to
+# take cos psi from lam^2 + kappa^2 cos^2 t, which moved that T by an ulp)
+GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.6e583cb831128p+3', '0x1.222a32c4b2400p-7', 18994)
 
 
 def _quad_hex(r: QuadResult):
@@ -74,9 +78,8 @@ def _quad_hex(r: QuadResult):
 
 def _values(kappa):
     mod = Modulus(kappa)
-    k2 = kappa * kappa
     p = periods(mod, PeriodMethod.INTEGRAL)
-    quad = integrate(lambda t: f14_34_12_closed(k2 * math.sin(t) ** 2), 0.0, 1.3)
+    quad = integrate(_f_prime(mod), 0.0, 1.3)
     return (
         [f_forward(t, mod).hex() for t in T],
         [phi(x, mod).hex() for x in X],
@@ -198,11 +201,23 @@ def test_node_table_is_bounded_and_lazy():
 
 def test_level_nodes():
     for level in range(MAX_LEVEL + 1):
-        nodes = _level(level)
-        sides = [n[0] for n in nodes]
-        assert sides == sorted(sides)
-        for side, e, one_plus_e, cosh_t, cosh_u2 in nodes:
+        # level 0 holds t = -6..6, each finer level the odd multiples of h
+        h = 2.0**-level
+        nmax = int(_T_CUTOFF / h)
+        start = nmax if level == 0 or nmax % 2 == 1 else nmax - 1
+        ks = range(-start, nmax + 1, 1 if level == 0 else 2)
+        ts = [k * h for k in ks]
+        assert len(ts) == (13 if level == 0 else 2 * ((int(_T_CUTOFF * 2**level) + 1) // 2))
+        expected = []
+        for t in ts:
+            u = 0.5 * math.pi * math.sinh(t)
+            e = math.exp(-2.0 * abs(u))
+            expected.append((e, 1.0 + e, math.cosh(t), math.cosh(u) ** 2))
+        # split by the sign of t, each run in increasing t
+        left, centre, right = _level(level)
+        assert len(left) == sum(t < 0.0 for t in ts) and len(right) == sum(t > 0.0 for t in ts)
+        assert len(centre) == (1 if level == 0 else 0)
+        assert left + centre + right == tuple(expected)
+        for e, one_plus_e, cosh_t, cosh_u2 in expected:
             assert 0.0 < e <= 1.0 and one_plus_e == 1.0 + e
             assert cosh_t >= 1.0 and math.isfinite(cosh_u2) and cosh_u2 >= 1.0
-        # level 0 holds t = -6..6, each finer level the odd multiples of h
-        assert len(nodes) == (13 if level == 0 else 2 * ((int(_T_CUTOFF * 2**level) + 1) // 2))
