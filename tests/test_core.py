@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from dn2.core import (
+    KAPPA_MIN,
     Modulus,
     PeriodMethod,
     Route,
@@ -429,17 +430,18 @@ class TestAmplitude:
             assert _rel_err(got, _mp_phi(u, kappa)) <= bound, u
             assert phi(-u, mod) == -got, u
 
-    @pytest.mark.parametrize("kappa, f_bound, phi_bound", [(0.999, 2e-15, 4e-15),
-                                                          (0.9999, 1e-14, 2e-14)])
+    @pytest.mark.parametrize("kappa, f_bound, phi_bound", [(0.999, 1e-15, 3e-15),
+                                                          (0.9999, 2e-15, 7e-15)])
     def test_f_and_phi_near_kappa_one_against_mpmath(self, kappa, f_bound, phi_bound):
         # f' peaks at pi/2 with height about 1/lam; f' from the complement
         # lam^2 + kappa^2 cos^2 t does not cancel there.  The bounds come
         # from 400 seeded T and u per kappa over the same ranges: the worst
-        # f was 1.5e-15 at 0.999 and 5.9e-15 at 0.9999 (4.2e-15, and at
+        # f was 8.2e-16 at 0.999 and 1.7e-15 at 0.9999 (4.2e-15, and at
         # 0.9999 3.9e-14 or a ConvergenceError for 137 of the 400, when f'
         # was formed from kappa^2 sin^2 t alone and f integrated over all of
-        # [0, |T|]); phi is worst just past the peak, where a small f' makes
-        # f's absolute error a larger relative error of T: 3.0e-15 and 1.4e-14
+        # [0, |T|]; 1.5e-15 and 5.9e-15 before f reflected past 3 pi/4).
+        # phi is worst where f still integrates across the peak, at T in
+        # (pi/2, 3 pi/4]: 2.5e-15 and 5.9e-15
         mod = Modulus(kappa)
         rng = random.Random(f"near one:{kappa}")
         for _ in range(24):
@@ -468,6 +470,53 @@ class TestAmplitude:
             got = f_forward(T, mod)
             assert _rel_err(got, _mp_f(T, kappa)) <= 1e-15, T
             assert f_forward(-T, mod) == -got, T
+
+    def test_f_restores_the_part_of_pi_its_reduction_drops(self):
+        # |T| is reduced by math.pi, n (pi - math.pi) = 1.2e-16 n short of
+        # n pi; just below the peak of f' (about 1/lam = 707 at 0.999999)
+        # dropping it cost up to 5.2e-15 of f
+        mod = Modulus(0.999999)
+        for n in (10, 1000, 10**6):
+            for r in (1.5707, 1.5708):
+                T = n * math.pi + r
+                assert _rel_err(f_forward(T, mod), _mp_f(T, 0.999999)) <= 5e-16, T
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9, 0.999])
+    def test_s2_near_multiples_of_pi_against_mpmath(self, kappa):
+        # s2 = sin(phi) is small where phi nears n pi: the sine of the
+        # rounded phi carried phi's rounding, up to ulp(phi)/2 = 8.9e-16
+        # for phi in [8, 16), and s2 was up to 2.4e-15 (3.0e-14 at 0.999)
+        # from mpmath here; the largest error on these u is now 7.4e-16
+        # (1.4e-15 at 0.999)
+        import mpmath
+
+        mod = Modulus(kappa)
+        bound = 2e-15 if kappa > 0.9 else 1e-15
+        rng = random.Random(f"s2:{kappa}")
+        for _ in range(40):
+            u = (rng.randint(-3, 3) + rng.uniform(-0.03, 0.03)) * mod.two_k
+            with mpmath.workdps(40):
+                ref = mpmath.sin(_mp_phi(u, kappa))
+            assert abs(s2(u, mod) - ref) <= bound, u
+
+    def test_f_and_phi_where_the_complement_rounds_above_one(self):
+        # lam^2 + kappa^2 cos^2 t can round an ulp above 1 for small kappa;
+        # at this kappa it does at every t with cos t == 1.0, a node that
+        # tanh-sinh on [0, r] always evaluates, and f and phi raised
+        # DomainError on every call
+        k = 103965003 * 2.0**-53
+        mod = Modulus(k)
+        assert mod.lam == 1.0 and mod.lam**2 + k**2 > 1.0
+        assert _rel_err(f_forward(1.0, mod), _mp_f(1.0, k)) <= 1e-15
+        assert _rel_err(phi(1.0, mod), _mp_phi(1.0, k)) <= 1e-15
+        # it happened at a few percent of kappa below about 1e-2
+        rng = random.Random("complement above one")
+        kappas = [math.exp(rng.uniform(math.log(KAPPA_MIN), 0.0)) for _ in range(2000)]
+        kappas += [rng.uniform(1e-6, 1e-2) for _ in range(1000)]
+        for k in kappas:
+            mod = Modulus(k)
+            f_forward(1.0, mod)
+            phi(1.0, mod)
 
     @pytest.mark.parametrize("T", [2.0**28, -2.0**28, 1e300, math.inf, -math.inf, math.nan])
     def test_f_unreducible_argument(self, T):

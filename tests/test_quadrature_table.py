@@ -37,11 +37,13 @@ X = [0.37, -3.1, 7.5]
 # interval when its integrand became a product of square roots; f at 7.0
 # when f began to reduce |T| > pi by its period, and at 0.6 f(1.3) and the
 # QuadResult, at 0.9 f(0.4), when f' began to take cos psi from
-# lam^2 + kappa^2 cos^2 t: each within 1.6e-16 of mpmath)
+# lam^2 + kappa^2 cos^2 t: each within 1.6e-16 of mpmath; at 0.9 f(-2.9)
+# when f began to reflect past 3 pi/4, and phi(-3.1) at 0.3 and 0.6 when phi
+# began to add n pi to double precision: each closer to mpmath)
 GOLDEN = {
     0.3: (
         ['0x1.9a518181dd78cp-2', '0x1.51803b35356f2p+0', '-0x1.7a5268a3cc9c8p+1', '0x1.c762b3c48a348p+2'],
-        ['0x1.7a4fd280c59d1p-2', '-0x1.85a8c81896329p+1', '0x1.d817891c15e62p+2'],
+        ['0x1.7a4fd280c59d1p-2', '-0x1.85a8c81896328p+1', '0x1.d817891c15e62p+2'],
         ('0x1.2bc3b27509f94p+1', '0x1.994410fba5435p+0'),
         ('0x1.994410fba5435p+0', '0x1.a7ee520651b1ap+1'),
         ('0x1.0000000000000p-51', '-0x1.0000000000000p-51'),
@@ -49,14 +51,14 @@ GOLDEN = {
     ),
     0.6: (
         ['0x1.9c87005260fa8p-2', '0x1.62aa6d30d09cfp+0', '-0x1.957175fa82c6cp+1', '0x1.e35af8012f8cep+2'],
-        ['0x1.789a156ff5ea0p-2', '-0x1.6aa4e1f8a78ffp+1', '0x1.bcd6f15a6adc0p+2'],
+        ['0x1.789a156ff5ea0p-2', '-0x1.6aa4e1f8a78fdp+1', '0x1.bcd6f15a6adc0p+2'],
         ('0x1.e27d6a71d3d3ep+0', '0x1.b472b565457b4p+0'),
         ('0x1.b472b565457b4p+0', '0x1.552c009726818p+1'),
         ('0x0.0p+0', '-0x1.0000000000000p-51'),
         ('0x1.62aa6d30d09cfp+0', '0x1.0000000000000p-52', 148),
     ),
     0.9: (
-        ['0x1.a06717659446fp-2', '0x1.95fcf2e530dbap+0', '-0x1.f872eeae67236p+1', '0x1.2402b48c93cfcp+3'],
+        ['0x1.a06717659446fp-2', '0x1.95fcf2e530dbap+0', '-0x1.f872eeae67238p+1', '0x1.2402b48c93cfcp+3'],
         ['0x1.75bbe7d9fd3f9p-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e5p+2'],
         ('0x1.a22a6fbf05360p+0', '0x1.0bc753100a5e0p+1'),
         ('0x1.0bc753100a5e0p+1', '0x1.27b016eefc587p+1'),
@@ -65,11 +67,14 @@ GOLDEN = {
     ),
 }
 # phi(5.0, Modulus(0.999999)) fails in f's quadrature; its ConvergenceError.best
-# (the failing f is at Newton's second iterate, T = 2.4232, past the peak of
+# (the failing f was at Newton's second iterate, T = 2.4232, past the peak of
 # f' at pi/2: regenerated when phi began to solve on [0, pi] from
-# x0 = u pi / 2K, where it had searched for a bracket, and when f' began to
-# take cos psi from lam^2 + kappa^2 cos^2 t, which moved that T by an ulp)
-GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.6e583cb831128p+3', '0x1.222a32c4b2400p-7', 18994)
+# x0 = u pi / 2K, where it had searched for a bracket, when f' began to
+# take cos psi from lam^2 + kappa^2 cos^2 t, which moved that T by an ulp,
+# and when f began to reflect past 3 pi/4: the f at that T = 2.4232 now
+# converges, and the failing f is at Newton's third iterate, T = 1.8543,
+# whose best estimate is 3.5e-10 from mpmath)
+GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.4e65c55c65cb7p+3', '0x1.a6414aff00000p-16', 19017)
 
 
 def _quad_hex(r: QuadResult):
