@@ -10,7 +10,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import operator
 import random
 import re
@@ -151,10 +150,8 @@ def cmd_eval(args) -> int:
         record["delta_max"] = "pole" if None in values else max(
             abs(p - q) for i, p in enumerate(values) for q in values[i + 1:])
     if real:
-        # s2 is sin(phi): one solve serves both (the PHI route keeps its own)
-        p = core.phi(z.real, mod)
-        record["s2"] = math.sin(p)
-        record["phi"] = p
+        record["s2"] = core.s2(z.real, mod)
+        record["phi"] = core.phi(z.real, mod)
     _emit([record], args.format, sys.stdout)
     return 0
 

@@ -161,12 +161,8 @@ def _f_prime(mod: Modulus):
     l2 = mod.lam * mod.lam
 
     def f_prime(t: float) -> float:
-        s = k * math.sin(t)
         c = k * math.cos(t)
-        # lam^2 + c^2 can round one ulp above 1 when kappa is small; min()
-        # would add about a third to the cost of f'
-        uc = l2 + c * c
-        return f14_34_12_closed(s * s, uc if uc < 1.0 else 1.0)
+        return f14_34_12_closed(l2 + c * c)
 
     return f_prime
 
@@ -182,8 +178,6 @@ def f_forward(T: float, mod: Modulus) -> float:
     when |T| is so large (or not finite) that fewer than 8 significant
     digits of T survive reduction modulo pi.
     """
-    if T == 0.0:
-        return T
     n, r = _reduce(abs(T), math.pi, f"f argument {T!r}")
     f_prime = _f_prime(mod)
     sign = 1.0

@@ -2,9 +2,10 @@
 form of F(1/4,3/4;1/2;.), and the complete elliptic integral K(m) via the
 arithmetic-geometric mean.
 
-The K argument is the parameter m = k^2 throughout.  complete_K, gauss_2f1
-and f14_34_12_closed take their argument with its complement, computed by the
-caller in a form that does not cancel; none forms 1 - m itself.
+The K argument is the parameter m = k^2 throughout.  complete_K and gauss_2f1
+take their argument with its complement, and f14_34_12_closed the complement
+alone, computed by the caller in a form that does not cancel; none forms
+1 - m itself.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .kernel import ConvergenceError, DomainError
 # both regimes are overlap-tested on [0.7, 0.8]
 _CUTOVER = 0.75
 _MAX_TERMS = 2000
-# how far m + mc may stray from 1 in a pair (m, mc = 1 - m)
-_PAIR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,8 @@ def agm(a: float, b: float) -> float:
 
 
 def _check_pair(name: str, m: float, mc: float) -> None:
-    """Raise DomainError unless 0 <= m < 1 and mc = 1 - m to within _PAIR_TOL."""
-    if not (0.0 <= m <= 1.0 and 0.0 < mc <= 1.0 and abs(m + mc - 1.0) <= _PAIR_TOL):
+    """Raise DomainError unless 0 <= m < 1 and mc = 1 - m to within 1e-12."""
+    if not (0.0 <= m <= 1.0 and 0.0 < mc <= 1.0 and abs(m + mc - 1.0) <= 1e-12):
         raise DomainError(f"{name} requires 0 <= m < 1 and mc = 1 - m, got ({m!r}, {mc!r})")
 
 
@@ -142,18 +141,14 @@ def gauss_2f1(p: HyperParams, x: float, xc: float) -> float:
     return _direct_series(p, x)
 
 
-def f14_34_12_closed(u: float, uc: float) -> float:
-    """Closed form of F(1/4, 3/4; 1/2; u), given u and its complement uc = 1 - u.
+def f14_34_12_closed(uc: float) -> float:
+    """Closed form of F(1/4, 3/4; 1/2; u), given only the complement uc = 1 - u.
 
     With sin^2(psi) = u it is cos(psi/2)/cos(psi) = sqrt((1 + c)/2)/c,
-    c = cos(psi) = sqrt(uc), so a u that rounds to 1 still works while uc > 0.
-    The value needs uc alone; u is there for the test of the pair.
+    c = cos(psi) = sqrt(uc), for every u < 1, negative u included: every uc
+    in (0, inf).  A u that rounds to 1 still works while uc > 0.
     """
-    # _check_pair's test, inlined: the quadrature of f runs it at every node,
-    # and the call to _check_pair would add about a tenth to a real-line solve
-    if not (0.0 <= u <= 1.0 and 0.0 < uc <= 1.0 and abs(u + uc - 1.0) <= _PAIR_TOL):
-        raise DomainError(
-            f"f14_34_12_closed requires 0 <= u < 1 and uc = 1 - u, got ({u!r}, {uc!r})"
-        )
+    if not 0.0 < uc < math.inf:
+        raise DomainError(f"f14_34_12_closed requires 0 < uc = 1 - u < inf, got {uc!r}")
     c = math.sqrt(uc)
     return math.sqrt(0.5 * (1.0 + c)) / c

@@ -155,18 +155,22 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_phi_solved_once_for_s2_and_phi(self, capsys, monkeypatch):
+    def test_s2_and_phi_are_the_library_values(self, capsys):
+        # near phi = n pi the sine of the rounded phi carries phi's rounding:
+        # at the second point it is 0.08288876765973821, and s2 is
+        # 0.08288876765973885
         from dn2 import core
 
-        calls = []
-        solve = core.phi
-        monkeypatch.setattr(core, "phi", lambda *a: calls.append(a) or solve(*a))
-        code, out, _ = run(capsys, "--format", "jsonl", "eval", "--kappa", "0.6", "--z", "1.7")
-        assert code == 0
-        assert len(calls) == 1
-        rec = json.loads(out)
-        assert list(rec)[-2:] == ["s2", "phi"]
-        assert rec["s2"] == math.sin(rec["phi"]) == core.s2(1.7, Modulus(0.6))
+        for kappa, z in ((0.6, 1.7), (0.9, 12.469080500322399)):
+            code, out, _ = run(
+                capsys, "--format", "jsonl", "eval", "--kappa", str(kappa), "--z", repr(z)
+            )
+            assert code == 0
+            rec = json.loads(out)
+            assert list(rec)[-2:] == ["s2", "phi"]
+            mod = Modulus(kappa)
+            assert rec["s2"].hex() == core.s2(z, mod).hex(), z
+            assert rec["phi"].hex() == core.phi(z, mod).hex(), z
 
     @pytest.mark.parametrize("z", ["1e-320", "-1e-200", "5e-324", "1e-320i", "0.3+1e-160i"])
     def test_tiny_z(self, capsys, z):

@@ -344,6 +344,7 @@ class TestPoleRule:
 class TestAmplitude:
     def test_f_forward_trivial(self):
         assert f_forward(0.0, Modulus(0.5)) == 0.0
+        assert math.copysign(1.0, f_forward(-0.0, Modulus(0.5))) == -1.0
 
     def test_f_forward_quarter_period(self):
         for kappa in [0.3, 0.6, 0.9]:

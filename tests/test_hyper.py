@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dn2.core import Modulus, _f_prime
 from dn2.hyper import (
     F_HALF_ONE,
     F_QUARTER_HALF,
@@ -95,35 +96,47 @@ class TestGauss2F1:
 
 class TestClosedForm:
     def test_at_zero(self):
-        assert f14_34_12_closed(0.0, 1.0) == 1.0
+        assert f14_34_12_closed(1.0) == 1.0
 
     def test_at_half(self):
         ref = math.cos(math.pi / 8) / math.cos(math.pi / 4)
-        assert abs(f14_34_12_closed(0.5, 0.5) - ref) <= 1e-15
+        assert abs(f14_34_12_closed(0.5) - ref) <= 1e-15
 
     def test_matches_series(self):
-        assert abs(f14_34_12_closed(0.3, 0.7) - REF_QH_030) <= 1e-14
+        assert abs(f14_34_12_closed(0.7) - REF_QH_030) <= 1e-14
         for i in range(10):
             u = 0.1 * i
             ref = gauss_2f1(F_QUARTER_HALF, u, 1.0 - u)
-            assert abs(f14_34_12_closed(u, 1.0 - u) - ref) <= 1e-13
+            assert abs(f14_34_12_closed(1.0 - u) - ref) <= 1e-13
 
     def test_u_that_rounds_to_one_uses_its_complement(self):
         # F = sqrt((1 + c)/2)/c with c = sqrt(uc); from u alone, 1 - u would be 0
         import mpmath
 
         for uc in (1e-10, 1e-17, 1e-300):
-            u = 1.0 - uc
             with mpmath.workdps(40):
                 c = mpmath.sqrt(mpmath.mpf(uc))
                 ref = float(mpmath.sqrt((1 + c) / 2) / c)
-            assert abs(f14_34_12_closed(u, uc) - ref) <= 2e-16 * ref, uc
+            assert abs(f14_34_12_closed(uc) - ref) <= 2e-16 * ref, uc
+
+    def test_negative_u(self):
+        # uc > 1 is u < 0, where the closed form is still F(1/4, 3/4; 1/2; u)
+        import mpmath
+
+        for uc in (1.0 + 2.0**-52, 1.5, 4.0, 1e6, 1e300):
+            with mpmath.workdps(40):
+                ref = float(mpmath.hyp2f1(0.25, 0.75, 0.5, 1 - mpmath.mpf(uc)))
+            assert abs(f14_34_12_closed(uc) - ref) <= 2e-16 * ref, uc
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            f14_34_12_closed(1.0, 0.0)
-        with pytest.raises(DomainError):
-            f14_34_12_closed(0.3, 0.3)  # not a pair
+        for uc in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                f14_34_12_closed(uc)
+
+    def test_f_prime_where_the_complement_rounds_above_one(self):
+        # at this kappa lam rounds to 1, and lam^2 + kappa^2 cos^2 0 to
+        # 1 + 2**-52, whose root rounds to 1
+        assert _f_prime(Modulus(103965003 * 2**-53))(0.0) == 1.0
 
 
 class TestCompleteK:
