@@ -150,8 +150,8 @@ def cmd_eval(args) -> int:
         record["delta_max"] = "pole" if None in values else max(
             abs(p - q) for i, p in enumerate(values) for q in values[i + 1:])
     if real:
-        record["s2"] = core.s2(z.real, mod)
-        record["phi"] = core.phi(z.real, mod)
+        phi, s2 = core._phi_and_s2(z.real, mod)
+        record.update(s2=s2, phi=phi)
     _emit([record], args.format, sys.stdout)
     return 0
 

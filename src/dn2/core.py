@@ -207,15 +207,23 @@ def _reduce(a: float, period: float, what: str) -> tuple[int, float]:
     return round((a - r) / period), r
 
 
-def _phi_parts(u: float, mod: Modulus) -> tuple[int, float]:
-    """n and t in [0, pi] with phi(|u|) = n pi + t."""
+def _phi_and_s2(u: float, mod: Modulus) -> tuple[float, float]:
+    """phi(u) and s2(u) from one solve of phi(|u|) = n pi + t, t in [0, pi].
+
+    phi is n pi + t with u's sign, and s2 is (-1)^n sin t with u's sign: the
+    sine of the rounded phi would carry phi's rounding, up to ulp(phi)/2,
+    where phi nears a multiple of pi and s2 nears 0.
+    """
     a = abs(u)
     if a < 1e-4:
-        return 0, a - mod.kappa**2 * a**3 / 8.0
-    two_k = mod.two_k
-    n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
-    x0 = ur * math.pi / two_k
-    return n, newton_invert(lambda T: f_forward(T, mod), _f_prime(mod), ur, 0.0, math.pi, x0)
+        n, t = 0, a - mod.kappa**2 * a**3 / 8.0
+    else:
+        two_k = mod.two_k
+        n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
+        x0 = ur * math.pi / two_k
+        t = newton_invert(lambda T: f_forward(T, mod), _f_prime(mod), ur, 0.0, math.pi, x0)
+    s = math.copysign(math.sin(t), u)
+    return math.copysign(n * math.pi + (t + n * _PI_LO), u), -s if n % 2 else s
 
 
 def phi(u: float, mod: Modulus) -> float:
@@ -230,20 +238,12 @@ def phi(u: float, mod: Modulus) -> float:
     when |u| is so large (or not finite) that fewer than 8 significant
     digits of u survive reduction modulo 2K.
     """
-    n, t = _phi_parts(u, mod)
-    return math.copysign(n * math.pi + (t + n * _PI_LO), u)
+    return _phi_and_s2(u, mod)[0]
 
 
 def s2(x: float, mod: Modulus) -> float:
-    """Companion function sin(phi(x)).
-
-    Taken as (-1)^n sin t from phi(|x|) = n pi + t: the sine of the rounded
-    phi would carry phi's rounding, up to ulp(phi)/2, where phi nears a
-    multiple of pi and s2 nears 0.
-    """
-    n, t = _phi_parts(x, mod)
-    s = math.copysign(math.sin(t), x)
-    return -s if n % 2 else s
+    """Companion function sin(phi(x)), from the same solve as phi(x)."""
+    return _phi_and_s2(x, mod)[1]
 
 
 def i_gamma(gamma: float) -> float:

@@ -172,6 +172,23 @@ class TestEval:
             assert rec["s2"].hex() == core.s2(z, mod).hex(), z
             assert rec["phi"].hex() == core.phi(z, mod).hex(), z
 
+    @pytest.mark.parametrize("route, solves", [("sn", 1), ("wp", 1), ("phi", 2), ("all", 2)])
+    def test_s2_and_phi_from_one_solve(self, capsys, monkeypatch, route, solves):
+        # s2 and phi share one solve; the PHI route solves once more for dn2
+        from dn2 import core
+
+        calls = []
+        newton_invert = core.newton_invert
+
+        def counted(*args):
+            calls.append(args)
+            return newton_invert(*args)
+
+        monkeypatch.setattr(core, "newton_invert", counted)
+        code, _, _ = run(capsys, "eval", "--kappa", "0.6", "--z", "1.7", "--route", route)
+        assert code == 0
+        assert len(calls) == solves
+
     @pytest.mark.parametrize("z", ["1e-320", "-1e-200", "5e-324", "1e-320i", "0.3+1e-160i"])
     def test_tiny_z(self, capsys, z):
         # z = 1e-320 used to print nan for dn2, and 1.19e-24 for phi and s2

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
-from dn2.core import Modulus, _f_prime
+from dn2.core import Modulus, PeriodMethod, _f_prime, periods
 from dn2.hyper import (
     F_HALF_ONE,
     F_QUARTER_HALF,
@@ -13,6 +14,7 @@ from dn2.hyper import (
     f14_34_12_closed,
     gauss_2f1,
 )
+from dn2.identities import identity_bbg_91, identity_bbg_92, transform_signature4
 from dn2.kernel import ConvergenceError, DomainError, integrate
 
 # reference values from mpmath.hyp2f1 / mpmath.ellipk at dps=50
@@ -92,6 +94,163 @@ class TestGauss2F1:
             ).value
             rhs = 0.5 * math.pi * gauss_2f1(F_QUARTER_ONE, k2, 1.0 - k2)
             assert abs(lhs - rhs) <= 1e-10, k2
+
+
+# float.hex of values computed by the per-term series formulas that the
+# family tables replaced; the tables must reproduce them bit for bit.
+# (x, xc) pairs: xc = 1 - x, and x = 1 - xc for the two smallest xc
+GOLDEN_X = [(x, 1.0 - x) for x in (0.0, 0.3, 0.75, math.nextafter(0.75, 1.0), 0.9)] + [
+    (1.0 - xc, xc) for xc in (1e-16, 1e-300)
+]
+GOLDEN_2F1 = {
+    F_QUARTER_ONE: [
+        "0x1.0000000000000p+0", "0x1.1165b29ef1ecfp+0", "0x1.464ced3b8ef8dp+0",
+        "0x1.464ced3b8ef8ep+0", "0x1.77dd844dc3fb7p+0", "0x1.274e361d79ea0p+3",
+        "0x1.38d494bac3f46p+7",
+    ],
+    F_HALF_ONE: [
+        "0x1.0000000000000p+0", "0x1.17520fc3ceb7fp+0", "0x1.5f7518b378cfep+0",
+        "0x1.5f7518b378cf7p+0", "0x1.a429e797b066cp+0", "0x1.93811f460461ap+3",
+        "0x1.b986c50adcb35p+7",
+    ],
+}
+GOLDEN_QUARTER_HALF = {
+    0.3: "0x1.2537c1e5d8f84p+0",
+    0.75: "0x1.bb67ae8584caap+0",
+    0.9: "0x1.485e24cca181cp+1",
+}
+# kappa -> (K, K') by PeriodMethod.HYPER
+GOLDEN_HYPER_PERIODS = {
+    1e-6: ("0x1.921fb54443246p+0", "0x1.fca37295ef05fp+3"),
+    0.6: ("0x1.b472b565457b4p+0", "0x1.552c009726817p+1"),
+    1.0 - 1e-9: ("0x1.11aad5278b17ep+3", "0x1.1c5831afa0265p+1"),
+}
+# (lhs, rhs, residual) at lambda = 0.85, where all three residuals are nonzero
+GOLDEN_IDENTITIES = {
+    identity_bbg_91: ("0x1.40c89bda91658p+0", "0x1.40c89bda91652p+0", "0x1.8000000000000p-50"),
+    identity_bbg_92: ("0x1.0fd51ad476e74p+0", "0x1.0fd51ad476e73p+0", "0x1.0000000000000p-52"),
+    transform_signature4: (
+        "0x1.2e338a922e794p+1", "0x1.2e338a922e796p+1", "-0x1.0000000000000p-50",
+    ),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("p", list(GOLDEN_2F1), ids=["quarter_one", "half_one"])
+    def test_zero_balanced_families_both_regimes(self, p):
+        got = [gauss_2f1(p, x, xc).hex() for x, xc in GOLDEN_X]
+        assert got == GOLDEN_2F1[p]
+
+    def test_quarter_half_direct_series(self):
+        got = {x: gauss_2f1(F_QUARTER_HALF, x, 1.0 - x).hex() for x in GOLDEN_QUARTER_HALF}
+        assert got == GOLDEN_QUARTER_HALF
+
+    def test_hyper_periods(self):
+        for kappa, want in GOLDEN_HYPER_PERIODS.items():
+            pp = periods(Modulus(kappa), PeriodMethod.HYPER)
+            assert (pp.K.hex(), pp.Kprime.hex()) == want, kappa
+
+    def test_identity_residuals(self):
+        for check, want in GOLDEN_IDENTITIES.items():
+            rep = check(0.85)
+            assert (rep.lhs.hex(), rep.rhs.hex(), rep.residual.hex()) == want, check.__name__
+
+
+class TestCallerFamilies:
+    # families built by a caller, checked against mpmath in both regimes with
+    # the bounds of TestGauss2F1: 1e-14 on the direct series, 1e-13 on the
+    # connection series, 1e-15 relative where x rounds to 1
+    @staticmethod
+    def ref(p, xc):
+        import mpmath
+
+        with mpmath.workdps(40):
+            return float(mpmath.hyp2f1(p.a, p.b, p.c, 1 - mpmath.mpf(xc)))
+
+    def test_zero_balanced_thirds(self):
+        p = HyperParams(1.0 / 3.0, 2.0 / 3.0, 1.0)
+        for x in (0.3, 0.7):
+            assert abs(gauss_2f1(p, x, 1.0 - x) - self.ref(p, 1.0 - x)) <= 1e-14, x
+        for x in (0.8, 0.9, 0.99):
+            assert abs(gauss_2f1(p, x, 1.0 - x) - self.ref(p, 1.0 - x)) <= 1e-13, x
+        for xc in (1e-8, 1e-20):
+            ref = self.ref(p, xc)
+            assert abs(gauss_2f1(p, 1.0 - xc, xc) / ref - 1) <= 1e-15, xc
+
+    def test_non_balanced(self):
+        # c - a - b = 3/4: past the cutover it stays on the direct series,
+        # and fails loudly where that cannot converge
+        p = HyperParams(0.25, 0.5, 1.5)
+        for x in (0.3, 0.7, 0.8, 0.9):
+            assert abs(gauss_2f1(p, x, 1.0 - x) - self.ref(p, 1.0 - x)) <= 1e-14, x
+        with pytest.raises(ConvergenceError):
+            gauss_2f1(p, 0.999, 1.0 - 0.999)
+
+    def test_tables_grow_only_as_deep_as_calls_reach(self):
+        p = HyperParams(0.25, 0.75, 1.0)
+        gauss_2f1(p, 0.3, 0.7)
+        assert len(p._tables.direct_blocks) == 1
+        assert p._tables.connection_blocks == []
+        gauss_2f1(p, 1.0, 1e-300)
+        assert len(p._tables.direct_blocks) == 1
+        assert len(p._tables.connection_blocks) == 1
+
+    def test_tables_grown_by_racing_threads(self):
+        # fresh families, each grown by four threads at once: a block built
+        # twice would shift every later block and change the values
+        import sys
+        import threading
+
+        points = [(0.75, 0.25), (0.9, 0.1), (0.97, 1.0 - 0.97)]
+        ref = HyperParams(0.25, 0.5, 1.5)
+        want = [gauss_2f1(ref, x, xc) for x, xc in points]
+        depth = len(ref._tables.direct_blocks)
+        families = [HyperParams(0.25, 0.5, 1.5) for _ in range(40)]
+        got = []
+
+        def work():
+            for p in families:
+                got.append([gauss_2f1(p, x, xc) for x, xc in points])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * (4 * len(families))
+        assert all(len(p._tables.direct_blocks) == depth for p in families)
+
+    def test_fresh_and_cached_tables_agree(self):
+        for x, xc in GOLDEN_X:
+            fresh = HyperParams(0.25, 0.75, 1.0)
+            assert gauss_2f1(fresh, x, xc) == gauss_2f1(F_QUARTER_ONE, x, xc), x
+
+    def test_tables_leave_identity_alone(self):
+        def same(p):
+            assert p == F_QUARTER_ONE and hash(p) == hash(F_QUARTER_ONE)
+            assert repr(p) == repr(F_QUARTER_ONE) == "HyperParams(a=0.25, b=0.75, c=1.0)"
+            assert dataclasses.astuple(p) == (0.25, 0.75, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                p.a = 0.5
+
+        p = HyperParams(0.25, 0.75, 1.0)
+        vars(F_QUARTER_ONE).pop("_tables", None)  # as before any call built them
+        same(p)
+        same(F_QUARTER_ONE)
+        for q in (p, F_QUARTER_ONE):
+            gauss_2f1(q, 0.3, 0.7)
+            gauss_2f1(q, 0.9, 0.1)
+        assert "_tables" in vars(F_QUARTER_ONE)
+        same(p)
+        same(F_QUARTER_ONE)
+        assert p != HyperParams(0.25, 0.75, 0.5)
+        assert {p: 1}[F_QUARTER_ONE] == 1
 
 
 class TestClosedForm:
