@@ -8,16 +8,16 @@ alone, computed by the caller in a form that does not cancel; none forms
 1 - m itself.
 
 Both 2F1 series run from per-family tables of what a term takes apart from
-x (the Pochhammer ratios, the digamma sums and the Gamma prefactor), cached
-on the HyperParams family and grown block by block as deep as calls reach.
-Each table entry is rounded as the per-term formula rounded it, so the sums
-are those of the formulas, bit for bit.
+x (the Pochhammer ratios, the digamma sums and the Gamma prefactor), each
+built whole, for all _MAX_TERMS terms, the first time a call takes its
+series, and cached on the HyperParams family as an immutable tuple.  Each
+table entry is rounded as the per-term formula rounded it, so the sums are
+those of the formulas, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,17 +27,22 @@ from .kernel import ConvergenceError, DomainError
 # both regimes are overlap-tested on [0.7, 0.8]
 _CUTOVER = 0.75
 _MAX_TERMS = 2000
-# the series tables grow in blocks of _BLOCK terms, _BLOCKS of them in all
-_BLOCK = 40
-_BLOCKS = _MAX_TERMS // _BLOCK
 
 
 @dataclass(frozen=True)
 class HyperParams:
     """Parameters (a, b; c) of a 2F1 family.
 
-    Compares, hashes and prints by (a, b, c) alone and is immutable; the
-    family's series tables are cached on first use, as ``_tables``.
+    Compares, hashes and prints by (a, b, c) alone and is immutable.  Its
+    series tables are cached on first use of their regime, as ``_direct``:
+    the ratios r_n = (a+n)(b+n)/((c+n)(n+1)), and as ``_connection``: the
+    pair (Gamma(c)/(Gamma(a) Gamma(b)), ((D_n, R_n), ...)) with
+    D_n = 2 psi(n+1) - psi(a+n) - psi(b+n), the digammas accumulated by
+    psi(y+1) = psi(y) + 1/y, and R_n = (a+n)(b+n)/(n+1)^2.  ``_connection``
+    is None for a family without the connection series: one that is not
+    zero-balanced (c = a + b), or whose a or b is a pole of Gamma, so that
+    its direct series is a polynomial.  Each table is a pure function of
+    (a, b, c), so threads that race to build one build equal tuples.
     """
 
     a: float
@@ -49,66 +54,27 @@ class HyperParams:
             raise DomainError("c must not be zero or a negative integer")
 
     @cached_property
-    def _tables(self) -> _SeriesTables:
-        return _SeriesTables(self)
+    def _direct(self) -> tuple[float, ...]:
+        a, b, c = self.a, self.b, self.c
+        return tuple((a + n) * (b + n) / ((c + n) * (n + 1.0)) for n in range(_MAX_TERMS))
 
-
-class _SeriesTables:
-    """What the two series of one family take per term, apart from x.
-
-    Block k holds terms n in [k _BLOCK, (k + 1) _BLOCK): ``direct`` the
-    ratios r_n = (a+n)(b+n)/((c+n)(n+1)), ``connection`` the pairs (D_n, R_n)
-    with D_n = 2 psi(n+1) - psi(a+n) - psi(b+n), the digammas accumulated by
-    psi(y+1) = psi(y) + 1/y, and R_n = (a+n)(b+n)/(n+1)^2; ``pref`` is
-    Gamma(c)/(Gamma(a) Gamma(b)).  A block is built when a call first
-    reaches it, under a lock, so the tables grow only as deep as calls go,
-    and each value is rounded as the per-term formulas of the series would
-    round it.
-    """
-
-    __slots__ = ("p", "direct_blocks", "connection_blocks", "pref", "_psi", "_lock")
-
-    def __init__(self, p: HyperParams):
-        self.p = p
-        self.direct_blocks: list[list[float]] = []
-        self.connection_blocks: list[list[tuple[float, float]]] = []
-        self._lock = threading.Lock()
-
-    def direct(self, k: int) -> list[float]:
-        return self._block(self.direct_blocks, k, self._direct_block)
-
-    def connection(self, k: int) -> list[tuple[float, float]]:
-        return self._block(self.connection_blocks, k, self._connection_block)
-
-    def _block(self, blocks: list, k: int, build) -> list:
-        if k == len(blocks):
-            with self._lock:
-                if k == len(blocks):
-                    blocks.append(build(k))
-        return blocks[k]
-
-    def _direct_block(self, k: int) -> list[float]:
-        a, b, c = self.p.a, self.p.b, self.p.c
-        return [(a + n) * (b + n) / ((c + n) * (n + 1.0))
-                for n in range(k * _BLOCK, (k + 1) * _BLOCK)]
-
-    def _connection_block(self, k: int) -> list[tuple[float, float]]:
-        a, b = self.p.a, self.p.b
-        if k == 0:
-            # only here: lgamma and digamma may have poles at a and b, and a
-            # family that stays on the direct series never takes them
-            self.pref = math.exp(math.lgamma(self.p.c) - math.lgamma(a) - math.lgamma(b))
-            self._psi = (_digamma(a), _digamma(b), _digamma(1.0))
-        psi_a, psi_b, psi_n = self._psi
-        block = []
-        for n in range(k * _BLOCK, (k + 1) * _BLOCK):
-            block.append((2.0 * psi_n - psi_a - psi_b,
+    @cached_property
+    def _connection(self) -> tuple[float, tuple[tuple[float, float], ...]] | None:
+        a, b, c = self.a, self.b, self.c
+        if not abs(c - a - b) <= 1e-12 or any(v <= 0.0 and float(v).is_integer() for v in (a, b)):
+            return None
+        # lgamma drops the sign of Gamma, which is negative on (-1, 0), (-3, -2), ...
+        sign = math.prod(-1.0 if v < 0.0 and math.floor(v) % 2 else 1.0 for v in (a, b, c))
+        pref = sign * math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(b))
+        psi_a, psi_b, psi_n = _digamma(a), _digamma(b), _digamma(1.0)
+        pairs = []
+        for n in range(_MAX_TERMS):
+            pairs.append((2.0 * psi_n - psi_a - psi_b,
                           (a + n) * (b + n) / ((n + 1.0) * (n + 1.0))))
             psi_a += 1.0 / (a + n)
             psi_b += 1.0 / (b + n)
             psi_n += 1.0 / (n + 1.0)
-        self._psi = (psi_a, psi_b, psi_n)
-        return block
+        return pref, tuple(pairs)
 
 
 F_QUARTER_ONE = HyperParams(0.25, 0.75, 1.0)
@@ -155,50 +121,47 @@ def _digamma(x: float) -> float:
 
 
 def _direct_series(p: HyperParams, x: float) -> float:
-    tables = p._tables
     total = 1.0
     comp = 0.0
     term = 1.0
     small = 0
-    for k in range(_BLOCKS):
-        for r in tables.direct(k):
-            term *= r * x
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            if abs(term) <= 1e-17 * abs(total):
-                small += 1
-                if small >= 2:
-                    return total
-            else:
-                small = 0
+    for r in p._direct:
+        term *= r * x
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if abs(term) <= 1e-17 * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
     raise ConvergenceError(f"2F1 series did not converge at x={x}")
 
 
 def _log_connection(p: HyperParams, xc: float) -> float:
     # series at 1-x for the zero-balanced case c = a + b
-    tables = p._tables
+    pref, pairs = p._connection
     log_xc = math.log(xc)
     coef = 1.0
     total = 0.0
     comp = 0.0
     small = 0
-    for k in range(_BLOCKS):
-        for d, r in tables.connection(k):
-            term = coef * (d - log_xc)
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-            # |term| <= 1e-17 max(1, |total|), without a call to max
-            if abs(term) <= 1e-17 or abs(term) <= 1e-17 * abs(total):
-                small += 1
-                if small >= 2:
-                    return tables.pref * total
-            else:
-                small = 0
-            coef *= r * xc
+    for d, r in pairs:
+        term = coef * (d - log_xc)
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        # |term| <= 1e-17 max(1, |total|), without a call to max
+        if abs(term) <= 1e-17 or abs(term) <= 1e-17 * abs(total):
+            small += 1
+            if small >= 2:
+                return pref * total
+        else:
+            small = 0
+        coef *= r * xc
     raise ConvergenceError(f"2F1 connection series did not converge at 1-x={xc}")
 
 
@@ -207,11 +170,12 @@ def gauss_2f1(p: HyperParams, x: float, xc: float) -> float:
 
     Once xc falls below 1 - cutover, zero-balanced families (c = a + b)
     switch to the logarithmic connection series in xc, so an x that rounds
-    to 1 is still accepted while xc > 0.  Other families stay on the direct
+    to 1 is still accepted while xc > 0.  Other families, and those whose
+    a or b is zero or a negative integer (a polynomial), stay on the direct
     series, which fails loudly if it cannot meet its tail bound.
     """
     _check_pair("gauss_2f1", x, xc)
-    if xc < 1.0 - _CUTOVER and abs(p.c - p.a - p.b) <= 1e-12:
+    if xc < 1.0 - _CUTOVER and p._connection is not None:
         return _log_connection(p, xc)
     return _direct_series(p, x)
 

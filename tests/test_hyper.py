@@ -186,25 +186,42 @@ class TestCallerFamilies:
         with pytest.raises(ConvergenceError):
             gauss_2f1(p, 0.999, 1.0 - 0.999)
 
-    def test_tables_grow_only_as_deep_as_calls_reach(self):
+    def test_polynomial_families(self):
+        # a or b zero or a negative integer: no connection series (its
+        # prefactor has lgamma's poles), and the direct series terminates
+        # (mpmath: 0.46, 0.04 and 1)
+        for (a, b, c), x in (((-2.0, 3.0, 1.0), 0.9), ((3.0, -2.0, 1.0), 0.8), ((0.0, 1.0, 1.0), 0.9)):
+            p = HyperParams(a, b, c)
+            assert p._connection is None
+            assert abs(gauss_2f1(p, x, 1.0 - x) - self.ref(p, 1.0 - x)) <= 1e-15, (p, x)
+
+    def test_negative_gamma_prefactor(self):
+        # Gamma(-1/2) < 0, and Gamma(-1/4)^2 > 0 > Gamma(-1/2): the
+        # connection series keeps the sign of Gamma(c)/(Gamma(a) Gamma(b))
+        for p in (HyperParams(-0.5, 1.5, 1.0), HyperParams(-0.25, -0.25, -0.5)):
+            for x in (0.8, 0.9, 0.99):
+                assert abs(gauss_2f1(p, x, 1.0 - x) - self.ref(p, 1.0 - x)) <= 1e-13, (p, x)
+
+    def test_direct_series_never_builds_the_connection_table(self):
+        # this keeps a family's direct-series calls away from lgamma
         p = HyperParams(0.25, 0.75, 1.0)
         gauss_2f1(p, 0.3, 0.7)
-        assert len(p._tables.direct_blocks) == 1
-        assert p._tables.connection_blocks == []
+        gauss_2f1(p, 0.75, 0.25)
+        assert "_direct" in vars(p)
+        assert "_connection" not in vars(p)
         gauss_2f1(p, 1.0, 1e-300)
-        assert len(p._tables.direct_blocks) == 1
-        assert len(p._tables.connection_blocks) == 1
+        assert "_connection" in vars(p)
 
     def test_tables_grown_by_racing_threads(self):
-        # fresh families, each grown by four threads at once: a block built
-        # twice would shift every later block and change the values
+        # fresh families, each table taken by four threads at once: a thread
+        # that read a table before it was whole, or a table built twice
+        # (Python 3.12 and later) that differed, would change the values
         import sys
         import threading
 
         points = [(0.75, 0.25), (0.9, 0.1), (0.97, 1.0 - 0.97)]
         ref = HyperParams(0.25, 0.5, 1.5)
         want = [gauss_2f1(ref, x, xc) for x, xc in points]
-        depth = len(ref._tables.direct_blocks)
         families = [HyperParams(0.25, 0.5, 1.5) for _ in range(40)]
         got = []
 
@@ -224,7 +241,6 @@ class TestCallerFamilies:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [want] * (4 * len(families))
-        assert all(len(p._tables.direct_blocks) == depth for p in families)
 
     def test_fresh_and_cached_tables_agree(self):
         for x, xc in GOLDEN_X:
@@ -240,13 +256,14 @@ class TestCallerFamilies:
                 p.a = 0.5
 
         p = HyperParams(0.25, 0.75, 1.0)
-        vars(F_QUARTER_ONE).pop("_tables", None)  # as before any call built them
+        for name in ("_direct", "_connection"):  # as before any call built them
+            vars(F_QUARTER_ONE).pop(name, None)
         same(p)
         same(F_QUARTER_ONE)
         for q in (p, F_QUARTER_ONE):
             gauss_2f1(q, 0.3, 0.7)
             gauss_2f1(q, 0.9, 0.1)
-        assert "_tables" in vars(F_QUARTER_ONE)
+        assert "_direct" in vars(F_QUARTER_ONE) and "_connection" in vars(F_QUARTER_ONE)
         same(p)
         same(F_QUARTER_ONE)
         assert p != HyperParams(0.25, 0.75, 0.5)
