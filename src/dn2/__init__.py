@@ -3,8 +3,10 @@ periods by three independent formulas, and residual checks for the associated
 hypergeometric identities."""
 
 from .core import (
+    LatticeData,
     Modulus,
     PeriodMethod,
+    PeriodPair,
     Route,
     dn2,
     dn2_deriv,
@@ -37,13 +39,15 @@ from .identities import (
 )
 from .jacobi import POLE_THRESHOLD, JacobiTriple, PoleError, jacobi_complex, jacobi_real
 from .kernel import ConvergenceError, DomainError, QuadResult, integrate, newton_invert
-from .weier import LatticeData, PeriodPair, lattice_from_invariants, wp, wp_halfperiods
+from .weier import lattice_from_invariants, wp_halfperiods
 
-__version__ = "0.6.2"
+__version__ = "0.7.0"
 
 __all__ = [
+    "LatticeData",
     "Modulus",
     "PeriodMethod",
+    "PeriodPair",
     "Route",
     "dn2",
     "dn2_deriv",
@@ -79,10 +83,7 @@ __all__ = [
     "QuadResult",
     "integrate",
     "newton_invert",
-    "LatticeData",
-    "PeriodPair",
     "lattice_from_invariants",
-    "wp",
     "wp_halfperiods",
     "__version__",
 ]

@@ -3,7 +3,8 @@
 Three evaluation routes (Jacobian sn closed form, Weierstrass P bridge,
 amplitude inversion on the real axis), the companion function s2, the
 incomplete integral f and its inverse phi, and the fundamental periods by
-three methods.
+three methods.  The WP route is the package's one Weierstrass P bridge,
+1/3 + P(z) = kappa^2 / (2 (1 - dn2(z))), on the lattice of ``invariants_of``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import cached_property, partial
 from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1
 from .jacobi import jacobi_complex, jacobi_real
 from .kernel import DomainError, integrate, newton_invert, reduction_limit
-from .weier import LatticeData, PeriodPair
 
 
 _derived = partial(field, init=False, repr=False, compare=False)
@@ -85,6 +85,22 @@ class PeriodMethod(enum.Enum):
     HYPER = "hyper"
 
 
+@dataclass(frozen=True)
+class LatticeData:
+    """Invariants, discriminant, roots e1 > e2 > e3, the Jacobian parameter
+    m = (e2 - e3)/(e1 - e3), mc = (e1 - e2)/(e1 - e3) and scale sqrt(e1 - e3)."""
+
+    g2: float
+    g3: float
+    delta: float
+    e1: float
+    e2: float
+    e3: float
+    m: float
+    mc: float
+    scale: float
+
+
 def invariants_of(mod: Modulus) -> LatticeData:
     """Lattice data of the coperiodic Weierstrass function.
 
@@ -109,8 +125,8 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
     """Evaluate dn2 at z by the requested route.
 
     Real input yields a float; complex input with nonzero imaginary part
-    yields a complex value.  SN and WP raise PoleError where jacobi_complex
-    does: within 1e-6/c of a pole (z congruent to iK' modulo the lattice).
+    yields a complex value.  SN and WP pass on jacobi_complex's PoleError:
+    within 1e-6/c of a pole (z congruent to iK' modulo the lattice).
     """
     if route is Route.PHI:
         if isinstance(z, complex):
@@ -262,6 +278,12 @@ def i_gamma(gamma: float) -> float:
         return math.cos(0.5 * (gamma - u)) / math.sqrt(s) if s > 0.0 else 0.0
 
     return integrate(integrand, 0.0, gamma).value
+
+
+@dataclass(frozen=True)
+class PeriodPair:
+    K: float
+    Kprime: float
 
 
 def periods(mod: Modulus, method: PeriodMethod = PeriodMethod.ELLIPTIC) -> PeriodPair:

@@ -107,6 +107,11 @@ def complete_K(m: float, mc: float) -> float:
 
 
 def _digamma(x: float) -> float:
+    if x < 0.0:
+        # reflection psi(x) = psi(1 - x) - pi cot(pi x), in constant time;
+        # cot has period pi, and x - round(x) is exact, so pi times it keeps
+        # the digits that pi x would lose
+        return _digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
     # recurrence into the asymptotic regime, then the Bernoulli tail
     acc = 0.0
     while x < 12.0:

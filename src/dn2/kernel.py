@@ -53,7 +53,8 @@ def reduction_limit(period: float) -> float:
 _T_CUTOFF = 6.115
 # finest refinement level of integrate; bounds the node table
 MAX_LEVEL = 11
-# integrate stops once successive levels differ by at most this much
+# integrate stops at a level from 2 on that differs from the previous one
+# by at most this much
 QUAD_TOL = 1e-10
 # newton_invert stops once a step is at most this share of the iterate
 NEWTON_RTOL = 1e-9
@@ -96,8 +97,10 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     Integrable inverse-square-root endpoint singularities are absorbed by the
     transformation; nodes that round onto an endpoint are never evaluated.
     The abscissae and weights come from the shared node table ``_level``,
-    refined up to ``MAX_LEVEL``.  Refinement stops once two successive
-    levels differ by at most ``QUAD_TOL``, or 1e-15 of the value.  Bounds
+    refined up to ``MAX_LEVEL``.  Refinement stops at the first level from
+    2 on whose value differs from the previous level's by at most
+    ``QUAD_TOL``, or 1e-15 of the value; levels 0 and 1 never stop it, and
+    one small difference does.  Bounds
     that are not finite, or not in order, raise DomainError; a non-finite
     integrand value, or no convergence by ``MAX_LEVEL``, raises
     ConvergenceError.

@@ -1,36 +1,16 @@
-"""Weierstrass P for real rectangular lattices, built from the invariants
-through the Jacobian sn bridge (no lattice summation)."""
+"""Lattice data of a real rectangular lattice from its invariants, and its
+half-periods.  Weierstrass P itself is the WP route of ``core.dn2``."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .core import LatticeData, PeriodPair
+# bench/tracing.py wraps jacobi_complex and complete_K on this module, and a
+# traced run fails on a missing name: both stay bound, jacobi_complex unused
 from .hyper import complete_K
-from .jacobi import PoleError, jacobi_complex
+from .jacobi import jacobi_complex  # noqa: F401
 from .kernel import DomainError
-
-
-@dataclass(frozen=True)
-class PeriodPair:
-    K: float
-    Kprime: float
-
-
-@dataclass(frozen=True)
-class LatticeData:
-    """Invariants, discriminant, roots e1 > e2 > e3, the Jacobian parameter
-    m = (e2 - e3)/(e1 - e3), mc = (e1 - e2)/(e1 - e3) and scale sqrt(e1 - e3)."""
-
-    g2: float
-    g3: float
-    delta: float
-    e1: float
-    e2: float
-    e3: float
-    m: float
-    mc: float
-    scale: float
 
 
 def lattice_from_invariants(g2: float, g3: float) -> LatticeData:
@@ -62,19 +42,6 @@ def lattice_from_invariants(g2: float, g3: float) -> LatticeData:
     e1, e2, e3 = roots
     ac = e1 - e3
     return LatticeData(g2, g3, delta, e1, e2, e3, (e2 - e3) / ac, (e1 - e2) / ac, math.sqrt(ac))
-
-
-def wp(z: complex, lat: LatticeData) -> complex:
-    """P(z) = e3 + (e1 - e3)/sn^2(z*scale); pole signal at lattice points."""
-    try:
-        sn = jacobi_complex(complex(z) * lat.scale, lat.m, lat.mc).sn
-    except PoleError:
-        # sn poles are regular points of P where 1/sn^2 underflows to zero
-        return complex(lat.e3)
-    sn2 = sn * sn
-    if abs(sn2) < 1e-13:
-        raise PoleError("wp pole: z is congruent to a lattice point")
-    return lat.e3 + (lat.e1 - lat.e3) / sn2
 
 
 def wp_halfperiods(lat: LatticeData) -> PeriodPair:

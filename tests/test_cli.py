@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from dn2 import cli
 from dn2.cli import main, parse_z
 from dn2.core import Modulus, dn2, periods
 
@@ -71,7 +75,6 @@ class TestParseZ:
         # parsing and evaluation are one pass: the operators of a valid
         # prefix are applied, nothing after the first token the grammar
         # rejects is, and no input reaches any operator but + - * /
-        from dn2 import cli
         from dn2.kernel import DomainError
 
         calls = []
@@ -417,20 +420,25 @@ class TestRecordShape:
 
 class TestSample:
     def test_perimeter_monotone(self, tmp_path, capsys):
-        path = tmp_path / "perim.csv"
-        code, _, _ = run(
-            capsys, "sample", "--kappa", "0.6", "--region", "perimeter",
-            "--n", "400", "--out", str(path),
-        )
-        assert code == 0
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 400
-        reals = [float(r["dn2_re"]) for r in rows]
-        for r in rows:
-            assert abs(float(r["dn2_im"])) <= 1e-10
-        assert all(a > b for a, b in zip(reals, reals[1:]))
-        assert all(r["decreasing"] == "true" for r in rows)
+        # by WP this is also Weierstrass P decreasing on the walk, on either
+        # side of its pole at 0: 1/3 + P = kappa^2 / (2 (1 - dn2)) grows with
+        # dn2 wherever dn2 != 1
+        for route in ("sn", "wp"):
+            path = tmp_path / f"perim_{route}.csv"
+            code, _, _ = run(
+                capsys, "sample", "--kappa", "0.6", "--region", "perimeter",
+                "--n", "400", "--route", route, "--out", str(path),
+            )
+            assert code == 0
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 400
+            reals = [float(r["dn2_re"]) for r in rows]
+            for r in rows:
+                assert abs(float(r["dn2_im"])) <= 1e-10
+                assert r["route"] == route
+            assert all(a > b for a, b in zip(reals, reals[1:]))
+            assert all(r["decreasing"] == "true" for r in rows)
 
     def test_real_axis_passes_through_lambda(self, tmp_path, capsys):
         mod = Modulus(0.6)
@@ -548,3 +556,41 @@ class TestSample:
         if region == "perimeter":
             # the row after a pole has no value to compare with
             assert [r["decreasing"] for r in rows] == ["true", "false", "true"]
+
+
+_STDLIB_ONLY = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import io
+import json
+import dn2.cli
+out, sys.stdout = sys.stdout, io.StringIO()
+codes = [
+    dn2.cli.main(["eval", "--kappa", "0.6", "--z", "0.3+0.2i", "--route", "all"]),
+    dn2.cli.main(["lattice", "--kappa", "0.6"]),
+]
+sys.stdout = out
+added = set(sys.modules) - before
+top = {name.partition(".")[0] for name in added}
+print(json.dumps({
+    "codes": codes,
+    "dn2": sorted(name for name in added if name.partition(".")[0] == "dn2"),
+    "foreign": sorted(top - set(sys.stdlib_module_names) - {"dn2"}),
+}))
+"""
+
+
+def test_no_runtime_dependencies():
+    # without site-packages, importing the CLI and running eval and lattice
+    # loads only the standard library and dn2 itself
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _STDLIB_ONLY, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0]
+    assert "dn2.cli" in result["dn2"] and "dn2.weier" in result["dn2"]
+    assert result["foreign"] == []

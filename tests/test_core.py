@@ -189,6 +189,8 @@ class TestDn2:
             assert abs(fd - dn2_deriv(x, mod)) <= 1e-6
 
     def test_double_periodicity(self):
+        # even with periods 2K and 2iK' by both complex routes; by WP this is
+        # also Weierstrass P's evenness and double periodicity
         mod = Modulus(0.45)
         p = periods(mod)
         for zr in np.linspace(0.3, 2.0 * p.K - 0.3, 5):
@@ -198,9 +200,11 @@ class TestDn2:
                     continue
                 if abs(z - complex(2.0 * p.K, p.Kprime)) < 0.1:
                     continue
-                v = dn2(z, mod)
-                assert abs(dn2(z + 2.0 * p.K, mod) - v) <= 1e-10
-                assert abs(dn2(z + 2.0j * p.Kprime, mod) - v) <= 1e-10
+                for route in (Route.SN, Route.WP):
+                    v = dn2(z, mod, route)
+                    assert abs(dn2(-z, mod, route) - v) <= 1e-10
+                    assert abs(dn2(z + 2.0 * p.K, mod, route) - v) <= 1e-10
+                    assert abs(dn2(z + 2.0j * p.Kprime, mod, route) - v) <= 1e-10
 
     def test_pole_order(self):
         # |1/dn2| ~ |eps|^2 near the double pole at iK'

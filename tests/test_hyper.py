@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import pytest
 
@@ -9,6 +10,7 @@ from dn2.hyper import (
     F_QUARTER_HALF,
     F_QUARTER_ONE,
     HyperParams,
+    _digamma,
     agm,
     complete_K,
     f14_34_12_closed,
@@ -202,6 +204,15 @@ class TestCallerFamilies:
             for x in (0.8, 0.9, 0.99):
                 assert abs(gauss_2f1(p, x, 1.0 - x) - self.ref(p, 1.0 - x)) <= 1e-13, (p, x)
 
+    def test_large_negative_a_fails_at_once(self):
+        # psi(a) takes constant time for negative a, and the series
+        # diverges: a typed error in milliseconds, whatever |a|
+        p = HyperParams(-999999.5, 1000000.5, 1.0)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            gauss_2f1(p, 0.9, 0.1)
+        assert time.perf_counter() - start < 0.05
+
     def test_direct_series_never_builds_the_connection_table(self):
         # this keeps a family's direct-series calls away from lgamma
         p = HyperParams(0.25, 0.75, 1.0)
@@ -268,6 +279,17 @@ class TestCallerFamilies:
         same(F_QUARTER_ONE)
         assert p != HyperParams(0.25, 0.75, 0.5)
         assert {p: 1}[F_QUARTER_ONE] == 1
+
+
+class TestDigamma:
+    def test_negative_non_integers(self):
+        import mpmath
+
+        for x in (-0.25, -0.5, -0.75, -1.5, -2.75, -10.3, -123.456,
+                  -999999.5, -1e9 + 0.3, -1e12 + 0.5):
+            with mpmath.workdps(40):
+                ref = float(mpmath.digamma(x))
+            assert abs(_digamma(x) - ref) <= 2e-15 * max(1.0, abs(ref)), x
 
 
 class TestClosedForm:

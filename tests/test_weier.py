@@ -1,12 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 
+from dn2.core import Modulus, Route, dn2, periods
 from dn2.hyper import F_QUARTER_ONE, gauss_2f1
-from dn2.jacobi import PoleError
 from dn2.kernel import DomainError
-from dn2.weier import lattice_from_invariants, wp, wp_halfperiods
+from dn2.weier import lattice_from_invariants, wp_halfperiods
 
 
 def invariants(kappa):
@@ -42,66 +41,57 @@ class TestLattice:
 
 
 class TestWp:
+    """Weierstrass P of dn2's lattice through the WP route of core.dn2,
+    1/3 + P(z) = kappa^2 / (2 (1 - dn2(z))), with g2 = 4/3 - kappa^2 and
+    g3 = 8/27 - kappa^2/3.  Evenness and the periods are in
+    test_core.py::TestDn2::test_double_periodicity, and P decreasing on the
+    perimeter walk (dn2 decreasing there) in
+    test_cli.py::TestSample::test_perimeter_monotone."""
+
+    @staticmethod
+    def wp(z, mod):
+        return 0.5 * mod.kappa**2 / (1.0 - dn2(z, mod, Route.WP)) - 1.0 / 3.0
+
     def test_midpoint_values(self):
-        lat = lattice_from_invariants(*invariants(0.5))
-        hp = wp_halfperiods(lat)
-        w, wp_ = hp.K, hp.Kprime
-        assert abs(wp(complex(w, 0.0), lat) - lat.e1) <= 1e-11
-        assert abs(wp(complex(w, wp_), lat) - lat.e2) <= 1e-11
-        assert abs(wp(complex(0.0, wp_), lat) - lat.e3) <= 1e-11
+        mod = Modulus(0.5)
+        lat, p = mod.lattice, periods(mod)
+        assert abs(self.wp(p.K, mod) - lat.e1) <= 1e-11
+        assert abs(self.wp(complex(p.K, p.Kprime), mod) - lat.e2) <= 1e-11
+        # e3 is the limit at the pole iK' of dn2, taken just outside the
+        # pole disc of radius about 1e-6/c
+        eps = 2e-6 / mod.c
+        assert abs(self.wp(complex(eps, p.Kprime), mod) - lat.e3) <= 1e-11
+        assert abs(self.wp(complex(0.0, p.Kprime + eps), mod) - lat.e3) <= 1e-11
 
     def test_differential_equation(self):
-        lat = lattice_from_invariants(*invariants(0.5))
+        mod = Modulus(0.5)
+        lat = mod.lattice
         z = complex(0.31, 0.17)
         # sixth-order central difference: the pole at 0 is close enough that
         # lower-order stencils cannot reach 1e-9 before roundoff takes over
         h = 1e-3
-        p = wp(z, lat)
+
+        def wp(z):
+            return self.wp(z, mod)
+
+        p = wp(z)
         dp = (
-            45.0 * (wp(z + h, lat) - wp(z - h, lat))
-            - 9.0 * (wp(z + 2 * h, lat) - wp(z - 2 * h, lat))
-            + (wp(z + 3 * h, lat) - wp(z - 3 * h, lat))
+            45.0 * (wp(z + h) - wp(z - h))
+            - 9.0 * (wp(z + 2 * h) - wp(z - 2 * h))
+            + (wp(z + 3 * h) - wp(z - 3 * h))
         ) / (60.0 * h)
         resid = dp * dp - (4.0 * p**3 - lat.g2 * p - lat.g3)
         assert abs(resid) <= 1e-9
 
-    def test_even_and_periodic(self):
-        lat = lattice_from_invariants(*invariants(0.7))
-        hp = wp_halfperiods(lat)
-        for zr in np.linspace(0.2, 2.0 * hp.K - 0.2, 4):
-            for zi in np.linspace(0.2, 2.0 * hp.Kprime - 0.2, 4):
-                z = complex(float(zr), float(zi))
-                v = wp(z, lat)
-                assert abs(wp(-z, lat) - v) <= 1e-10
-                assert abs(wp(z + 2.0 * hp.K, lat) - v) <= 1e-10
-                assert abs(wp(z + 2.0j * hp.Kprime, lat) - v) <= 1e-10
-
     def test_pole_at_origin(self):
-        lat = lattice_from_invariants(*invariants(0.5))
-        with pytest.raises(PoleError):
-            wp(complex(0.0, 0.0), lat)
-
-    def test_real_monotone_on_perimeter(self):
-        # values are real on the half-period rectangle boundary and decrease
-        # strictly on the counterclockwise walk away from the origin pole
-        lat = lattice_from_invariants(*invariants(0.4))
-        hp = wp_halfperiods(lat)
-        w, wq = hp.K, hp.Kprime
-        pts = []
-        n = 30
-        for i in range(1, n):
-            pts.append(complex(w * i / n, 0.0))
-        for i in range(n + 1):
-            pts.append(complex(w, wq * i / n))
-        for i in range(1, n + 1):
-            pts.append(complex(w * (n - i) / n, wq))
-        for i in range(1, n):
-            pts.append(complex(0.0, wq * (n - i) / n))
-        vals = [wp(z, lat) for z in pts]
-        for v in vals:
-            assert abs(v.imag) <= 1e-10
-        reals = [v.real for v in vals]
-        assert all(x > y for x, y in zip(reals, reals[1:]))
+        # P has its double pole at the lattice points, where dn2 is exactly 1
+        mod = Modulus(0.5)
+        p = periods(mod)
+        for z in (0.0, 2.0 * p.K, complex(0.0, 2.0 * p.Kprime), complex(2.0 * p.K, 2.0 * p.Kprime)):
+            assert dn2(z, mod, Route.WP) == 1.0, z
+        # and z^2 P(z) -> 1 next to one
+        for z in (1e-3, 1e-3j, complex(1e-3, 1e-3)):
+            assert abs(z * z * self.wp(z, mod) - 1.0) <= 1e-8, z
 
 
 class TestHalfperiods:
