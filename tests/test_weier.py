@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dn2.core import Modulus, Route, dn2, periods
@@ -43,10 +44,7 @@ class TestLattice:
 class TestWp:
     """Weierstrass P of dn2's lattice through the WP route of core.dn2,
     1/3 + P(z) = kappa^2 / (2 (1 - dn2(z))), with g2 = 4/3 - kappa^2 and
-    g3 = 8/27 - kappa^2/3.  Evenness and the periods are in
-    test_core.py::TestDn2::test_double_periodicity, and P decreasing on the
-    perimeter walk (dn2 decreasing there) in
-    test_cli.py::TestSample::test_perimeter_monotone."""
+    g3 = 8/27 - kappa^2/3."""
 
     @staticmethod
     def wp(z, mod):
@@ -83,6 +81,17 @@ class TestWp:
         resid = dp * dp - (4.0 * p**3 - lat.g2 * p - lat.g3)
         assert abs(resid) <= 1e-9
 
+    def test_even_and_periodic(self):
+        mod = Modulus(0.7)
+        p = periods(mod)
+        for zr in np.linspace(0.2, 2.0 * p.K - 0.2, 4):
+            for zi in np.linspace(0.2, 2.0 * p.Kprime - 0.2, 4):
+                z = complex(float(zr), float(zi))
+                v = self.wp(z, mod)
+                assert abs(self.wp(-z, mod) - v) <= 1e-10
+                assert abs(self.wp(z + 2.0 * p.K, mod) - v) <= 1e-10
+                assert abs(self.wp(z + 2.0j * p.Kprime, mod) - v) <= 1e-10
+
     def test_pole_at_origin(self):
         # P has its double pole at the lattice points, where dn2 is exactly 1
         mod = Modulus(0.5)
@@ -92,6 +101,32 @@ class TestWp:
         # and z^2 P(z) -> 1 next to one
         for z in (1e-3, 1e-3j, complex(1e-3, 1e-3)):
             assert abs(z * z * self.wp(z, mod) - 1.0) <= 1e-8, z
+
+
+    def test_real_monotone_on_perimeter(self):
+        # values are real on the half-period rectangle boundary and decrease
+        # strictly on the counterclockwise walk away from the origin pole.
+        # The corner iK' is dn2's pole, where P is e3 (test_midpoint_values);
+        # the walk steps over it
+        mod = Modulus(0.4)
+        p = periods(mod)
+        w, wq = p.K, p.Kprime
+        pts = []
+        n = 30
+        for i in range(1, n):
+            pts.append(complex(w * i / n, 0.0))
+        for i in range(n + 1):
+            pts.append(complex(w, wq * i / n))
+        for i in range(1, n):
+            pts.append(complex(w * (n - i) / n, wq))
+        for i in range(1, n):
+            pts.append(complex(0.0, wq * (n - i) / n))
+        vals = [self.wp(z, mod) for z in pts]
+        for v in vals:
+            assert abs(v.imag) <= 1e-10
+        reals = [v.real for v in vals]
+        assert all(x > y for x, y in zip(reals, reals[1:]))
+        assert reals[-n + 1] < mod.lattice.e3 < reals[-n]
 
 
 class TestHalfperiods:
