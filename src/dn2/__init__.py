@@ -39,9 +39,8 @@ from .identities import (
 )
 from .jacobi import POLE_THRESHOLD, JacobiTriple, PoleError, jacobi_complex, jacobi_real
 from .kernel import ConvergenceError, DomainError, QuadResult, integrate, newton_invert
-from .weier import lattice_from_invariants, wp_halfperiods
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "LatticeData",
@@ -83,7 +82,5 @@ __all__ = [
     "QuadResult",
     "integrate",
     "newton_invert",
-    "lattice_from_invariants",
-    "wp_halfperiods",
     "__version__",
 ]

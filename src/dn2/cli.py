@@ -1,7 +1,9 @@
 """Command-line front end: evaluate dn2, periods, lattice data, identity
 sweeps, and CSV/JSONL sampling for external plotting.
 
-Exit codes: 0 success, 1 identity/tolerance failure, 2 usage or domain error.
+Commands build records; main alone writes them, to stdout or sample --out,
+and exits 1 if an identity record has not passed, 2 on a usage error,
+DomainError, ConvergenceError or OSError, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def _dn2_fields(key: str, z: float | complex, mod: Modulus, route: Route):
     return {f"{key}_re": v.real, f"{key}_im": v.imag}, v
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> list[dict]:
     mod = Modulus(args.kappa)
     pp = core.periods(mod)
     z = parse_z(args.z, pp.K, pp.Kprime)
@@ -152,11 +154,10 @@ def cmd_eval(args) -> int:
     if real:
         phi, s2 = core._phi_and_s2(z.real, mod)
         record.update(s2=s2, phi=phi)
-    _emit([record], args.format, sys.stdout)
-    return 0
+    return [record]
 
 
-def cmd_periods(args) -> int:
+def cmd_periods(args) -> list[dict]:
     mod = Modulus(args.kappa)
     record = {"kappa": args.kappa, "method": args.method}
     each = args.method == "all"
@@ -170,31 +171,19 @@ def cmd_periods(args) -> int:
         kps = [p.Kprime for p in pairs]
         record["delta_K_max"] = max(ks) - min(ks)
         record["delta_Kprime_max"] = max(kps) - min(kps)
-    _emit([record], args.format, sys.stdout)
-    return 0
+    return [record]
 
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> list[dict]:
     mod = Modulus(args.kappa)
     lat = core.invariants_of(mod)
     hp = wp_halfperiods(lat)
-    record = {
-        "kappa": args.kappa,
-        "g2": lat.g2,
-        "g3": lat.g3,
-        "delta": lat.delta,
-        "e1": lat.e1,
-        "e2": lat.e2,
-        "e3": lat.e3,
-        "k2": lat.m,
-        "K": hp.K,
-        "Kprime": hp.Kprime,
-    }
-    _emit([record], args.format, sys.stdout)
-    return 0
+    return [{"kappa": args.kappa, "g2": lat.g2, "g3": lat.g3, "delta": lat.delta,
+             "e1": lat.e1, "e2": lat.e2, "e3": lat.e3, "k2": lat.m,
+             "K": hp.K, "Kprime": hp.Kprime}]
 
 
-def cmd_identities(args) -> int:
+def cmd_identities(args) -> list[dict]:
     step = args.step
     if not 0.0 < step < 0.5:
         raise DomainError(f"step must lie in (0, 0.5), got {step}")
@@ -223,9 +212,7 @@ def cmd_identities(args) -> int:
         name = rec["identity"]
         if abs(rec["residual"]) > abs(worst.setdefault(name, rec)["residual"]):
             worst[name] = rec
-    records += [{**worst[name], "identity": f"worst:{name}"} for name in sorted(worst)]
-    _emit(records, args.format, sys.stdout)
-    return 0 if all(r["passed"] for r in records) else 1
+    return records + [{**worst[name], "identity": f"worst:{name}"} for name in sorted(worst)]
 
 
 def _perimeter_point(s: float, K: float, Kprime: float) -> complex:
@@ -242,7 +229,7 @@ def _perimeter_point(s: float, K: float, Kprime: float) -> complex:
     return complex(K - s, Kprime)
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> list[dict]:
     mod = Modulus(args.kappa)
     pp = core.periods(mod)
     K, Kprime = pp.K, pp.Kprime
@@ -289,14 +276,7 @@ def cmd_sample(args) -> int:
             row["decreasing"] = "true" if dec else "false"
             prev = None if v is None else v.real
         rows.append(row)
-
-    fmt = "jsonl" if args.format == "jsonl" else "csv"
-    if args.out == "-":
-        _emit(rows, fmt, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _emit(rows, fmt, fh)
-    return 0
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,33 +291,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--tol", type=float, default=None, help="override identity tolerances")
     parser.add_argument("--seed", type=int, default=None, help="seed for random grid sampling")
+    parser.set_defaults(out="-")
     sub = parser.add_subparsers(dest="command", required=True)
+    kappa = argparse.ArgumentParser(add_help=False)
+    kappa.add_argument("--kappa", type=float, required=True)
+    routes = [r.value for r in Route]
 
-    p = sub.add_parser("eval", help="evaluate dn2 (and s2, phi on the real axis)")
-    p.add_argument("--kappa", type=float, required=True)
+    p = sub.add_parser("eval", parents=[kappa], help="evaluate dn2 (and s2, phi on the real axis)")
     p.add_argument("--z", required=True, help="point, e.g. 0.37, 0.3+0.4i, K, K+iK', iK'/2")
-    p.add_argument("--route", choices=("sn", "wp", "phi", "all"), default="sn")
+    p.add_argument("--route", choices=[*routes, "all"], default=Route.SN.value)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("periods", help="fundamental half-periods K, K'")
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--method", choices=("integral", "elliptic", "hyper", "all"), default="elliptic")
+    p = sub.add_parser("periods", parents=[kappa], help="fundamental half-periods K, K'")
+    p.add_argument("--method", choices=[*(m.value for m in PeriodMethod), "all"],
+                   default=PeriodMethod.ELLIPTIC.value)
     p.set_defaults(func=cmd_periods)
 
-    p = sub.add_parser("lattice", help="invariants, discriminant, roots, half-periods")
-    p.add_argument("--kappa", type=float, required=True)
+    p = sub.add_parser("lattice", parents=[kappa],
+                       help="invariants, discriminant, roots, half-periods")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("identities", help="sweep all identity checkers over a grid")
     p.add_argument("--step", type=float, default=0.05)
     p.set_defaults(func=cmd_identities)
 
-    p = sub.add_parser("sample", help="write CSV/JSONL samples for plotting")
-    p.add_argument("--kappa", type=float, required=True)
+    p = sub.add_parser("sample", parents=[kappa], help="write CSV/JSONL samples for plotting")
     p.add_argument("--region", choices=("real-axis", "perimeter", "grid"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True, help="output path, or - for stdout")
-    p.add_argument("--route", choices=("sn", "wp", "phi"), default="sn")
+    p.add_argument("--route", choices=routes, default=Route.SN.value)
     p.set_defaults(func=cmd_sample)
     return parser
 
@@ -350,11 +332,20 @@ def main(argv=None) -> int:
         if argv[i] == "--z":
             argv[i:i + 2] = [f"--z={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
+    # sample writes plotting data: it renders human as csv
+    fmt = "csv" if args.command == "sample" and args.format == "human" else args.format
     try:
-        return args.func(args)
+        records = args.func(args)
+        if args.out == "-":
+            _emit(records, fmt, sys.stdout)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                _emit(records, fmt, fh)
     except (DomainError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # only identity records carry "passed"
+    return 0 if all(r.get("passed", True) for r in records) else 1
 
 
 if __name__ == "__main__":

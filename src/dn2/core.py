@@ -133,7 +133,7 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
             if z.imag != 0.0:
                 raise DomainError("PHI route is defined on the real axis only")
             z = z.real
-        s = mod.kappa * math.sin(phi(z, mod))
+        s = mod.kappa * _phi_and_s2(z, mod)[1]
         return math.sqrt(1.0 - s * s)
 
     real_input = not isinstance(z, complex)

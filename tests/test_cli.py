@@ -63,7 +63,7 @@ class TestParseZ:
     @pytest.mark.parametrize(
         "text",
         ["2**10", "9**9**9", "__import__('os')", "()", "", "1j", "Q", "K''", "1.2.3",
-         "(1", "1)", "1/0", "2^3", "1 _ 0", "9" * 400 + "K"],
+         "(1.2.3)", "(1", "1)", "1/0", "2^3", "1 _ 0", "9" * 400 + "K"],
     )
     def test_rejects_what_the_grammar_does_not_admit(self, text):
         from dn2.kernel import DomainError
@@ -417,8 +417,19 @@ class TestRecordShape:
         assert all([line.split(" = ")[0] for line in b.splitlines()] == keys for b in blocks)
         assert out.endswith("passed = True\n")
 
-
-class TestSample:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--kappa", "0.6", "--z", "1.7", "--route", "all"],
+        ["periods", "--kappa", "0.6", "--method", "all"],
+        ["lattice", "--kappa", "0.6"],
+        ["--tol", "1e-300", "identities", "--step", "0.45"],
+        ["sample", "--kappa", "0.6", "--region", "real-axis", "--n", "3", "--out", "-"],
+    ])
+    def test_commands_return_records_and_write_nothing(self, capsys, argv):
+        # main is the one writer and sets the exit status, failing identities too
+        args = cli.build_parser().parse_args(argv)
+        records = args.func(args)
+        assert capsys.readouterr() == ("", "")
+        assert records and all(isinstance(r, dict) for r in records)
     def test_perimeter_monotone(self, tmp_path, capsys):
         # by WP this is also Weierstrass P decreasing on the walk, on either
         # side of its pole at 0: 1/3 + P = kappa^2 / (2 (1 - dn2)) grows with
@@ -499,6 +510,15 @@ class TestSample:
         b = run(capsys, "--seed", "7", "sample", "--kappa", "0.5",
                 "--region", "grid", "--n", "4", "--out", "-")
         assert a == b
+
+    @pytest.mark.parametrize("argv", [
+        ["--region", "real-axis", "--n", "1"],
+        ["--region", "grid", "--n", "3", "--route", "phi"],
+    ])
+    def test_bad_sample_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "sample", "--kappa", "0.6", *argv, "--out", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unwritable_path_exit_2(self, capsys):
         code, _, err = run(

@@ -273,6 +273,24 @@ class TestDn2:
         with pytest.raises(DomainError):
             dn2(complex(0.1, 0.2), Modulus(0.5), Route.PHI)
 
+    @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9, 0.99, 0.999])
+    def test_phi_route_takes_s2_from_its_own_solve(self, kappa):
+        # sqrt(1 - kappa^2 s2^2) bit for bit: the sine of the rounded phi
+        # differs from s2 in the last bits at a few percent of the points
+        mod = Modulus(kappa)
+        rng = random.Random(f"phi route:{kappa}")
+        for _ in range(100):
+            x = rng.uniform(-6.0, 6.0) * periods(mod).K
+            s = mod.kappa * s2(x, mod)
+            assert dn2(x, mod, Route.PHI) == math.sqrt(1.0 - s * s), x
+
+    def test_phi_route_takes_a_real_complex(self):
+        mod = Modulus(0.6)
+        for x in (0.0, 0.37, -2.5, 7.1):
+            got = dn2(complex(x, 0.0), mod, Route.PHI)
+            assert type(got) is float
+            assert got == dn2(x, mod, Route.PHI)
+
 
 def _raises_pole(z, mod, route):
     try:
@@ -343,6 +361,93 @@ class TestPoleRule:
                         except PoleError:
                             continue
                         assert cmath.isfinite(v), (z, route, v)
+
+
+class TestWp:
+    """Weierstrass P of dn2's lattice through the WP route of core.dn2,
+    1/3 + P(z) = kappa^2 / (2 (1 - dn2(z))), with g2 = 4/3 - kappa^2 and
+    g3 = 8/27 - kappa^2/3."""
+
+    @staticmethod
+    def wp(z, mod):
+        return 0.5 * mod.kappa**2 / (1.0 - dn2(z, mod, Route.WP)) - 1.0 / 3.0
+
+    def test_midpoint_values(self):
+        mod = Modulus(0.5)
+        lat, p = mod.lattice, periods(mod)
+        assert abs(self.wp(p.K, mod) - lat.e1) <= 1e-11
+        assert abs(self.wp(complex(p.K, p.Kprime), mod) - lat.e2) <= 1e-11
+        # e3 is the limit at the pole iK' of dn2, taken just outside the
+        # pole disc of radius about 1e-6/c
+        eps = 2e-6 / mod.c
+        assert abs(self.wp(complex(eps, p.Kprime), mod) - lat.e3) <= 1e-11
+        assert abs(self.wp(complex(0.0, p.Kprime + eps), mod) - lat.e3) <= 1e-11
+
+    def test_differential_equation(self):
+        mod = Modulus(0.5)
+        lat = mod.lattice
+        z = complex(0.31, 0.17)
+        # sixth-order central difference: the pole at 0 is close enough that
+        # lower-order stencils cannot reach 1e-9 before roundoff takes over
+        h = 1e-3
+
+        def wp(z):
+            return self.wp(z, mod)
+
+        p = wp(z)
+        dp = (
+            45.0 * (wp(z + h) - wp(z - h))
+            - 9.0 * (wp(z + 2 * h) - wp(z - 2 * h))
+            + (wp(z + 3 * h) - wp(z - 3 * h))
+        ) / (60.0 * h)
+        resid = dp * dp - (4.0 * p**3 - lat.g2 * p - lat.g3)
+        assert abs(resid) <= 1e-9
+
+    def test_even_and_periodic(self):
+        mod = Modulus(0.7)
+        p = periods(mod)
+        for zr in np.linspace(0.2, 2.0 * p.K - 0.2, 4):
+            for zi in np.linspace(0.2, 2.0 * p.Kprime - 0.2, 4):
+                z = complex(float(zr), float(zi))
+                v = self.wp(z, mod)
+                assert abs(self.wp(-z, mod) - v) <= 1e-10
+                assert abs(self.wp(z + 2.0 * p.K, mod) - v) <= 1e-10
+                assert abs(self.wp(z + 2.0j * p.Kprime, mod) - v) <= 1e-10
+
+    def test_pole_at_origin(self):
+        # P has its double pole at the lattice points, where dn2 is exactly 1
+        mod = Modulus(0.5)
+        p = periods(mod)
+        for z in (0.0, 2.0 * p.K, complex(0.0, 2.0 * p.Kprime), complex(2.0 * p.K, 2.0 * p.Kprime)):
+            assert dn2(z, mod, Route.WP) == 1.0, z
+        # and z^2 P(z) -> 1 next to one
+        for z in (1e-3, 1e-3j, complex(1e-3, 1e-3)):
+            assert abs(z * z * self.wp(z, mod) - 1.0) <= 1e-8, z
+
+    def test_real_monotone_on_perimeter(self):
+        # values are real on the half-period rectangle boundary and decrease
+        # strictly on the counterclockwise walk away from the origin pole.
+        # The corner iK' is dn2's pole, where P is e3 (test_midpoint_values);
+        # the walk steps over it
+        mod = Modulus(0.4)
+        p = periods(mod)
+        w, wq = p.K, p.Kprime
+        pts = []
+        n = 30
+        for i in range(1, n):
+            pts.append(complex(w * i / n, 0.0))
+        for i in range(n + 1):
+            pts.append(complex(w, wq * i / n))
+        for i in range(1, n):
+            pts.append(complex(w * (n - i) / n, wq))
+        for i in range(1, n):
+            pts.append(complex(0.0, wq * (n - i) / n))
+        vals = [self.wp(z, mod) for z in pts]
+        for v in vals:
+            assert abs(v.imag) <= 1e-10
+        reals = [v.real for v in vals]
+        assert all(x > y for x, y in zip(reals, reals[1:]))
+        assert reals[-n + 1] < mod.lattice.e3 < reals[-n]
 
 
 class TestAmplitude:

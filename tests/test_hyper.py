@@ -367,6 +367,13 @@ class TestCompleteK:
         with pytest.raises(DomainError):
             complete_K(0.5, 0.6)  # not a complement pair
 
+    def test_agm_domain_and_nan(self):
+        with pytest.raises(DomainError):
+            agm(0.0, 1.0)
+        # nan passes the sign check and never meets the stop test
+        with pytest.raises(ConvergenceError):
+            agm(math.nan, 1.0)
+
     def test_parameter_rounding_to_one(self):
         # K(m) with m = 1 - mc for mc below half an ulp of 1: the AGM runs on
         # sqrt(mc), so the complement alone carries the digits

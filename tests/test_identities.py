@@ -57,6 +57,10 @@ class TestSymmetricPair:
     def test_boundary(self):
         assert symmetric_pair(0.0) == 1.0
 
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            symmetric_pair(1.0)
+
     def test_spot_value(self):
         y = symmetric_pair(0.2)
         assert abs(y - 0.5) <= 1e-15

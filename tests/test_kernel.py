@@ -125,6 +125,10 @@ class TestNewtonInvert:
         target = math.nextafter(3.0, math.inf)
         assert newton_invert(lambda t: 3.0 * t, lambda t: 3.0, target, 0.0, 1.0, 0.5) == 1.0
 
+    def test_nan_function_value(self):
+        with pytest.raises(ConvergenceError):
+            newton_invert(lambda t: math.nan, lambda t: 1.0, 0.5, 0.0, 1.0, 0.5)
+
     def test_no_bracket(self):
         # a target outside [f(lo), f(hi)] collapses the bracket onto an end
         for target, x0 in [(5.0, 0.0), (0.999, 1.0), (-0.5, 2.0)]:
