@@ -430,6 +430,9 @@ class TestRecordShape:
         records = args.func(args)
         assert capsys.readouterr() == ("", "")
         assert records and all(isinstance(r, dict) for r in records)
+
+
+class TestSample:
     def test_perimeter_monotone(self, tmp_path, capsys):
         # by WP this is also Weierstrass P decreasing on the walk, on either
         # side of its pole at 0: 1/3 + P = kappa^2 / (2 (1 - dn2)) grows with
