@@ -3,7 +3,8 @@ sweeps, and CSV/JSONL sampling for external plotting.
 
 Commands build records; main alone writes them, to stdout or sample --out,
 and exits 1 if an identity record has not passed, 2 on a usage error,
-DomainError, ConvergenceError or OSError, and 0 otherwise.
+DomainError, ConvergenceError or OSError, and 0 otherwise.  A reader that
+closes stdout early (``| head -1``) has stopped reading, which is no error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import dataclasses
 import json
 import operator
+import os
 import random
 import re
 import sys
@@ -337,7 +339,15 @@ def main(argv=None) -> int:
     try:
         records = args.func(args)
         if args.out == "-":
-            _emit(records, fmt, sys.stdout)
+            try:
+                _emit(records, fmt, sys.stdout)
+                sys.stdout.flush()  # a closed pipe shows here, not at exit
+            except BrokenPipeError:
+                # the reader stopped: Python flushes stdout again at exit, so
+                # point it at devnull (the SIGPIPE note of the signal docs)
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         else:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 _emit(records, fmt, fh)

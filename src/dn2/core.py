@@ -16,7 +16,7 @@ from functools import cached_property, partial
 
 from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1
 from .jacobi import jacobi_complex, jacobi_real
-from .kernel import DomainError, integrate, newton_invert, reduction_limit
+from .kernel import DomainError, integrate, newton_invert, reduction_limit, trapezoid
 
 
 _derived = partial(field, init=False, repr=False, compare=False)
@@ -30,6 +30,10 @@ _PI_LO = 1.2246467991473532e-16
 # would stop failing as kappa -> 1; bench/test_bench_harness.py pins one
 # such failure, so that waits for a benchmark change (ROADMAP item 1)
 _REFLECT = 0.75 * math.pi
+# i_gamma sums by the trapezoid rule where cot gamma is at least this, and by
+# tanh-sinh below it: at 0.05 the trapezoid rule takes 257 evaluations and
+# tanh-sinh 297, at 0.04 they take 513 and 297
+_TRAPEZOID_COT = 0.05
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,6 @@ class Modulus:
     m: float = _derived()  # d / (1 + lam), the Jacobian parameter of the SN and WP routes
     m1: float = _derived()  # 2 lam / (1 + lam) = 1 - m
     c: float = _derived()  # sqrt((1 + lam) / 2), the argument scale of the SN and WP routes
-    alpha: float = _derived()  # atan2(lam, kappa) = acos(kappa), the INTEGRAL angle of K'
-    beta: float = _derived()  # atan2(kappa, lam) = acos(lam), the INTEGRAL angle of K
 
     def __post_init__(self):
         k = self.kappa
@@ -61,7 +63,7 @@ class Modulus:
         # frozen: set the derived fields the way cached_property does
         vars(self).update(
             lam=lam, d=d, m=d / (1.0 + lam), m1=2.0 * lam / (1.0 + lam),
-            c=math.sqrt(0.5 * (1.0 + lam)), alpha=math.atan2(lam, k), beta=math.atan2(k, lam),
+            c=math.sqrt(0.5 * (1.0 + lam)),
         )
 
     @cached_property
@@ -262,22 +264,35 @@ def s2(x: float, mod: Modulus) -> float:
     return _phi_and_s2(x, mod)[1]
 
 
-def i_gamma(gamma: float) -> float:
-    """The period integral I(gamma) for an acute angle gamma of at least 1e-140."""
-    if not 1e-140 <= gamma < 0.5 * math.pi:
-        raise DomainError(f"gamma must be an acute angle of at least 1e-140, got {gamma}")
+def i_gamma(cos_g: float, sin_g: float) -> float:
+    """The period integral I(gamma) of an acute angle gamma, given as the
+    exact pair (cos gamma, sin gamma).
 
-    def integrand(u: float) -> float:
-        # substituted t = gamma - u so the singularity sits at u = 0, where
-        # quadrature nodes carry an exact endpoint distance; here
-        # sin(u) sin(2 gamma - u) = cos^2 t - cos^2 gamma
-        s = math.sin(u) * math.sin(2.0 * gamma - u)
-        # s underflows to 0 next to u = 0 for gamma below about 1e-50, and
-        # such a node adds nothing; below gamma = 1e-140 the nodes dropped
-        # this way would carry more than an ulp of I
-        return math.cos(0.5 * (gamma - u)) / math.sqrt(s) if s > 0.0 else 0.0
+    I(gamma) is the integral of cos(t/2) / sqrt(cos^2 t - cos^2 gamma) over
+    [0, gamma].  With sin t = sin gamma cos s it is the integral over
+    [0, pi/2] of h(s) = cos(t/2) / cos t = F(1/4, 3/4; 1/2; sin^2 t), taken
+    from cos^2 t = cos^2 gamma + (sin gamma sin s)^2, which does not cancel.
+    h is smooth, even and pi-periodic, with its poles at
+    Im s = +-asinh(cot gamma).  Where cot gamma >= 0.05 the trapezoid rule
+    sums it; below, h peaks at s = 0 with a width of about cot gamma, which
+    tanh-sinh resolves from the endpoint.  Raises DomainError unless both
+    members are positive, cos^2 + sin^2 = 1 within 1e-12, and
+    cos gamma >= 2**-510, below which its square is subnormal, as for kappa.
+    """
+    if not (KAPPA_MIN <= cos_g and 0.0 < sin_g
+            and abs(cos_g * cos_g + sin_g * sin_g - 1.0) <= 1e-12):
+        raise DomainError(
+            "i_gamma requires a positive pair on the unit circle with cos gamma "
+            f">= 2**-510, got ({cos_g!r}, {sin_g!r})"
+        )
+    c2 = cos_g * cos_g
 
-    return integrate(integrand, 0.0, gamma).value
+    def h(s: float) -> float:
+        x = sin_g * math.sin(s)
+        return f14_34_12_closed(c2 + x * x)
+
+    quad = trapezoid if cos_g >= _TRAPEZOID_COT * sin_g else integrate
+    return quad(h, 0.0, 0.5 * math.pi).value
 
 
 @dataclass(frozen=True)
@@ -302,7 +317,7 @@ def periods(mod: Modulus, method: PeriodMethod = PeriodMethod.ELLIPTIC) -> Perio
             half_pi * gauss_2f1(F_QUARTER_ONE, k2, l2),
             math.sqrt(2.0) * half_pi * gauss_2f1(F_QUARTER_ONE, l2, k2),
         )
-    return PeriodPair(i_gamma(mod.beta), math.sqrt(2.0) * i_gamma(mod.alpha))
+    return PeriodPair(i_gamma(mod.lam, mod.kappa), math.sqrt(2.0) * i_gamma(mod.kappa, mod.lam))
 
 
 def greenhill_check(a: float, b: float, c: float) -> tuple[float, float]:

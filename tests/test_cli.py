@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -579,6 +580,23 @@ class TestSample:
         if region == "perimeter":
             # the row after a pole has no value to compare with
             assert [r["decreasing"] for r in rows] == ["true", "false", "true"]
+
+    def test_reader_that_stops_early_is_no_error(self):
+        # like `| head -1`: 20,000 rows overfill the pipe, and the reader
+        # closes it after the header while the command is still writing
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dn2.cli", "sample", "--kappa", "0.6",
+             "--region", "real-axis", "--n", "20000", "--out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.readline() == "z_re,z_im,dn2_re,dn2_im,route\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""
 
 
 _STDLIB_ONLY = """

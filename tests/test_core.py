@@ -81,9 +81,6 @@ class TestModulus:
     def test_derived_fields(self):
         mod = Modulus(0.6)
         assert abs(mod.kappa**2 + mod.lam**2 - 1.0) <= 1e-15
-        assert 0.0 < mod.alpha < 0.5 * math.pi
-        assert 0.0 < mod.beta < 0.5 * math.pi
-        assert abs(mod.alpha + mod.beta - 0.5 * math.pi) <= 1e-14
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -680,24 +677,33 @@ class TestPeriods:
     def test_i_gamma_cross_method(self):
         mod = Modulus(0.6)
         pe = periods(mod, PeriodMethod.ELLIPTIC)
-        assert abs(i_gamma(mod.beta) - pe.K) <= 1e-8
-        assert abs(math.sqrt(2.0) * i_gamma(mod.alpha) - pe.Kprime) <= 1e-8
+        # K = I(gamma) with (cos, sin) = (lam, kappa), K' = sqrt(2) I(gamma)
+        # with (kappa, lam)
+        assert abs(i_gamma(mod.lam, mod.kappa) - pe.K) <= 1e-8
+        assert abs(math.sqrt(2.0) * i_gamma(mod.kappa, mod.lam) - pe.Kprime) <= 1e-8
 
     def test_i_gamma_small_angle(self):
-        # integrand ~ 1/sqrt(gamma^2 - t^2), so I(gamma) -> pi/2
-        assert abs(i_gamma(0.01) - 0.5 * math.pi) <= 1e-3
-        # the integrand's product underflows next to u = 0 from gamma ~ 1e-50
-        # on, which used to end in a ZeroDivisionError; I(gamma) = pi/2 + O(gamma^2)
-        for gamma in (1e-12, 1e-50, 1e-100, 1e-140):
-            assert abs(i_gamma(gamma) - 0.5 * math.pi) <= 1e-15, gamma
+        # I(gamma) = pi/2 + O(gamma^2): the integrand in s tends to 1
+        assert abs(i_gamma(math.cos(0.01), math.sin(0.01)) - 0.5 * math.pi) <= 1e-3
+        # the pair carries sin gamma itself, so no angle underflows or loses
+        # digits to cos gamma rounding to 1
+        for sin_g in (1e-12, 1e-50, 1e-100, 1e-140, 1e-200, 1e-300):
+            cos_g = math.sqrt((1.0 - sin_g) * (1.0 + sin_g))
+            assert abs(i_gamma(cos_g, sin_g) - 0.5 * math.pi) <= 1e-15, sin_g
 
     def test_i_gamma_domain(self):
-        with pytest.raises(DomainError):
-            i_gamma(0.0)
-        with pytest.raises(DomainError):
-            i_gamma(2.0)
-        with pytest.raises(DomainError):
-            i_gamma(1e-141)  # below the floor the quadrature would lose digits
+        bad = [
+            (1.0, 0.0), (0.0, 1.0), (-0.6, 0.8), (0.6, -0.8),  # not positive
+            (0.6, 0.8 + 1e-11), (0.6, 0.6), (2.0, 2.0),  # not on the unit circle
+            (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+            (2.0**-511, 1.0),  # cos gamma squared would be subnormal
+        ]
+        for cos_g, sin_g in bad:
+            with pytest.raises(DomainError):
+                i_gamma(cos_g, sin_g)
+        # within 1e-12 of the unit circle is accepted
+        assert abs(i_gamma(0.6, 0.8 + 1e-13) - i_gamma(0.6, 0.8)) <= 1e-12
+        assert i_gamma(2.0**-510, 1.0) > 0.0
 
 
 class TestGreenhill:

@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from dn2.kernel import ConvergenceError, DomainError, integrate, newton_invert
+from dn2.kernel import (
+    QUAD_TOL,
+    ConvergenceError,
+    DomainError,
+    integrate,
+    newton_invert,
+    trapezoid,
+)
 
 
 def agm(a, b):
@@ -76,6 +83,41 @@ class TestIntegrate:
             integrate(lambda t: abs(t - 0.123456789) ** 0.5, 0.0, 1.0)
         assert info.value.best is not None
         assert math.isfinite(info.value.best.value)
+
+
+class TestTrapezoid:
+    @pytest.mark.parametrize("a", [1e-3, 0.5, 3.0, 100.0])
+    def test_even_periodic_integrand(self, a):
+        # 1/(1 + a sin^2 s) is smooth, even and pi-periodic, and its
+        # integral over [0, pi/2] is pi / (2 sqrt(1 + a))
+        r = trapezoid(lambda s: 1.0 / (1.0 + a * math.sin(s) ** 2), 0.0, 0.5 * math.pi)
+        ref = 0.5 * math.pi / math.sqrt(1.0 + a)
+        assert abs(r.value - ref) <= 1e-15 * ref, a
+        assert 0.0 <= r.err_estimate <= QUAD_TOL
+        # n + 1 values for n intervals, n doubled from 8
+        n = r.evaluations - 1
+        assert n >= 16 and n & (n - 1) == 0
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(ConvergenceError):
+            trapezoid(lambda s: math.nan, 0.0, 1.0)
+        # a single non-finite value, at an endpoint or at a midpoint added by
+        # a doubling
+        with pytest.raises(ConvergenceError):
+            trapezoid(lambda s: math.inf if s == 0.0 else 1.0, 0.0, 1.0)
+        with pytest.raises(ConvergenceError):
+            trapezoid(lambda s: math.nan if s == 1.0 / 16.0 else 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (1.0, 1.0)])
+    def test_bounds_not_finite_and_ordered_raise(self, a, b):
+        with pytest.raises(DomainError):
+            trapezoid(lambda s: 1.0, a, b)
+
+    def test_nonconvergence_carries_best(self):
+        # an interior kink: the error falls only algebraically
+        with pytest.raises(ConvergenceError) as info:
+            trapezoid(lambda s: abs(s - 0.3) ** 0.5, 0.0, 1.0)
+        assert abs(info.value.best.value - 0.5) <= 1e-4
 
 
 class TestNewtonInvert:

@@ -11,7 +11,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dn2.core import Modulus, PeriodMethod, Route, dn2, periods
 from dn2.hyper import complete_K
@@ -60,6 +60,38 @@ def test_elliptic_and_hyper_periods(kappa):
             p = periods(Modulus(kappa), method)
             assert abs(p.K / K - 1) <= 1e-14, (method, "K")
             assert abs(p.Kprime / Kp - 1) <= 1e-14, (method, "K'")
+
+
+# INTEGRAL's rule changes where cot gamma = 0.05: for K, lam / kappa = 0.05
+# near kappa = 0.99875; for K', kappa / lam = 0.05 near kappa = 0.0499
+@given(KAPPA)
+@example(0.0499)
+@example(0.0500)
+@example(0.99874)
+@example(0.99876)
+@PROPERTY
+def test_integral_periods(kappa):
+    with mpmath.workdps(DPS):
+        _, _, _, K, Kp = reference(kappa)
+        p = periods(Modulus(kappa), PeriodMethod.INTEGRAL)
+        assert abs(p.K / K - 1) <= 2e-15, "K"
+        assert abs(p.Kprime / Kp - 1) <= 2e-15, "K'"
+
+
+@pytest.mark.parametrize("kappa", [2.0**-510, 1e-150, 1 - 2.0**-53])
+def test_integral_periods_at_the_extremes(kappa):
+    p = periods(Modulus(kappa), PeriodMethod.INTEGRAL)
+    with mpmath.workdps(DPS):
+        # lam rounds to 1 at DPS digits for the smallest kappa: take K and K'
+        # from the AGM of the square roots of m = kappa^2 / (1 + lam)^2 and
+        # 1 - m = 2 lam / (1 + lam), which do not cancel
+        k = mpmath.mpf(kappa)
+        lam = mpmath.sqrt((1 - k) * (1 + k))
+        c = mpmath.sqrt((1 + lam) / 2)
+        K = mpmath.pi / (2 * c * mpmath.agm(1, mpmath.sqrt(2 * lam / (1 + lam))))
+        Kp = mpmath.pi / (2 * c * mpmath.agm(1, k / (1 + lam)))
+        assert abs(p.K / K - 1) <= 2e-15, "K"
+        assert abs(p.Kprime / Kp - 1) <= 2e-15, "K'"
 
 
 def _check_dn2(kappa, z, bound):
@@ -157,8 +189,8 @@ def test_large_imaginary_part_where_lam_rounds_to_one():
 @pytest.mark.parametrize("kappa", [1e-9, 1e-50, 1e-150, 1e-200, 5e-324, 1 - 2.0**-53])
 @pytest.mark.parametrize("method", list(PeriodMethod))
 def test_periods_fail_only_with_typed_errors(kappa, method):
-    # beta = atan2(kappa, lam) is about kappa, so INTEGRAL evaluates I(gamma)
-    # where the product in its integrand underflows
+    # INTEGRAL's K' integrand peaks at s = 0 with a width of about kappa;
+    # Modulus rejects kappa below 2**-510 (1e-200, 5e-324) with DomainError
     try:
         p = periods(Modulus(kappa), method)
     except (DomainError, ConvergenceError):

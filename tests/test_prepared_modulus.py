@@ -89,8 +89,7 @@ def test_modulus_compares_and_hashes_by_kappa_and_stays_frozen():
     assert hash(warm) == hash(Modulus(0.6))
     assert warm != Modulus(0.7)
     assert len({warm, Modulus(0.6)}) == 1
-    for name in ("kappa", "lam", "d", "m", "m1", "c", "alpha", "beta", "lattice", "two_k",
-                 "other"):
+    for name in ("kappa", "lam", "d", "m", "m1", "c", "lattice", "two_k", "other"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(warm, name, 0.5)
 
@@ -102,7 +101,6 @@ def test_cached_values_are_the_derived_quantities():
     assert (mod.lam, mod.d) == (lam, d)
     assert (mod.m, mod.m1) == (d / (1.0 + lam), 2.0 * lam / (1.0 + lam))
     assert mod.c == math.sqrt(0.5 * (1.0 + lam))
-    assert (mod.alpha, mod.beta) == (math.atan2(lam, 0.6), math.atan2(0.6, lam))
     assert (mod.lattice.m, mod.lattice.mc, mod.lattice.scale) == (mod.m, mod.m1, mod.c)
     assert mod.lattice is mod.lattice
     assert mod.two_k > 0.0
