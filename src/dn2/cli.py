@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import operator
 import os
@@ -57,15 +56,15 @@ def parse_z(text: str, K: float, Kprime: float) -> complex:
     factor := ('+' | '-') factor | NUMBER | 'K' | "K'" | 'i' | '(' expr ')'
 
     A juxtaposed factor follows K, K', i or ')', or it follows a number and
-    is not one itself: 2K, iK'/3 and (1+i)K, but not 1 2.  Numbers stay int
-    or float and each operator is applied as soon as its right operand is
-    parsed, so the value is what Python computes for the same expression.
-    Anything else raises DomainError at the first token the grammar does
-    not admit.
+    is not one itself: 2K, iK'/3 and (1+i)K, but not 1 2.  Spaces separate
+    tokens and never join them: 2 K' is 2K', but 1 e5 and K ' are rejected.
+    Numbers stay int or float and each operator is applied as soon as its
+    right operand is parsed, so the value is what Python computes for the
+    same expression.  Anything else raises DomainError at the first token
+    the grammar does not admit.
     """
-    s = text.strip().replace(" ", "")
     symbols = {"K": K, "K'": Kprime, "i": 1j}
-    tokens = _TOKEN.findall(s)
+    tokens = _TOKEN.findall(text)
     pos = 0
 
     def peek() -> str:
@@ -115,7 +114,8 @@ def parse_z(text: str, K: float, Kprime: float) -> complex:
         raise ValueError(f"unexpected {tok!r}")
 
     try:
-        if "".join(tokens) != s:
+        # only spaces, and whitespace at either end, may lie outside tokens
+        if "".join(tokens) != text.strip().replace(" ", ""):
             raise ValueError("unexpected character")
         value = expr()
         if pos != len(tokens):
@@ -208,7 +208,7 @@ def cmd_identities(args) -> list[dict]:
         for label, rep in zip(identities.PERIOD_RELATION_LABELS,
                               identities.period_relations(kappa, **tol))
     ]
-    records = [{"identity": name, **dataclasses.asdict(rep)} for name, rep in reports]
+    records = [{"identity": name, **rep._asdict()} for name, rep in reports]
     worst: dict[str, dict] = {}
     for rec in records:
         name = rec["identity"]

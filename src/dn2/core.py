@@ -13,6 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1
 from .jacobi import jacobi_complex, jacobi_real
@@ -87,8 +88,7 @@ class PeriodMethod(enum.Enum):
     HYPER = "hyper"
 
 
-@dataclass(frozen=True)
-class LatticeData:
+class LatticeData(NamedTuple):
     """Invariants, discriminant, roots e1 > e2 > e3, the Jacobian parameter
     m = (e2 - e3)/(e1 - e3), mc = (e1 - e2)/(e1 - e3) and scale sqrt(e1 - e3)."""
 

@@ -7,15 +7,14 @@ systematic bias in either evaluator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Modulus, PeriodMethod, periods
 from .hyper import F_HALF_ONE, F_QUARTER_ONE, gauss_2f1
 from .kernel import DomainError
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     parameter: float
     lhs: float
     rhs: float

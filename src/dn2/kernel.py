@@ -9,9 +9,8 @@ letting NaNs propagate into results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 class DomainError(ValueError):
@@ -30,8 +29,7 @@ class ConvergenceError(ArithmeticError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     err_estimate: float
     evaluations: int
@@ -104,8 +102,8 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     ``QUAD_TOL``, or 1e-15 of the value; levels 0 and 1 never stop it, and
     one small difference does.  Bounds
     that are not finite, or not in order, raise DomainError; a non-finite
-    integrand value, or no convergence by ``MAX_LEVEL``, raises
-    ConvergenceError.
+    node sum of a level, which any non-finite value of f makes, or no
+    convergence by ``MAX_LEVEL``, raises ConvergenceError, as in ``trapezoid``.
     """
     if not -math.inf < a < b < math.inf:
         raise DomainError(f"integrate requires finite a < b, got a={a}, b={b}")
@@ -140,11 +138,12 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
                 w = weight_scale * cosh_t / cosh_u2
                 if w == 0.0:
                     continue
-                fx = f(x)
+                acc += w * f(x)
                 used += 1
-                if not math.isfinite(fx):
-                    raise ConvergenceError(f"non-finite integrand value at x={x}")
-                acc += w * fx
+        # every weight is positive and finite, so a non-finite value of f
+        # makes the sum non-finite
+        if not math.isfinite(acc):
+            raise ConvergenceError(f"non-finite tanh-sinh sum at level {level}")
         return acc, used
 
     h = 1.0

@@ -64,7 +64,9 @@ class TestParseZ:
     @pytest.mark.parametrize(
         "text",
         ["2**10", "9**9**9", "__import__('os')", "()", "", "1j", "Q", "K''", "1.2.3",
-         "(1.2.3)", "(1", "1)", "1/0", "2^3", "1 _ 0", "9" * 400 + "K"],
+         "(1.2.3)", "(1", "1)", "1/0", "2^3", "1 _ 0", "9" * 400 + "K",
+         # a space ends a token: these are not 12, 1e5, K' and 0.5i
+         "1 2", "1 e5", "K ' ", "0. 5i"],
     )
     def test_rejects_what_the_grammar_does_not_admit(self, text):
         from dn2.kernel import DomainError

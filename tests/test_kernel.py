@@ -75,6 +75,12 @@ class TestIntegrate:
         # so is inf, next to an endpoint too: there is no skip for it
         with pytest.raises(ConvergenceError):
             integrate(lambda t: math.inf if t < 1e-20 else 1.0, 0.0, 1.0)
+        # a single nan at the centre node, and infinities of both signs,
+        # which sum to nan: each makes its level's node sum non-finite
+        with pytest.raises(ConvergenceError):
+            integrate(lambda t: math.nan if t == 0.5 else 1.0, 0.0, 1.0)
+        with pytest.raises(ConvergenceError):
+            integrate(lambda t: math.copysign(math.inf, t - 0.5), 0.0, 1.0)
 
     def test_nonconvergence_carries_best(self):
         # a genuinely hostile integrand: interior kink limits the convergence

@@ -7,8 +7,11 @@ import math
 
 import pytest
 
-from dn2.core import Modulus, Route, dn2, phi
+from dn2.core import Modulus, Route, dn2, invariants_of, phi
+from dn2.identities import identity_bbg_91
 from dn2.jacobi import JacobiTriple, _ladder, jacobi_complex, jacobi_real
+from dn2.kernel import integrate
+from dn2.weier import lattice_from_invariants
 
 Z = [complex(0.4, 0.3), complex(1.9, 2.2), complex(-2.7, 0.8)]
 X = [0.37, -3.1, 7.5]
@@ -106,9 +109,28 @@ def test_cached_values_are_the_derived_quantities():
     assert mod.two_k > 0.0
 
 
+LATTICE_FIELDS = ("g2", "g3", "delta", "e1", "e2", "e3", "m", "mc", "scale")
+
+
 def test_jacobi_triple_fields_and_immutability():
-    for t in (jacobi_real(0.8, 0.5, 0.5), jacobi_complex(complex(0.4, 0.3), 0.5, 0.5)):
+    # the records that only hold values are NamedTuples: tuples with their
+    # fields in order, immutable, and with the repr and hash they had as
+    # frozen dataclasses
+    triples = (jacobi_real(0.8, 0.5, 0.5), jacobi_complex(complex(0.4, 0.3), 0.5, 0.5))
+    for t in triples:
         assert isinstance(t, JacobiTriple)
-        assert (t.sn, t.cn, t.dn) == tuple(t)
+    records = [(t, ("sn", "cn", "dn")) for t in triples] + [
+        (integrate(math.sin, 0.0, 1.0), ("value", "err_estimate", "evaluations")),
+        (invariants_of(Modulus(0.6)), LATTICE_FIELDS),
+        (lattice_from_invariants(4.0 / 3.0 - 0.36, 8.0 / 27.0 - 0.12), LATTICE_FIELDS),
+        (identity_bbg_91(0.6), ("parameter", "lhs", "rhs", "residual", "tol", "passed")),
+    ]
+    for r, fields in records:
+        values = tuple(getattr(r, name) for name in fields)
+        assert isinstance(r, tuple)
+        assert tuple(r) == values
+        assert hash(r) == hash(values)
+        shown = ", ".join(f"{name}={v!r}" for name, v in zip(fields, values))
+        assert repr(r) == f"{type(r).__name__}({shown})"
         with pytest.raises(AttributeError):
-            t.sn = 0.0
+            setattr(r, fields[0], 0.0)
