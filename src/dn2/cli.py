@@ -25,6 +25,16 @@ from .kernel import ConvergenceError, DomainError
 from .weier import wp_halfperiods
 
 
+# the most records one command builds; a request for more (a tiny --step, a
+# huge --n) is a DomainError, not a run that exhausts memory
+MAX_RECORDS = 100_000
+
+
+def _check_count(count: float, what: str) -> None:
+    if not count <= MAX_RECORDS:
+        raise DomainError(f"{what} would make more than {MAX_RECORDS} records")
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
@@ -189,6 +199,10 @@ def cmd_identities(args) -> list[dict]:
     step = args.step
     if not 0.0 < step < 0.5:
         raise DomainError(f"step must lie in (0, 0.5), got {step}")
+    # about (1 - step/2)/step grid values, each with one record per check,
+    # and one worst record per check
+    checks = 3 + len(identities.PERIOD_RELATION_LABELS)
+    _check_count(((1.0 - 0.5 * step) / step + 1.0) * checks, f"step {step}")
     grid = []
     i = 1
     while i * step < 1.0 - 0.5 * step:
@@ -238,6 +252,7 @@ def cmd_sample(args) -> list[dict]:
     n = args.n
     if n < 2:
         raise DomainError(f"need at least 2 sample points, got {n}")
+    _check_count(n * n if args.region == "grid" else n, f"--n {n} on {args.region}")
     route = Route(args.route)
     if args.region != "real-axis" and route is Route.PHI:
         raise DomainError("phi route samples the real axis only")

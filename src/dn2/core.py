@@ -173,14 +173,21 @@ def _f_prime(mod: Modulus):
     """f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t), the integrand of f.
 
     The complement is cos^2 psi = lam^2 + kappa^2 cos^2 t, with
-    sin psi = kappa sin t, which does not cancel as kappa sin t -> 1.
+    sin psi = kappa sin t, which does not cancel as kappa sin t -> 1.  The
+    closed form sqrt((1 + c)/2)/c, c = cos psi, is f14_34_12_closed of that
+    complement, written out with the same operations in the same order, so
+    that the quadrature's inner loop makes one call per node, not two; its
+    domain test can never fail here, where the complement is at least
+    lam^2 > 0.
     """
     k = mod.kappa
     l2 = mod.lam * mod.lam
+    cos, sqrt = math.cos, math.sqrt  # closure cells: no attribute lookup per node
 
     def f_prime(t: float) -> float:
-        c = k * math.cos(t)
-        return f14_34_12_closed(l2 + c * c)
+        c = k * cos(t)
+        c = sqrt(l2 + c * c)
+        return sqrt(0.5 * (1.0 + c)) / c
 
     return f_prime
 

@@ -52,7 +52,7 @@ def reduction_limit(period: float) -> float:
 _T_CUTOFF = 6.115
 # finest refinement level of integrate; bounds the node table
 MAX_LEVEL = 11
-# integrate stops at a level from 2 on that differs from the previous one
+# integrate stops at a level from 3 on that differs from the previous one
 # by at most this much, and trapezoid at a doubling that changes its value
 # by at most this much
 QUAD_TOL = 1e-10
@@ -91,6 +91,12 @@ def _level(level: int) -> tuple[tuple[tuple[float, float, float, float], ...], .
     return tuple(tuple(run) for run in runs)
 
 
+def _check_interval(name: str, a: float, b: float) -> None:
+    """DomainError unless a < b are finite and so is b - a."""
+    if not (-math.inf < a < b < math.inf and b - a < math.inf):
+        raise DomainError(f"{name} requires finite a < b and b - a, got a={a}, b={b}")
+
+
 def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     """Tanh-sinh (double-exponential) quadrature of ``f`` over ``(a, b)``.
 
@@ -98,48 +104,58 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     transformation; nodes that round onto an endpoint are never evaluated.
     The abscissae and weights come from the shared node table ``_level``,
     refined up to ``MAX_LEVEL``.  Refinement stops at the first level from
-    2 on whose value differs from the previous level's by at most
-    ``QUAD_TOL``, or 1e-15 of the value; levels 0 and 1 never stop it, and
-    one small difference does.  Bounds
-    that are not finite, or not in order, raise DomainError; a non-finite
-    node sum of a level, which any non-finite value of f makes, or no
-    convergence by ``MAX_LEVEL``, raises ConvergenceError, as in ``trapezoid``.
+    3 on whose value differs from the previous level's by at most
+    ``QUAD_TOL``, or 1e-15 of the value; levels 0 to 2 never stop it, so
+    that a difference small by accident between levels 1 and 2 cannot.
+    Bounds that are not finite, not in order, or so far apart that b - a
+    overflows, raise DomainError; a non-finite node sum of a level, which any
+    non-finite value of f makes, or no convergence by ``MAX_LEVEL``, raises
+    ConvergenceError, as in ``trapezoid``.
     """
-    if not -math.inf < a < b < math.inf:
-        raise DomainError(f"integrate requires finite a < b, got a={a}, b={b}")
+    _check_interval("integrate", a, b)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     # hoisted out of the node loop: Python groups 2.0 * half * e as
     # (2.0 * half) * e, so hoisting leaves every product bit for bit the same
     two_half = 2.0 * half
     weight_scale = half * 0.5 * math.pi
-    # per run of _level: the abscissa is base + scale * e / (1 + e), the
-    # distance from the nearer endpoint computed without cancellation, so
-    # that endpoint singularities see an accurate abscissa; negating the
-    # scale is exact, so b + (-2 half) e / (1 + e) is b - 2 half e / (1 + e),
-    # and the centre node (e = 1) is mid + 0.0
-    bases = (a, mid, b)
-    scales = (two_half, 0.0, -two_half)
 
     def node_sum(level: int) -> tuple[float, int]:
+        # the abscissa is the nearer endpoint moved inwards by
+        # d = 2 half e / (1 + e), computed without cancellation, so that
+        # endpoint singularities see an accurate abscissa.  A node that
+        # rounds onto an endpoint is dropped: its true weight is far below
+        # double resolution, and so is a node whose weight underflows.
+        # Off the centre e < 1, so d is below (b - a) / 2 but for rounding,
+        # which never carries a left node onto b nor a right node onto a
+        # while b - a is finite; x never decreases along a run, so once a
+        # right node rounds onto b every later one does too
+        left, centre, right = _level(level)
         acc = 0.0
         used = 0
-        for nodes, base, scale in zip(_level(level), bases, scales):
-            for e, one_plus_e, cosh_t, cosh_u2 in nodes:
-                x = base + scale * e / one_plus_e
-                # a node that rounds onto an endpoint is dropped: its true
-                # weight is far below double resolution.  x never decreases
-                # along a run, so once a node rounds onto b every later one
-                # does too
-                if x >= b:
-                    break
-                if x <= a:
-                    continue
-                w = weight_scale * cosh_t / cosh_u2
-                if w == 0.0:
-                    continue
-                acc += w * f(x)
-                used += 1
+        for e, one_plus_e, cosh_t, cosh_u2 in left:
+            x = a + two_half * e / one_plus_e
+            if x <= a:
+                continue
+            w = weight_scale * cosh_t / cosh_u2
+            if w == 0.0:
+                continue
+            acc += w * f(x)
+            used += 1
+        # level 0 only: t = 0, so x = mid and w = weight_scale; mid may round
+        # onto either endpoint of a short interval, or overflow past b
+        if centre and a < mid < b and weight_scale != 0.0:
+            acc += weight_scale * f(mid)
+            used += 1
+        for e, one_plus_e, cosh_t, cosh_u2 in right:
+            x = b - two_half * e / one_plus_e
+            if x >= b:
+                break
+            w = weight_scale * cosh_t / cosh_u2
+            if w == 0.0:
+                continue
+            acc += w * f(x)
+            used += 1
         # every weight is positive and finite, so a non-finite value of f
         # makes the sum non-finite
         if not math.isfinite(acc):
@@ -158,7 +174,7 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
         evaluations += used
         total = 0.5 * prev + h * acc
         delta = abs(total - prev)
-        if level >= 2 and delta <= max(QUAD_TOL, 1e-15 * abs(total)):
+        if level >= 3 and delta <= max(QUAD_TOL, 1e-15 * abs(total)):
             return QuadResult(total, delta, evaluations)
         prev = total
     raise ConvergenceError(
@@ -178,12 +194,10 @@ def trapezoid(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     intervals it doubles n, reusing every value, and stops at the first
     doubling that changes the sum by at most ``QUAD_TOL``; a doubling about
     squares the error, so the doubled sum lies far within it.  It takes
-    n + 1 evaluations.  Bounds that are not finite, or not in order, raise
-    DomainError; a non-finite sum, or no convergence by n = 8 * 2**MAX_LEVEL,
-    raises ConvergenceError.
+    n + 1 evaluations.  Bounds as for ``integrate``; a non-finite sum, or no
+    convergence by n = 8 * 2**MAX_LEVEL, raises ConvergenceError.
     """
-    if not -math.inf < a < b < math.inf:
-        raise DomainError(f"trapezoid requires finite a < b, got a={a}, b={b}")
+    _check_interval("trapezoid", a, b)
     n = 8
     h = (b - a) / n
     # one exactly rounded sum per level, and one of the levels: in a sum of

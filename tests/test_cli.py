@@ -354,6 +354,20 @@ class TestIdentities:
         code, _, _ = run(capsys, "identities", "--step", "0.7")
         assert code == 2
 
+    @pytest.mark.parametrize("step", ["1e-300", "5e-324", "1e-5", "6e-5"])
+    def test_step_too_fine_exit_2_before_any_check(self, capsys, monkeypatch, step):
+        # the grid is counted before it is built: 1e-300 asked for 1e300 values
+        calls = []
+        monkeypatch.setattr(cli.identities, "identity_bbg_91", lambda *a, **k: calls.append(a))
+        code, out, err = run(capsys, "identities", "--step", step)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith(f"error: step {float(step)} would make more than ")
+
+    def test_fine_step_within_the_record_limit(self, capsys):
+        # 99 grid values, 7 records each, and 7 worst records
+        code, out, _ = run(capsys, "--format", "jsonl", "identities", "--step", "0.01")
+        assert code == 0 and out.count("\n") == 700
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0"])
     def test_tol_not_finite_and_positive_exit_2(self, capsys, tol):
         # each used to rule every check failed or every check passed
@@ -525,6 +539,26 @@ class TestSample:
         code, out, err = run(capsys, "sample", "--kappa", "0.6", *argv, "--out", "-")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("region, n", [
+        ("real-axis", 100_001), ("perimeter", 10**30), ("grid", 317), ("grid", 10**30),
+    ])
+    def test_too_many_points_exit_2(self, capsys, region, n):
+        # counted before a point is built: grid makes n**2 of them
+        code, out, err = run(capsys, "sample", "--kappa", "0.6", "--region", region,
+                             "--n", str(n), "--out", "-")
+        assert (code, out) == (2, "")
+        assert err == f"error: --n {n} on {region} would make more than 100000 records\n"
+
+    @pytest.mark.parametrize("seed, region, largest_n", [
+        ([], "real-axis", 9), ([], "perimeter", 9), ([], "grid", 3), (["--seed", "1"], "grid", 3),
+    ])
+    def test_points_at_the_record_limit(self, capsys, monkeypatch, seed, region, largest_n):
+        monkeypatch.setattr(cli, "MAX_RECORDS", 9)
+        for n in (largest_n, largest_n + 1):
+            code = run(capsys, *seed, "sample", "--kappa", "0.6", "--region", region,
+                       "--n", str(n), "--out", "-")[0]
+            assert code == (0 if n == largest_n else 2), n
 
     def test_unwritable_path_exit_2(self, capsys):
         code, _, err = run(

@@ -11,6 +11,7 @@ from dn2.core import (
     Modulus,
     PeriodMethod,
     Route,
+    _f_prime,
     dn2,
     dn2_deriv,
     f_forward,
@@ -21,7 +22,7 @@ from dn2.core import (
     phi,
     s2,
 )
-from dn2.hyper import F_QUARTER_HALF, complete_K, gauss_2f1
+from dn2.hyper import F_QUARTER_HALF, complete_K, f14_34_12_closed, gauss_2f1
 from dn2.jacobi import PoleError
 from dn2.kernel import ConvergenceError, DomainError, integrate, reduction_limit
 
@@ -563,6 +564,25 @@ class TestAmplitude:
         # was 6.45e-15 from mpmath
         u = -7.214633969637685
         assert _rel_err(phi(u, Modulus(0.999)), _mp_phi(u, 0.999)) <= 1e-15
+
+    def test_phi_where_two_levels_agree_by_accident(self):
+        # the f integrand over [0, 0.9695832262418205] has level differences
+        # 1.5e-2, 5.5e-11 and 7.6e-12: stopping at level 2 left f 7.8e-12
+        # and phi 1.8e-12 from mpmath
+        u = 4.175714903180484
+        assert _rel_err(phi(u, Modulus(0.3)), _mp_phi(u, 0.3)) <= 2e-15
+
+    def test_f_prime_is_the_closed_form_bit_for_bit(self):
+        # _f_prime writes out f14_34_12_closed(lam^2 + (kappa cos t)^2)
+        rng = random.Random("f prime closed form")
+        kappas = [10.0**-e for e in range(1, 13)] + [1.0 - 10.0**-e for e in range(1, 13)]
+        kappas += [103965003 * 2.0**-53, 0.3, 0.6, 0.9]
+        for k in kappas:
+            mod = Modulus(k)
+            f_prime = _f_prime(mod)
+            for t in [0.0, 0.5 * math.pi, math.pi] + [rng.uniform(0.0, math.pi) for _ in range(200)]:
+                c = mod.kappa * math.cos(t)
+                assert f_prime(t) == f14_34_12_closed(mod.lam * mod.lam + c * c), (k, t)
 
     @pytest.mark.parametrize("kappa", [0.3, 0.9, 0.999])
     def test_f_reduces_by_its_period_against_mpmath(self, kappa):

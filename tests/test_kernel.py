@@ -69,6 +69,14 @@ class TestIntegrate:
             integrate(f, a, b)
         assert calls == []
 
+    def test_width_that_overflows_raises_before_any_evaluation(self):
+        # b - a = inf: every node off the centre would sit at +-inf, and the
+        # centre's weight would be infinite
+        calls = []
+        with pytest.raises(DomainError):
+            integrate(lambda t: calls.append(t) or 1.0, -1.7e308, 1.7e308)
+        assert calls == []
+
     def test_nan_integrand_rejected(self):
         with pytest.raises(ConvergenceError):
             integrate(lambda t: math.nan, 0.0, 1.0)
@@ -118,6 +126,10 @@ class TestTrapezoid:
     def test_bounds_not_finite_and_ordered_raise(self, a, b):
         with pytest.raises(DomainError):
             trapezoid(lambda s: 1.0, a, b)
+
+    def test_width_that_overflows_raises(self):
+        with pytest.raises(DomainError):
+            trapezoid(lambda s: 1.0, -1.7e308, 1.7e308)
 
     def test_nonconvergence_carries_best(self):
         # an interior kink: the error falls only algebraically
