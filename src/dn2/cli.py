@@ -22,7 +22,8 @@ from . import core, identities
 from .core import Modulus, PeriodMethod, Route
 from .jacobi import PoleError
 from .kernel import ConvergenceError, DomainError
-from .weier import wp_halfperiods
+# unused: bench/tracing.py wraps it on this module, and fails on a missing name
+from .weier import wp_halfperiods  # noqa: F401
 
 
 # the most records one command builds; a request for more (a tiny --step, a
@@ -150,13 +151,12 @@ def cmd_eval(args) -> list[dict]:
     pp = core.periods(mod)
     z = parse_z(args.z, pp.K, pp.Kprime)
     real = z.imag == 0.0
-    zin: float | complex = z.real if real else z
     record = {"kappa": args.kappa, "z_re": z.real, "z_im": z.imag, "route": args.route}
     each = args.route == "all"
     routes = [r for r in Route if real or r is not Route.PHI] if each else [Route(args.route)]
     values = []
     for route in routes:
-        fields, v = _dn2_fields(f"dn2_{route.value}" if each else "dn2", zin, mod, route)
+        fields, v = _dn2_fields(f"dn2_{route.value}" if each else "dn2", z, mod, route)
         record.update(fields)
         values.append(v)
     if each:
@@ -188,11 +188,11 @@ def cmd_periods(args) -> list[dict]:
 
 def cmd_lattice(args) -> list[dict]:
     mod = Modulus(args.kappa)
-    lat = core.invariants_of(mod)
-    hp = wp_halfperiods(lat)
+    lat = mod.lattice
+    pp = core.periods(mod)
     return [{"kappa": args.kappa, "g2": lat.g2, "g3": lat.g3, "delta": lat.delta,
              "e1": lat.e1, "e2": lat.e2, "e3": lat.e3, "k2": lat.m,
-             "K": hp.K, "Kprime": hp.Kprime}]
+             "K": pp.K, "Kprime": pp.Kprime}]
 
 
 def cmd_identities(args) -> list[dict]:
@@ -257,7 +257,6 @@ def cmd_sample(args) -> list[dict]:
     if args.region != "real-axis" and route is Route.PHI:
         raise DomainError("phi route samples the real axis only")
 
-    # real-axis points stay floats, so that the real SN path runs there
     if args.region == "real-axis":
         points = [2.0 * K * i / (n - 1) for i in range(n)]
     elif args.region == "perimeter":

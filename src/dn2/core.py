@@ -41,15 +41,16 @@ _TRAPEZOID_COT = 0.05
 class Modulus:
     """Modulus kappa in [2**-510, 1) and the quantities derived from it.
 
-    A Modulus compares and hashes by kappa alone and is immutable.  It is the
-    one place that derives kappa's quantities, each once on construction and
-    in a form that does not cancel at either end of (0, 1).  ``lattice``, the
-    lattice data ``invariants_of(self)`` of the WP route, and ``two_k``, the
-    ELLIPTIC period 2K by which ``phi`` reduces, are cached on first use.
+    A Modulus compares and hashes by the pair (kappa, lam), as by kappa for
+    one built from kappa, and is immutable.  It is the one place that derives
+    kappa's quantities, each once on construction and in a form that does not
+    cancel at either end of (0, 1).  ``complement``, the modulus of the exact
+    pair (lam, kappa), ``lattice``, the lattice data ``invariants_of(self)``,
+    and ``two_k``, the ELLIPTIC 2K by which ``phi`` reduces, are cached.
     """
 
     kappa: float
-    lam: float = _derived()  # sqrt((1 - kappa)(1 + kappa)), the complementary modulus
+    lam: float = field(init=False, repr=False)  # sqrt((1 - kappa)(1 + kappa))
     d: float = _derived()  # 1 - lam = kappa^2 / (1 + lam)
     m: float = _derived()  # d / (1 + lam), the Jacobian parameter of the SN and WP routes
     m1: float = _derived()  # 2 lam / (1 + lam) = 1 - m
@@ -59,13 +60,24 @@ class Modulus:
         k = self.kappa
         if not KAPPA_MIN <= k < 1.0:
             raise DomainError(f"modulus must lie in [2**-510, 1), got {k}")
-        lam = math.sqrt((1.0 - k) * (1.0 + k))
+        self._derive(math.sqrt((1.0 - k) * (1.0 + k)))
+
+    def _derive(self, lam: float) -> None:
+        k = self.kappa
         d = k * k / (1.0 + lam)
         # frozen: set the derived fields the way cached_property does
         vars(self).update(
             lam=lam, d=d, m=d / (1.0 + lam), m1=2.0 * lam / (1.0 + lam),
             c=math.sqrt(0.5 * (1.0 + lam)),
         )
+
+    @cached_property
+    def complement(self) -> Modulus:
+        # Modulus(self.lam) would take lam back from the rounded kappa
+        com = object.__new__(Modulus)
+        vars(com)["kappa"] = self.lam
+        com._derive(self.kappa)
+        return com
 
     @cached_property
     def lattice(self) -> LatticeData:
@@ -126,41 +138,34 @@ def invariants_of(mod: Modulus) -> LatticeData:
 def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | complex:
     """Evaluate dn2 at z by the requested route.
 
-    Real input yields a float; complex input with nonzero imaginary part
-    yields a complex value.  SN and WP pass on jacobi_complex's PoleError:
-    within 1e-6/c of a pole (z congruent to iK' modulo the lattice).
+    A point on the real axis, z.imag == 0.0 whatever the type of z, takes
+    each route's real path and yields a float; any other point yields a
+    complex value, and DomainError on PHI.  SN and WP pass on
+    jacobi_complex's PoleError: within 1e-6/c of a pole (z congruent to iK'
+    modulo the lattice).
     """
+    on_axis = z.imag == 0.0
     if route is Route.PHI:
-        if isinstance(z, complex):
-            if z.imag != 0.0:
-                raise DomainError("PHI route is defined on the real axis only")
-            z = z.real
-        s = mod.kappa * _phi_and_s2(z, mod)[1]
+        if not on_axis:
+            raise DomainError("PHI route is defined on the real axis only")
+        s = mod.kappa * _phi_and_s2(z.real, mod)[1]
         return math.sqrt(1.0 - s * s)
 
-    real_input = not isinstance(z, complex)
-    if real_input and route is Route.SN:
-        s = jacobi_real(z * mod.c, mod.m, mod.m1).sn
-        return 1.0 - mod.d * s * s
-
-    zc = complex(z)
-    sn = jacobi_complex(zc * mod.c, mod.m, mod.m1).sn
+    if on_axis:
+        sn = jacobi_real(float(z.real) * mod.c, mod.m, mod.m1).sn
+    else:
+        sn = jacobi_complex(complex(z) * mod.c, mod.m, mod.m1).sn
     sn2 = sn * sn
     if route is Route.SN:
-        val = 1.0 - mod.d * sn2
-    else:
-        lat = mod.lattice
-        if abs(sn2) < 1e-26:
-            # lattice point: P has its pole here and dn2 tends to 1
-            val = complex(1.0)
-        else:
-            # 1/3 + wp(z), associated so the exact cancellation 1/3 + e3 = 0
-            # survives floating point
-            denom = (1.0 / 3.0 + lat.e3) + (lat.e1 - lat.e3) / sn2
-            val = 1.0 - 0.5 * mod.kappa**2 / denom
-    if zc.imag == 0.0:
-        return val.real
-    return val
+        return 1.0 - mod.d * sn2
+    if abs(sn2) < 1e-26:
+        # lattice point: P has its pole here and dn2 tends to 1
+        return 1.0 if on_axis else complex(1.0)
+    lat = mod.lattice
+    # 1/3 + wp(z), associated so the exact cancellation 1/3 + e3 = 0
+    # survives floating point
+    denom = (1.0 / 3.0 + lat.e3) + (lat.e1 - lat.e3) / sn2
+    return 1.0 - 0.5 * mod.kappa**2 / denom
 
 
 def dn2_deriv(x: float, mod: Modulus) -> float:

@@ -86,7 +86,7 @@ PERIOD_RELATION_LABELS = (
 def period_relations(kappa: float, tol: float = 1e-12) -> list[ResidualReport]:
     """Residuals of the four symmetric period relations, in label order."""
     mod = Modulus(kappa)
-    com = Modulus(mod.lam)
+    com = mod.complement
     pk = periods(mod, PeriodMethod.ELLIPTIC)
     pl = periods(com, PeriodMethod.ELLIPTIC)
     rt2 = math.sqrt(2.0)

@@ -48,20 +48,18 @@ def _ladder(m: float, mc: float) -> tuple[float, float, tuple[tuple[float, float
     period = 4.0 * complete_K(m, mc)
     emc = mc
     a = 1.0
-    em: list[float] = []
-    en: list[float] = []
+    rungs: list[tuple[float, float]] = []
     c = 0.0
     for _ in range(16):
-        em.append(a)
         emc = math.sqrt(emc)
-        en.append(emc)
+        rungs.append((a, emc))
         c = 0.5 * (a + emc)
         if abs(a - emc) <= 1e-8 * a:
             break
         emc *= a
         a = c
-    rungs = tuple(zip(reversed(em), reversed(en)))
-    return period, reduction_limit(period), rungs, c
+    rungs.reverse()
+    return period, reduction_limit(period), tuple(rungs), c
 
 
 def jacobi_real(x: float, m: float, mc: float) -> JacobiTriple:

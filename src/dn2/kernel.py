@@ -62,33 +62,26 @@ NEWTON_MAX_ITER = 60
 
 
 @lru_cache(maxsize=MAX_LEVEL + 1)
-def _level(level: int) -> tuple[tuple[tuple[float, float, float, float], ...], ...]:
-    """The tanh-sinh nodes integrate adds at refinement level ``level``.
+def _level(level: int) -> tuple[tuple[float, float, float, float], ...]:
+    """The tanh-sinh nodes t > 0 that integrate adds at refinement level
+    ``level``, in increasing t.
 
-    Level 0 holds every node t = k on [-6, 6]; level L >= 1 adds the nodes
-    t = k h, h = 2**-L, at odd k.  They come split by the sign of t into
-    three runs, left (t < 0), centre (t = 0, level 0 only) and right
-    (t > 0), each in increasing t.  A node is stored as
-    (e, 1 + e, cosh t, cosh(u)**2) with u = (pi/2) sinh t and
-    e = exp(-2|u|): everything about it that does not depend on the
-    interval.  Built on first use, so a caller pays only for the levels its
-    integrands reach.
+    Level 0 holds t = 1, ..., 6; level L >= 1 adds t = k h, h = 2**-L, at
+    odd k.  A node is stored as (e, 1 + e, cosh t, cosh(u)**2) with
+    u = (pi/2) sinh t and e = exp(-2|u|): everything about it that does not
+    depend on the interval.  sinh is odd and cosh even, so the node at -t is
+    the same: integrate walks the table backwards for t < 0, and adds t = 0
+    at level 0 itself.  Built on first use, so a caller pays only for the
+    levels its integrands reach.
     """
     h = math.ldexp(1.0, -level)
-    nmax = int(_T_CUTOFF / h)
-    if level == 0:
-        ks = range(-nmax, nmax + 1)
-    else:
-        start = nmax if nmax % 2 == 1 else nmax - 1
-        ks = range(-start, nmax + 1, 2)
-    runs = ([], [], [])
-    for k in ks:
+    nodes = []
+    for k in range(1, int(_T_CUTOFF / h) + 1, 1 if level == 0 else 2):
         t = k * h
         u = 0.5 * math.pi * math.sinh(t)
-        e = math.exp(-2.0 * abs(u))
-        run = runs[0 if t < 0.0 else 2 if t > 0.0 else 1]
-        run.append((e, 1.0 + e, math.cosh(t), math.cosh(u) ** 2))
-    return tuple(tuple(run) for run in runs)
+        e = math.exp(-2.0 * u)
+        nodes.append((e, 1.0 + e, math.cosh(t), math.cosh(u) ** 2))
+    return tuple(nodes)
 
 
 def _check_interval(name: str, a: float, b: float) -> None:
@@ -129,11 +122,12 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
         # Off the centre e < 1, so d is below (b - a) / 2 but for rounding,
         # which never carries a left node onto b nor a right node onto a
         # while b - a is finite; x never decreases along a run, so once a
-        # right node rounds onto b every later one does too
-        left, centre, right = _level(level)
+        # right node rounds onto b every later one does too.  The left run
+        # (t < 0) is the table walked backwards, in increasing t
+        nodes = _level(level)
         acc = 0.0
         used = 0
-        for e, one_plus_e, cosh_t, cosh_u2 in left:
+        for e, one_plus_e, cosh_t, cosh_u2 in reversed(nodes):
             x = a + two_half * e / one_plus_e
             if x <= a:
                 continue
@@ -144,10 +138,10 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
             used += 1
         # level 0 only: t = 0, so x = mid and w = weight_scale; mid may round
         # onto either endpoint of a short interval, or overflow past b
-        if centre and a < mid < b and weight_scale != 0.0:
+        if level == 0 and a < mid < b and weight_scale != 0.0:
             acc += weight_scale * f(mid)
             used += 1
-        for e, one_plus_e, cosh_t, cosh_u2 in right:
+        for e, one_plus_e, cosh_t, cosh_u2 in nodes:
             x = b - two_half * e / one_plus_e
             if x >= b:
                 break

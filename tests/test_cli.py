@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -310,6 +311,20 @@ class TestLattice:
             k2 = mpmath.mpf(float(kappa)) ** 2
             delta = (mpmath.mpf(4) / 3 - k2) ** 3 - 27 * (mpmath.mpf(8) / 27 - k2 / 3) ** 2
         assert abs(rec["delta"] / delta - 1) <= 1e-14
+
+
+    def test_half_periods_are_those_of_periods(self, capsys):
+        # lattice printed K(m)/c, which differed from periods' ELLIPTIC K
+        # in the last bits at 864 of 2,000 kappa
+        rng = random.Random("lattice periods")
+        for kappa in [1e-9, 1.0 - 1e-12] + [rng.uniform(0.01, 0.99) for _ in range(40)]:
+            recs = []
+            for cmd in ("lattice", "periods"):
+                code, out, _ = run(capsys, "--format", "jsonl", cmd, "--kappa", repr(kappa))
+                assert code == 0
+                recs.append(json.loads(out))
+            lat, per = recs
+            assert (lat["K"], lat["Kprime"]) == (per["K"], per["Kprime"]), kappa
 
 
 class TestIdentities:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from dn2 import core
 from dn2.core import (
     KAPPA_MIN,
     Modulus,
@@ -23,7 +24,7 @@ from dn2.core import (
     s2,
 )
 from dn2.hyper import F_QUARTER_HALF, complete_K, f14_34_12_closed, gauss_2f1
-from dn2.jacobi import PoleError
+from dn2.jacobi import PoleError, jacobi_complex
 from dn2.kernel import ConvergenceError, DomainError, integrate, reduction_limit
 
 def _mp_f(T, kappa):
@@ -99,6 +100,21 @@ class TestModulus:
             Modulus(math.nextafter(2.0**-510, 0.0))
         mod = Modulus(2.0**-510)
         assert mod.m > 0.0 and mod.d > 0.0 and mod.m1 == 1.0
+
+    @pytest.mark.parametrize("kappa", [2.0**-510, 1e-9, 1e-3, 0.3, 2.0**-0.5, 0.6, 1.0 - 1e-12])
+    def test_complement_is_the_exact_pair(self, kappa):
+        mod = Modulus(kappa)
+        com = mod.complement
+        assert com.kappa == mod.lam and com.lam == kappa
+        # derived from the pair (lam, kappa) as a Modulus is from (kappa, lam)
+        assert com.d == mod.lam**2 / (1.0 + kappa) and com.m1 == 2.0 * kappa / (1.0 + kappa)
+        assert abs(com.m + com.m1 - 1.0) <= 1e-15
+        assert com.complement == mod and hash(com.complement) == hash(mod)
+        # eq and hash go by the pair: Modulus(lam) takes lam back from the
+        # rounded kappa, and equals the complement only where that is exact
+        if mod.lam < 1.0:
+            rebuilt = Modulus(mod.lam)
+            assert (rebuilt == com) is (rebuilt.lam == kappa)
 
 
 class TestInvariants:
@@ -288,6 +304,87 @@ class TestDn2:
             got = dn2(complex(x, 0.0), mod, Route.PHI)
             assert type(got) is float
             assert got == dn2(x, mod, Route.PHI)
+
+
+def _outcome(z, mod, route):
+    """dn2's value with its type, or its typed error with the message."""
+    try:
+        v = dn2(z, mod, route)
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return type(v), v.hex() if type(v) is float else (v.real.hex(), v.imag.hex())
+
+
+class TestRealAxis:
+    """A point on the real axis takes each route's real path, whatever its
+    Python type; only a nonzero imaginary part leaves it."""
+
+    KAPPAS = [1e-12, 1e-6, 0.1, 0.3, 0.6, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12]
+
+    @pytest.mark.parametrize("route", list(Route))
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_real_point_is_real_whatever_its_type(self, kappa, route):
+        # complex(x, 0.0) went through jacobi_complex on SN and WP, and float
+        # x on SN through jacobi_real with its own last step: the two
+        # differed in the last bit at about 1 in 12 points
+        mod = Modulus(kappa)
+        K = periods(mod).K
+        rng = random.Random(f"real axis:{kappa}")
+        n = 5 if route is Route.PHI else 80
+        for x in [rng.uniform(-6.0, 6.0) * K for _ in range(n)] + [0.0, -0.0, 1, -3]:
+            expected = _outcome(x, mod, route)
+            assert expected[0] is float or issubclass(expected[0], ConvergenceError), x
+            for z in (complex(x, 0.0), complex(x, -0.0)):
+                assert _outcome(z, mod, route) == expected, (x, z)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_real_wp_is_the_complex_bridge_bit_for_bit(self, kappa):
+        # the WP bridge on jacobi_complex's sn, as dn2 computed it at every
+        # real point before a real point took jacobi_real
+        mod = Modulus(kappa)
+        lat = mod.lattice
+        K = periods(mod).K
+        rng = random.Random(f"real wp:{kappa}")
+        for x in [rng.uniform(-6.0, 6.0) * K for _ in range(80)] + [0.0, 2.0 * K]:
+            sn = jacobi_complex(complex(x) * mod.c, mod.m, mod.m1).sn
+            sn2 = sn * sn
+            if abs(sn2) < 1e-26:
+                ref = 1.0
+            else:
+                denom = (1.0 / 3.0 + lat.e3) + (lat.e1 - lat.e3) / sn2
+                ref = (1.0 - 0.5 * mod.kappa**2 / denom).real
+            got = dn2(x, mod, Route.WP)
+            assert type(got) is float and got.hex() == ref.hex(), x
+
+    def test_numpy_scalars_take_the_path_of_their_value(self):
+        # numpy.complex64 is not a subclass of complex: its imaginary part
+        # decides, not its type (SN and PHI dropped it), and a float32 is
+        # converted before it is scaled, not scaled in single precision
+        mod = Modulus(0.6)
+        z = np.complex64(0.4 + 0.3j)
+        x = np.float32(0.4)
+        for route in (Route.SN, Route.WP):
+            assert dn2(z, mod, route) == dn2(complex(z), mod, route)
+            assert dn2(x, mod, route) == dn2(float(x), mod, route)
+        with pytest.raises(DomainError):
+            dn2(z, mod, Route.PHI)
+
+    def test_jacobi_complex_only_off_the_axis(self, monkeypatch):
+        calls = []
+
+        def counted(z, m, mc):
+            calls.append(z)
+            return jacobi_complex(z, m, mc)
+
+        monkeypatch.setattr(core, "jacobi_complex", counted)
+        mod = Modulus(0.6)
+        for route in (Route.SN, Route.WP):
+            for z in (0.4, 2, complex(0.4, 0.0), complex(-1.3, -0.0)):
+                dn2(z, mod, route)
+            assert calls == []
+            dn2(complex(0.4, 1e-300), mod, route)
+            assert len(calls) == 1
+            calls.clear()
 
 
 def _raises_pole(z, mod, route):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,6 +124,22 @@ class TestPeriodRelations:
     def test_sweep(self):
         for kappa in GRID:
             assert all(r.passed for r in period_relations(kappa)), kappa
+
+    def test_sqrt2_relations_on_the_exact_complement(self):
+        # Modulus(lam) took lam back from the rounded kappa: K'(kappa) =
+        # sqrt(2) K(lam) was off by 9e-12 relative at kappa = 1e-3, and
+        # below kappa = 1.05e-8, where lam rounds to 1, the check raised
+        rng = random.Random("complement relations")
+        kappas = [2.0**-510, 1e-12, 1.0 - 1e-12]
+        kappas += [10.0 ** rng.uniform(-12.0, 0.0) for _ in range(60)]
+        kappas += [1.0 - 10.0 ** rng.uniform(-12.0, -0.3) for _ in range(60)]
+        kappas += [10.0**-e for e in range(1, 12)] + [1.0 - 10.0**-e for e in range(1, 12)]
+        for kappa in kappas:
+            reports = period_relations(kappa)
+            for r in reports[:2]:
+                assert abs(r.residual) <= 1e-15 * r.lhs, kappa
+            assert all(r.passed for r in reports), kappa
+        assert len(period_relations(1e-9)) == len(PERIOD_RELATION_LABELS)
 
 
 def test_bbg_pair_implies_transform():

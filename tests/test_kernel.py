@@ -122,6 +122,15 @@ class TestTrapezoid:
         with pytest.raises(ConvergenceError):
             trapezoid(lambda s: math.nan if s == 1.0 / 16.0 else 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("f", [
+        lambda s: math.inf if s < 0.5 else -math.inf,  # fsum meets inf - inf
+        lambda s: 1e308,  # fsum overflows on the way
+    ])
+    def test_sum_that_fsum_rejects_raises_convergence_error(self, f):
+        # math.fsum raises ValueError or OverflowError, not a non-finite sum
+        with pytest.raises(ConvergenceError):
+            trapezoid(f, 0.0, 1.0)
+
     @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (1.0, 1.0)])
     def test_bounds_not_finite_and_ordered_raise(self, a, b):
         with pytest.raises(DomainError):

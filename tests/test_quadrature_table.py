@@ -245,24 +245,23 @@ def test_node_table_is_bounded_and_lazy():
 
 
 def test_level_nodes():
+    def node(t):
+        u = 0.5 * math.pi * math.sinh(t)
+        e = math.exp(-2.0 * abs(u))
+        return (e, 1.0 + e, math.cosh(t), math.cosh(u) ** 2)
+
     for level in range(MAX_LEVEL + 1):
-        # level 0 holds t = -6..6, each finer level the odd multiples of h
+        # level 0 holds t = 1..6, each finer level the positive odd
+        # multiples of h, in increasing t
         h = 2.0**-level
         nmax = int(_T_CUTOFF / h)
-        start = nmax if level == 0 or nmax % 2 == 1 else nmax - 1
-        ks = range(-start, nmax + 1, 1 if level == 0 else 2)
-        ts = [k * h for k in ks]
-        assert len(ts) == (13 if level == 0 else 2 * ((int(_T_CUTOFF * 2**level) + 1) // 2))
-        expected = []
-        for t in ts:
-            u = 0.5 * math.pi * math.sinh(t)
-            e = math.exp(-2.0 * abs(u))
-            expected.append((e, 1.0 + e, math.cosh(t), math.cosh(u) ** 2))
-        # split by the sign of t, each run in increasing t
-        left, centre, right = _level(level)
-        assert len(left) == sum(t < 0.0 for t in ts) and len(right) == sum(t > 0.0 for t in ts)
-        assert len(centre) == (1 if level == 0 else 0)
-        assert left + centre + right == tuple(expected)
-        for e, one_plus_e, cosh_t, cosh_u2 in expected:
-            assert 0.0 < e <= 1.0 and one_plus_e == 1.0 + e
-            assert cosh_t >= 1.0 and math.isfinite(cosh_u2) and cosh_u2 >= 1.0
+        ts = [k * h for k in range(1, nmax + 1, 1 if level == 0 else 2)]
+        assert len(ts) == (6 if level == 0 else (int(_T_CUTOFF * 2**level) + 1) // 2)
+        nodes = _level(level)
+        assert nodes == tuple(node(t) for t in ts)
+        # integrate walks the table backwards for the nodes at -t: sinh is
+        # odd and cosh even, so they are the same nodes, bit for bit
+        assert tuple(node(-t) for t in reversed(ts)) == nodes[::-1]
+        for e, one_plus_e, cosh_t, cosh_u2 in nodes:
+            assert 0.0 < e < 1.0 and one_plus_e == 1.0 + e
+            assert cosh_t > 1.0 and math.isfinite(cosh_u2) and cosh_u2 > 1.0
