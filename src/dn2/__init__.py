@@ -37,10 +37,10 @@ from .identities import (
     symmetric_pair,
     transform_signature4,
 )
-from .jacobi import POLE_THRESHOLD, JacobiTriple, PoleError, jacobi_complex, jacobi_real
+from .jacobi import POLE_THRESHOLD, JacobiTriple, PoleError, jacobi_complex, jacobi_real, sn_complex
 from .kernel import ConvergenceError, DomainError, QuadResult, integrate, newton_invert
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "LatticeData",
@@ -77,6 +77,7 @@ __all__ = [
     "PoleError",
     "jacobi_complex",
     "jacobi_real",
+    "sn_complex",
     "ConvergenceError",
     "DomainError",
     "QuadResult",

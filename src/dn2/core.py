@@ -16,7 +16,8 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1
-from .jacobi import jacobi_complex, jacobi_real
+# jacobi_complex stays bound, unused: bench/tracing.py wraps that name here
+from .jacobi import jacobi_complex, jacobi_real, sn_complex  # noqa: F401
 from .kernel import DomainError, integrate, newton_invert, reduction_limit, trapezoid
 
 
@@ -94,6 +95,9 @@ class Route(enum.Enum):
     PHI = "phi"
 
 
+_SN, _PHI = Route.SN, Route.PHI  # dn2 reads a global, not an enum class attribute
+
+
 class PeriodMethod(enum.Enum):
     INTEGRAL = "integral"
     ELLIPTIC = "elliptic"
@@ -141,11 +145,11 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
     A point on the real axis, z.imag == 0.0 whatever the type of z, takes
     each route's real path and yields a float; any other point yields a
     complex value, and DomainError on PHI.  SN and WP pass on
-    jacobi_complex's PoleError: within 1e-6/c of a pole (z congruent to iK'
+    sn_complex's PoleError: within 1e-6/c of a pole (z congruent to iK'
     modulo the lattice).
     """
     on_axis = z.imag == 0.0
-    if route is Route.PHI:
+    if route is _PHI:
         if not on_axis:
             raise DomainError("PHI route is defined on the real axis only")
         s = mod.kappa * _phi_and_s2(z.real, mod)[1]
@@ -154,9 +158,9 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
     if on_axis:
         sn = jacobi_real(float(z.real) * mod.c, mod.m, mod.m1).sn
     else:
-        sn = jacobi_complex(complex(z) * mod.c, mod.m, mod.m1).sn
+        sn = sn_complex(complex(z) * mod.c, mod.m, mod.m1)
     sn2 = sn * sn
-    if route is Route.SN:
+    if route is _SN:
         return 1.0 - mod.d * sn2
     if abs(sn2) < 1e-26:
         # lattice point: P has its pole here and dn2 tends to 1
@@ -246,6 +250,7 @@ def _phi_and_s2(u: float, mod: Modulus) -> tuple[float, float]:
     """
     a = abs(u)
     if a < 1e-4:
+        a = float(a)  # a numpy.float32 would sum the series in single precision
         n, t = 0, a - mod.kappa**2 * a**3 / 8.0
     else:
         two_k = mod.two_k

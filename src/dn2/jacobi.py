@@ -17,12 +17,14 @@ from typing import NamedTuple
 from .hyper import complete_K
 from .kernel import DomainError, reduction_limit
 
-# jacobi_complex's denominator is m |z - iK'|^2 near a pole: below this times
-# m, z lies within sqrt(POLE_THRESHOLD) of the pole, at every m
+# the addition split's denominator is m |z - iK'|^2 near a pole: below this
+# times m, z lies within sqrt(POLE_THRESHOLD) of the pole, at every m
 POLE_THRESHOLD = 1e-12
 # below this |x| the Landen ascent in jacobi_real overflows (its first step
 # squares cot(x c)), while sn, cn, dn round to x, 1, 1 from |x| < 1e-9 on
 _TINY = 1e-150
+_FLOAT_MIN = sys.float_info.min
+_new = tuple.__new__  # _new(JacobiTriple, t): namedtuple's own __new__, without its frame
 
 
 class PoleError(ArithmeticError):
@@ -75,11 +77,11 @@ def jacobi_real(x: float, m: float, mc: float) -> JacobiTriple:
             f"survive reduction modulo the period {period!r}"
         )
     if m == 0.0:
-        return JacobiTriple(math.sin(x), math.cos(x), 1.0)
+        return _new(JacobiTriple, (math.sin(x), math.cos(x), 1.0))
     # reduce modulo the real period to keep the recursion well conditioned
     x = math.remainder(x, period)
     if abs(x) < _TINY:
-        return JacobiTriple(x, 1.0, 1.0)
+        return _new(JacobiTriple, (x, 1.0, 1.0))
 
     dn = 1.0
     u = x * c
@@ -95,7 +97,32 @@ def jacobi_real(x: float, m: float, mc: float) -> JacobiTriple:
     amp = 1.0 / math.sqrt(cc * cc + 1.0)
     sn = amp if sn >= 0.0 else -amp
     cn = cc * sn
-    return JacobiTriple(sn, cn, dn)
+    return _new(JacobiTriple, (sn, cn, dn))
+
+
+def _addition(z: complex, m: float, mc: float):
+    """Triples of Re z at (m, mc) and Im z at (mc, m) and the denominator of
+    DLMF 22.8, or None at m = 0; raises jacobi_complex's errors in its order."""
+    s, c, d = jacobi_real(z.real, m, mc)
+    if m == 0.0:
+        # cosh(710) is below the largest double, so sin and cos stay finite
+        if not abs(z.imag) <= 710.0:
+            raise DomainError(f"|Im z| must be at most 710 at m = 0, got {z!r}")
+        return None
+    s1, c1, d1 = jacobi_real(z.imag, mc, m)
+    denom = c1 * c1 + m * s * s * s1 * s1
+    if denom < POLE_THRESHOLD * m or denom < _FLOAT_MIN:
+        raise PoleError(f"jacobi functions at a pole (denominator {denom:.3e})")
+    return s, c, d, s1, c1, d1, denom
+
+
+def sn_complex(z: complex, m: float, mc: float) -> complex:
+    """jacobi_complex(z, m, mc).sn, bit for bit, without building cn and dn."""
+    z = complex(z)
+    if (split := _addition(z, m, mc)) is None:
+        return cmath.sin(z)
+    s, c, d, s1, c1, d1, denom = split
+    return complex(s * d1, c * d * s1 * c1) / denom
 
 
 def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
@@ -108,19 +135,10 @@ def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     finite), where they would overflow, raises DomainError.
     """
     z = complex(z)
-    rx = jacobi_real(z.real, m, mc)
-    if m == 0.0:
-        # cosh(710) is below the largest double, so sin and cos stay finite
-        if not abs(z.imag) <= 710.0:
-            raise DomainError(f"|Im z| must be at most 710 at m = 0, got {z!r}")
-        return JacobiTriple(cmath.sin(z), cmath.cos(z), complex(1.0))
-    ry = jacobi_real(z.imag, mc, m)
-    s, c, d = rx.sn, rx.cn, rx.dn
-    s1, c1, d1 = ry.sn, ry.cn, ry.dn
-    denom = c1 * c1 + m * s * s * s1 * s1
-    if denom < POLE_THRESHOLD * m or denom < sys.float_info.min:
-        raise PoleError(f"jacobi functions at a pole (denominator {denom:.3e})")
+    if (split := _addition(z, m, mc)) is None:
+        return _new(JacobiTriple, (cmath.sin(z), cmath.cos(z), complex(1.0)))
+    s, c, d, s1, c1, d1, denom = split
     sn = complex(s * d1, c * d * s1 * c1) / denom
     cn = complex(c * c1, -s * d * s1 * d1) / denom
     dn = complex(d * c1 * d1, -m * s * c * s1) / denom
-    return JacobiTriple(sn, cn, dn)
+    return _new(JacobiTriple, (sn, cn, dn))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from dn2.core import (
     s2,
 )
 from dn2.hyper import F_QUARTER_HALF, complete_K, f14_34_12_closed, gauss_2f1
-from dn2.jacobi import PoleError, jacobi_complex
+from dn2.jacobi import PoleError, jacobi_complex, sn_complex
 from dn2.kernel import ConvergenceError, DomainError, integrate, reduction_limit
 
 def _mp_f(T, kappa):
@@ -369,7 +370,25 @@ class TestRealAxis:
         with pytest.raises(DomainError):
             dn2(z, mod, Route.PHI)
 
-    def test_jacobi_complex_only_off_the_axis(self, monkeypatch):
+    def test_sn_complex_only_off_the_axis(self, monkeypatch):
+        calls = []
+
+        def counted(z, m, mc):
+            calls.append(z)
+            return sn_complex(z, m, mc)
+
+        monkeypatch.setattr(core, "sn_complex", counted)
+        mod = Modulus(0.6)
+        for route in (Route.SN, Route.WP):
+            for z in (0.4, 2, complex(0.4, 0.0), complex(-1.3, -0.0)):
+                dn2(z, mod, route)
+            assert calls == []
+            dn2(complex(0.4, 1e-300), mod, route)
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_no_jacobi_complex_off_the_axis(self, monkeypatch):
+        # SN and WP read only sn: jacobi_complex's cn and dn go unbuilt
         calls = []
 
         def counted(z, m, mc):
@@ -379,12 +398,9 @@ class TestRealAxis:
         monkeypatch.setattr(core, "jacobi_complex", counted)
         mod = Modulus(0.6)
         for route in (Route.SN, Route.WP):
-            for z in (0.4, 2, complex(0.4, 0.0), complex(-1.3, -0.0)):
+            for z in (complex(0.4, 1e-300), complex(-1.3, 0.7), 0.4):
                 dn2(z, mod, route)
-            assert calls == []
-            dn2(complex(0.4, 1e-300), mod, route)
-            assert len(calls) == 1
-            calls.clear()
+        assert calls == []
 
 
 def _raises_pole(z, mod, route):
@@ -755,6 +771,23 @@ class TestAmplitude:
             phi(u, Modulus(0.6))
         with pytest.raises(DomainError):
             s2(u, Modulus(0.6))
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.9])
+    def test_float32_argument_takes_the_path_of_its_value(self, kappa):
+        # the series below |u| = 1e-4 was summed in the type of u, single
+        # precision for a float32: 2.5e-10 relative off at 5e-5, kappa = 0.9
+        np32 = pytest.importorskip("numpy").float32
+        mod = Modulus(kappa)
+        for v in (5e-5, -3e-6, 1e-30, 0.0, 0.3, -2.0, 9.5):
+            u = np32(v)
+            x = float(u)
+            assert phi(u, mod).hex() == phi(x, mod).hex(), v
+            assert s2(u, mod).hex() == s2(x, mod).hex(), v
+            assert dn2(u, mod, Route.PHI).hex() == dn2(x, mod, Route.PHI).hex(), v
+        # a huge int is still refused by the reduction, not overflowed by float()
+        for fn in (phi, s2, partial(dn2, route=Route.PHI)):
+            with pytest.raises(DomainError):
+                fn(10**400, mod)
 
     def test_s2_landmarks(self):
         mod = Modulus(0.7)

@@ -1,13 +1,15 @@
 import cmath
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from dn2.core import Modulus
 from dn2.hyper import complete_K
-from dn2.jacobi import PoleError, jacobi_complex, jacobi_real
+from dn2.jacobi import JacobiTriple, PoleError, jacobi_complex, jacobi_real, sn_complex
 from dn2.kernel import DomainError
 
 # mpmath.ellipfun at dps=50
@@ -170,6 +172,77 @@ class TestComplex:
             jacobi_complex(complex(0.3, math.inf), m, 1.0)
         with pytest.raises(DomainError):
             jacobi_complex(complex(0.3, math.nan), m, 1.0)
+
+
+def _outcome(fn, z, m, mc):
+    """The value as hex, or the error's type and message."""
+    try:
+        v = fn(z, m, mc)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    v = v if type(v) is complex else v.sn
+    return v.real.hex(), v.imag.hex()
+
+
+def _pairs():
+    # (m, m1) of Modulus(kappa) from kappa = 1e-12 to 1 - 1e-12
+    kappas = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.6, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-12]
+    return [(Modulus(k).m, Modulus(k).m1) for k in kappas]
+
+
+class TestSnComplex:
+    """sn_complex is jacobi_complex's sn, from the same addition split."""
+
+    @pytest.mark.parametrize("m, mc", _pairs() + [(0.0, 1.0)])
+    def test_sn_of_jacobi_complex_bit_for_bit(self, m, mc):
+        K = complete_K(m, mc)
+        # at m = 0 the imaginary period is infinite: the box stops at 700
+        Kp = complete_K(mc, m) if m > 0.0 else 350.0
+        rng = random.Random(f"sn_complex:{m}")
+        zs = [complex(rng.uniform(-2.0, 2.0) * K, rng.uniform(-2.0, 2.0) * Kp) for _ in range(200)]
+        values = 0
+        for z in zs + [complex(0.0, Kp), complex(K, Kp), complex(0.3, 0.0), complex(-0.0, 0.4)]:
+            got = _outcome(sn_complex, z, m, mc)
+            assert got == _outcome(jacobi_complex, z, m, mc), z
+            values += type(got[0]) is str
+        assert values >= 200
+
+    @pytest.mark.parametrize("m, mc", _pairs())
+    def test_same_pole_error(self, m, mc):
+        K, Kp = complete_K(m, mc), complete_K(mc, m)
+        for z in (complex(0.0, Kp), complex(2.0 * K, Kp), complex(1e-8, Kp * (1.0 - 1e-9))):
+            got = _outcome(sn_complex, z, m, mc)
+            assert got[0] is PoleError, z
+            assert got == _outcome(jacobi_complex, z, m, mc), z
+
+    @pytest.mark.parametrize("y", [711.0, -711.0, 1e5, math.inf, math.nan])
+    def test_same_domain_error_beyond_710_at_m_zero(self, y):
+        got = _outcome(sn_complex, complex(0.3, y), 0.0, 1.0)
+        assert got[0] is DomainError and got[1].startswith("|Im z| must be at most 710")
+        assert got == _outcome(jacobi_complex, complex(0.3, y), 0.0, 1.0)
+
+    @pytest.mark.parametrize("m, mc", [(0.0, 1.0), (0.5, 0.5)] + _pairs()[::5])
+    @pytest.mark.parametrize("x", [1e300, -math.inf, math.nan])
+    def test_same_domain_error_beyond_the_reduction_limit(self, m, mc, x):
+        # the real part is checked first: at m = 0 before the 710 rule
+        for y in (0.3, 800.0):
+            got = _outcome(sn_complex, complex(x, y), m, mc)
+            assert got[0] is DomainError and got[1].startswith("jacobi_real argument"), (x, y)
+            assert got == _outcome(jacobi_complex, complex(x, y), m, mc), (x, y)
+
+    def test_every_path_returns_a_jacobi_triple(self):
+        # m = 0, a tiny argument, the Landen ascent, and the complex split
+        # at m = 0 and m > 0: the repr and hash of a triple built by its
+        # constructor
+        triples = (
+            jacobi_real(0.8, 0.0, 1.0), jacobi_real(1e-200, 0.5, 0.5), jacobi_real(0.8, 0.5, 0.5),
+            jacobi_complex(complex(0.4, 0.3), 0.0, 1.0), jacobi_complex(complex(0.4, 0.3), 0.5, 0.5),
+        )
+        for t in triples:
+            ref = JacobiTriple(*t)
+            assert type(t) is JacobiTriple
+            assert repr(t) == repr(ref) and hash(t) == hash(ref) and t == ref
+            assert (t.sn, t.cn, t.dn) == tuple(t)
 
 
 # x = +-10**-k for k = 1..323 and the smallest subnormal; below about 1e-154
