@@ -178,12 +178,13 @@ def dn2_deriv(x: float, mod: Modulus) -> float:
     return -2.0 * mod.d * t.sn * t.cn * t.dn * mod.c
 
 
-def _f_prime(mod: Modulus):
-    """f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t), the integrand of f.
+def _f_prime(mod: Modulus, a: float = 0.0, c: float = 0.0):
+    """f'(a + (s - c)), where f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t) is
+    the integrand of f; with the default shift it is f'(s) bit for bit.
 
     The complement is cos^2 psi = lam^2 + kappa^2 cos^2 t, with
     sin psi = kappa sin t, which does not cancel as kappa sin t -> 1.  The
-    closed form sqrt((1 + c)/2)/c, c = cos psi, is f14_34_12_closed of that
+    closed form sqrt((1 + p)/2)/p, p = cos psi, is f14_34_12_closed of that
     complement, written out with the same operations in the same order, so
     that the quadrature's inner loop makes one call per node, not two; its
     domain test can never fail here, where the complement is at least
@@ -193,12 +194,23 @@ def _f_prime(mod: Modulus):
     l2 = mod.lam * mod.lam
     cos, sqrt = math.cos, math.sqrt  # closure cells: no attribute lookup per node
 
-    def f_prime(t: float) -> float:
-        c = k * cos(t)
-        c = sqrt(l2 + c * c)
-        return sqrt(0.5 * (1.0 + c)) / c
+    def f_prime(s: float) -> float:
+        p = k * cos(a + (s - c))
+        p = sqrt(l2 + p * p)
+        return sqrt(0.5 * (1.0 + p)) / p
 
     return f_prime
+
+
+def _integral(mod: Modulus, a: float, b: float) -> float:
+    """The integral of f' over [a, b], a <= b: tanh-sinh of f'(a + (s - c))
+    over [c, c + (b - a)], c = (b - a)/1024, whose left-end nodes stop near
+    ulp(c), 1e-19 (b - a), where from 0 they would walk down to the smallest
+    double with f' flat there.  s - c is exact near c, so the left end is a.
+    """
+    w = b - a
+    c = w / 1024.0
+    return integrate(_f_prime(mod, a, c), c, c + w).value if w > 0.0 else 0.0
 
 
 def f_forward(T: float, mod: Modulus) -> float:
@@ -207,20 +219,20 @@ def f_forward(T: float, mod: Modulus) -> float:
     |T| = n pi + r is reduced by f(T + n pi) = f(T) + n 2K, and an r past
     3 pi/4 by f(pi - r) = 2K - f(r): the quadrature over [0, pi - r] is
     shorter, stays clear of the peak of f' at pi/2, and near pi leaves f
-    with little more than the error of 2K.  The reduction is by math.pi; the
-    n (pi - math.pi) it drops is restored through f'.  Raises DomainError
-    when |T| is so large (or not finite) that fewer than 8 significant
-    digits of T survive reduction modulo pi.
+    with little more than the error of 2K; it is _integral's, with no nodes
+    spent next to 0.  The reduction is by math.pi; the n (pi - math.pi) it
+    drops is restored through f'.  Raises DomainError when |T| is so large
+    (or not finite) that fewer than 8 significant digits of T survive
+    reduction modulo pi.
     """
     n, r = _reduce(abs(T), math.pi, f"f argument {T!r}")
-    f_prime = _f_prime(mod)
     sign = 1.0
     if r > _REFLECT:
         n, r, sign = n + 1, math.pi - r, -1.0  # math.pi - r is exact
-    fr = integrate(f_prime, 0.0, r).value if r > 0.0 else 0.0
+    fr = _integral(mod, 0.0, r)
     if n:
         # f(|T|) = n 2K + sign f(r - sign n _PI_LO), to first order in _PI_LO
-        fr = n * mod.two_k + (sign * fr - n * _PI_LO * f_prime(r))
+        fr = n * mod.two_k + (sign * fr - n * _PI_LO * _f_prime(mod)(r))
     return math.copysign(fr, T)
 
 
@@ -255,8 +267,22 @@ def _phi_and_s2(u: float, mod: Modulus) -> tuple[float, float]:
     else:
         two_k = mod.two_k
         n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
-        x0 = ur * math.pi / two_k
-        t = newton_invert(lambda T: f_forward(T, mod), _f_prime(mod), ur, 0.0, math.pi, x0)
+        f_prime = _f_prime(mod)
+        last = []  # the last iterate x and g(x)
+
+        def g(T: float) -> float:  # f(T) - ur, as phi's docstring says
+            if last and (T > _REFLECT) == (last[0] > _REFLECT):
+                x, gx = last
+                gx += _integral(mod, x, T) if x <= T else -_integral(mod, T, x)
+            elif T > _REFLECT:
+                r = math.pi - T  # exact; two_k - ur is exact for ur >= K
+                gx = (two_k - ur) - _integral(mod, 0.0, r) - _PI_LO * f_prime(r)
+            else:
+                gx = _integral(mod, 0.0, T) - ur
+            last[:] = T, gx
+            return gx
+
+        t = newton_invert(g, f_prime, 0.0, 0.0, math.pi, ur * math.pi / two_k)
     s = math.copysign(math.sin(t), u)
     return math.copysign(n * math.pi + (t + n * _PI_LO), u), -s if n % 2 else s
 
@@ -267,9 +293,12 @@ def phi(u: float, mod: Modulus) -> float:
     phi is odd, so it solves for |u| and takes u's sign.  Reduction uses
     f(T + pi) = f(T) + 2K, then a safeguarded Newton solve of f(T) = u_r on
     [0, pi], where f runs from 0 to 2K; the derivative of f is at least 1
-    everywhere.  Below |u| = 1e-4 it returns the series u - kappa^2 u^3 / 8
-    instead, whose next term is below 1e-17 u there: quadrature cannot
-    integrate over an interval as short as [0, 5e-324].  Raises DomainError
+    everywhere.  Its residual f(T) - u_r comes from the nearer end of
+    [0, pi] at the first iterate and at one across 3 pi/4 from the last; at
+    any other it is the last residual plus f' integrated over the step.
+    Below |u| = 1e-4 it returns the series u - kappa^2 u^3 / 8 instead,
+    whose next term is below 1e-17 u there: quadrature cannot integrate
+    over an interval as short as [0, 5e-324].  Raises DomainError
     when |u| is so large (or not finite) that fewer than 8 significant
     digits of u survive reduction modulo 2K.
     """

@@ -111,7 +111,10 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     # hoisted out of the node loop: Python groups 2.0 * half * e as
     # (2.0 * half) * e, so hoisting leaves every product bit for bit the same
     two_half = 2.0 * half
-    weight_scale = half * 0.5 * math.pi
+    # past b - a = 2**1016 the weight half (pi/2) cosh t overflows at the
+    # outer nodes: every weight is scaled by 2**-k and the result by 2**k
+    k = max(0, math.frexp(b - a)[1] - 1016)
+    weight_scale = math.ldexp(half * 0.5 * math.pi, -k)
 
     def node_sum(level: int) -> tuple[float, int]:
         # the abscissa is the nearer endpoint moved inwards by
@@ -169,11 +172,11 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
         total = 0.5 * prev + h * acc
         delta = abs(total - prev)
         if level >= 3 and delta <= max(QUAD_TOL, 1e-15 * abs(total)):
-            return QuadResult(total, delta, evaluations)
+            return QuadResult(math.ldexp(total, k), math.ldexp(delta, k), evaluations)
         prev = total
     raise ConvergenceError(
         f"quadrature did not converge to {QUAD_TOL} within {MAX_LEVEL} levels",
-        best=QuadResult(total, delta, evaluations),
+        best=QuadResult(math.ldexp(total, k), math.ldexp(delta, k), evaluations),
     )
 
 

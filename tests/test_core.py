@@ -697,6 +697,53 @@ class TestAmplitude:
                 c = mod.kappa * math.cos(t)
                 assert f_prime(t) == f14_34_12_closed(mod.lam * mod.lam + c * c), (k, t)
 
+    def test_f_prime_default_shift_is_unchanged_bit_for_bit(self):
+        # _integral evaluates f'(a + (s - c)); with the default shift a = c = 0
+        # that is f'(s) as it was written before the shift, at every t
+        def unshifted(mod, t):
+            c = mod.kappa * math.cos(t)
+            c = math.sqrt(mod.lam * mod.lam + c * c)
+            return math.sqrt(0.5 * (1.0 + c)) / c
+
+        rng = random.Random("f prime default shift")
+        ts = [0.0, -0.0, 5e-324, 1e-300, 0.5 * math.pi, math.pi, 1e8]
+        ts += [rng.uniform(-10.0, 10.0) for _ in range(300)]
+        for k in (1e-9, 0.3, 0.6, 0.9, 0.999999):
+            mod = Modulus(k)
+            f_prime = _f_prime(mod)
+            shifted = _f_prime(mod, 1.25, 0.5)
+            for t in ts:
+                assert f_prime(t) == unshifted(mod, t), (k, t)
+                assert shifted(t) == unshifted(mod, 1.25 + (t - 0.5)), (k, t)
+
+    @pytest.mark.parametrize("kappa, per_solve, per_f", [(0.3, 186, 76), (0.6, 200, 81),
+                                                         (0.9, 274, 102)])
+    def test_phi_route_quadrature_evaluations(self, monkeypatch, kappa, per_solve, per_f):
+        # f' evaluations per phi solve and per f, over u in three periods 2K
+        # and T in three periods pi either side of 0.  Integrating from 0
+        # spent tanh-sinh nodes down to t = 1e-300, and every Newton iterate
+        # integrated again from 0: 305 / 316 / 546 per solve and 100 / 104 /
+        # 128 per f at kappa = 0.3 / 0.6 / 0.9.  Over the shifted interval,
+        # with the residual carried between iterates: 174 / 183 / 247 and
+        # 70 / 73 / 90; the bounds are about 10% above those
+        evaluations = []
+
+        def counted(f, a, b):
+            result = integrate(f, a, b)
+            evaluations.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(core, "integrate", counted)
+        mod = Modulus(kappa)
+        rng = random.Random(f"evaluations:{kappa}")
+        for _ in range(40):
+            phi(rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k), mod)
+        assert sum(evaluations) / 40 <= per_solve
+        evaluations.clear()
+        for _ in range(40):
+            f_forward(rng.uniform(-3.0 * math.pi, 3.0 * math.pi), mod)
+        assert sum(evaluations) / 40 <= per_f
+
     @pytest.mark.parametrize("kappa", [0.3, 0.9, 0.999])
     def test_f_reduces_by_its_period_against_mpmath(self, kappa):
         # f(T + n pi) = f(T) + n 2K: the quadrature runs over at most [0, pi],

@@ -77,6 +77,29 @@ class TestIntegrate:
             integrate(lambda t: calls.append(t) or 1.0, -1.7e308, 1.7e308)
         assert calls == []
 
+    def test_width_past_1e306_is_scaled_by_a_power_of_two(self):
+        # the weight half (pi/2) cosh t overflowed at the outer nodes, and a
+        # constant over [0, 1e307] raised "non-finite tanh-sinh sum at level 0"
+        r = integrate(lambda t: 1.0, 0.0, 1e307)
+        assert abs(r.value - 1e307) <= 1e-15 * 1e307
+        r = integrate(lambda t: math.sin(t * 1e-307), 0.0, 1e307)
+        assert abs(r.value - (1.0 - math.cos(1.0)) * 1e307) <= 1e-14 * r.value
+        r = integrate(lambda t: 1.0, -8e307, 8e307)
+        assert abs(r.value - 1.6e308) <= 1e-15 * 1.6e308
+        # the scaling is exact: f is evaluated at the nodes of the interval
+        # scaled by 2**-4, times 2**4, and the result is that of the scaled
+        # integral, times 2**4, bit for bit
+        xs, scaled = [], []
+        wide = integrate(lambda t: xs.append(t) or math.exp(-t / 1e306), 0.0, 1e307)
+        narrow = integrate(lambda t: scaled.append(t) or math.exp(-16.0 * t / 1e306),
+                           0.0, 1e307 / 16.0)
+        assert xs == [16.0 * t for t in scaled]
+        assert wide == (16.0 * narrow.value, 16.0 * narrow.err_estimate, narrow.evaluations)
+        # a failure carries its best estimate at the scale of the interval
+        with pytest.raises(ConvergenceError) as info:
+            integrate(lambda t: 1e-10 * abs(t / 1e307 - 0.123456789) ** 0.5, 0.0, 1e307)
+        assert abs(info.value.best.value / 1e297 - 0.6) <= 0.1
+
     def test_nan_integrand_rejected(self):
         with pytest.raises(ConvergenceError):
             integrate(lambda t: math.nan, 0.0, 1.0)

@@ -22,7 +22,9 @@ X = [0.37, -3.1, 7.5]
 # 1 - lam without cancellation (the complex values moved by a few ulp),
 # when phi's Newton solve took a relative stop (phi moved, closer to mpmath)
 # and when f began to reflect past 3 pi/4 and phi to add n pi to double
-# precision (phi(-3.1) at 0.3 and 0.6 moved, closer to mpmath)
+# precision (phi(-3.1) at 0.3 and 0.6 moved, closer to mpmath), and when
+# phi's Newton solve began to carry its residual between iterates (at 0.9,
+# phi(0.37) moved closer to mpmath and phi(7.5) by 1 ulp away from it)
 GOLDEN = {
     0.3: (
         [('0x1.fdfef3446e5a5p-1', '-0x1.50a9ba1420891p-7'), ('0x1.557f6090e0a42p-2', '0x1.54ad3c82f438ap-2'), ('0x1.024a250761509p+0', '-0x1.6e82a70dc8fe5p-5')],
@@ -40,7 +42,7 @@ GOLDEN = {
         [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a72bp-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb37620p-6'), ('0x1.81392a75157d0p-2', '-0x1.00514f342a775p-2')],
         [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a729p-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb3761fp-6'), ('0x1.81392a75157d4p-2', '-0x1.00514f342a773p-2')],
         ['0x1.e4dd3533d49b4p-1', '0x1.559342b13745cp-1', '0x1.849f9f52fa6cfp-1'],
-        ['0x1.75bbe7d9fd3f9p-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e5p+2'],
+        ['0x1.75bbe7d9fd3fap-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e4p+2'],
     ),
 }
 

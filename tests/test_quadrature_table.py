@@ -43,7 +43,10 @@ X = [0.37, -3.1, 7.5]
 # began to add n pi to double precision: each closer to mpmath; the I and
 # INTEGRAL rows when i_gamma took the pair (cos gamma, sin gamma) and summed
 # its smooth periodic form by the trapezoid rule, which moved I(kappa, lam)
-# and K' at 0.9 by 1 ulp each)
+# and K' at 0.9 by 1 ulp each; phi at 0.9 when its Newton solve began to
+# carry the residual f(T) - u_r between iterates, which moved phi(0.37)
+# closer to mpmath, 2.1e-16 to 6.2e-17, and phi(7.5) by 1 ulp away from
+# it, 3.7e-17 to 2.0e-16)
 GOLDEN = {
     0.3: (
         ['0x1.9a518181dd78cp-2', '0x1.51803b35356f2p+0', '-0x1.7a5268a3cc9c8p+1', '0x1.c762b3c48a348p+2'],
@@ -63,7 +66,7 @@ GOLDEN = {
     ),
     0.9: (
         ['0x1.a06717659446fp-2', '0x1.95fcf2e530dbap+0', '-0x1.f872eeae67238p+1', '0x1.2402b48c93cfcp+3'],
-        ['0x1.75bbe7d9fd3f9p-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e5p+2'],
+        ['0x1.75bbe7d9fd3fap-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e4p+2'],
         ('0x1.a22a6fbf0535fp+0', '0x1.0bc753100a5e0p+1'),
         ('0x1.0bc753100a5e0p+1', '0x1.27b016eefc586p+1'),
         ('0x0.0p+0', '-0x1.0000000000000p-51'),
@@ -77,8 +80,13 @@ GOLDEN = {
 # take cos psi from lam^2 + kappa^2 cos^2 t, which moved that T by an ulp,
 # and when f began to reflect past 3 pi/4: the f at that T = 2.4232 now
 # converges, and the failing f is at Newton's third iterate, T = 1.8543,
-# whose best estimate is 3.5e-10 from mpmath)
-GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.4e65c55c65cb7p+3', '0x1.a6414aff00000p-16', 19017)
+# whose best estimate is 3.5e-10 from mpmath; and when f began to integrate
+# over the shifted interval of core._integral and Newton to carry its
+# residual: the failing f is still that at T = 1.8543, which crosses back
+# below 3 pi/4 and so integrates from 0 across the peak, now over the
+# shifted interval, in 13,335 evaluations where it took 19,017; its best
+# estimate moved by 12 ulp and is still 3.5e-10 from mpmath)
+GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.4e65c55c65cc3p+3', '0x1.a6414af880000p-16', 13335)
 
 
 def _quad_hex(r: QuadResult):
