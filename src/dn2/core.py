@@ -61,6 +61,8 @@ class Modulus:
         k = self.kappa
         if not KAPPA_MIN <= k < 1.0:
             raise DomainError(f"modulus must lie in [2**-510, 1), got {k}")
+        # a numpy.float32 kappa would derive everything in single precision
+        vars(self)["kappa"] = k = float(k)
         self._derive(math.sqrt((1.0 - k) * (1.0 + k)))
 
     def _derive(self, lam: float) -> None:
@@ -221,10 +223,15 @@ def f_forward(T: float, mod: Modulus) -> float:
     shorter, stays clear of the peak of f' at pi/2, and near pi leaves f
     with little more than the error of 2K; it is _integral's, with no nodes
     spent next to 0.  The reduction is by math.pi; the n (pi - math.pi) it
-    drops is restored through f'.  Raises DomainError when |T| is so large
-    (or not finite) that fewer than 8 significant digits of T survive
-    reduction modulo pi.
+    drops is restored through f'.  Below |T| = 1e-4 it returns the series
+    T + kappa^2 T^3 / 8 instead, as phi does: quadrature finds no node
+    inside an interval as short as [0, 5e-324].  Raises DomainError when
+    |T| is so large (or not finite) that fewer than 8 significant digits of
+    T survive reduction modulo pi.
     """
+    if abs(T) < 1e-4:
+        T = float(T)  # a numpy.float32 would sum the series in single precision
+        return T + mod.kappa**2 * T**3 / 8.0
     n, r = _reduce(abs(T), math.pi, f"f argument {T!r}")
     sign = 1.0
     if r > _REFLECT:

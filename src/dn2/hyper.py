@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kernel import ConvergenceError, DomainError
+from .kernel import ConvergenceError, DomainError, _check_pair
 
 # cutover from the direct series to the log-connection series at 1-x;
 # both regimes are overlap-tested on [0.7, 0.8]
@@ -91,12 +91,6 @@ def agm(a: float, b: float) -> float:
             return 0.5 * (a + b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     raise ConvergenceError("agm iteration failed to converge")
-
-
-def _check_pair(name: str, m: float, mc: float) -> None:
-    """Raise DomainError unless 0 <= m < 1 and mc = 1 - m to within 1e-12."""
-    if not (0.0 <= m <= 1.0 and 0.0 < mc <= 1.0 and abs(m + mc - 1.0) <= 1e-12):
-        raise DomainError(f"{name} requires 0 <= m < 1 and mc = 1 - m, got ({m!r}, {mc!r})")
 
 
 def complete_K(m: float, mc: float) -> float:

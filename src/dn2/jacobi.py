@@ -14,8 +14,9 @@ import sys
 from functools import lru_cache
 from typing import NamedTuple
 
-from .hyper import complete_K
-from .kernel import DomainError, reduction_limit
+# complete_K stays bound, unused: bench/tracing.py wraps that name here
+from .hyper import complete_K  # noqa: F401
+from .kernel import DomainError, _check_pair, reduction_limit
 
 # the addition split's denominator is m |z - iK'|^2 near a pole: below this
 # times m, z lies within sqrt(POLE_THRESHOLD) of the pole, at every m
@@ -44,10 +45,12 @@ def _ladder(m: float, mc: float) -> tuple[float, float, tuple[tuple[float, float
     Returns the real period 4K(m), the largest |x| that reduction modulo it
     keeps to 8 significant digits, the descending Landen ladder as (a_n, b_n)
     rungs in the order the ascent walks them (top rung first), and the
-    ladder's limit c.  complete_K rejects a pair that is not (m, 1 - m).
+    ladder's limit c.  Its rungs are the steps of hyper.agm(1, sqrt(mc)); one
+    more where the last is not within 1e-15 gives that AGM, and 2 pi / agm
+    is 4.0 * complete_K(m, mc) bit for bit.  A bad pair raises DomainError.
     Bounded, because a sweep over moduli would otherwise grow it without end.
     """
-    period = 4.0 * complete_K(m, mc)
+    _check_pair("jacobi_real", m, mc)
     emc = mc
     a = 1.0
     rungs: list[tuple[float, float]] = []
@@ -60,6 +63,8 @@ def _ladder(m: float, mc: float) -> tuple[float, float, tuple[tuple[float, float
             break
         emc *= a
         a = c
+    agm = c if abs(a - emc) <= 1e-15 * a else 0.5 * (c + math.sqrt(a * emc))
+    period = 2.0 * math.pi / agm
     rungs.reverse()
     return period, reduction_limit(period), tuple(rungs), c
 

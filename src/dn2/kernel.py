@@ -90,6 +90,12 @@ def _check_interval(name: str, a: float, b: float) -> None:
         raise DomainError(f"{name} requires finite a < b and b - a, got a={a}, b={b}")
 
 
+def _check_pair(name: str, m: float, mc: float) -> None:
+    """Raise DomainError unless 0 <= m < 1 and mc = 1 - m to within 1e-12."""
+    if not (0.0 <= m <= 1.0 and 0.0 < mc <= 1.0 and abs(m + mc - 1.0) <= 1e-12):
+        raise DomainError(f"{name} requires 0 <= m < 1 and mc = 1 - m, got ({m!r}, {mc!r})")
+
+
 def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     """Tanh-sinh (double-exponential) quadrature of ``f`` over ``(a, b)``.
 
@@ -111,9 +117,10 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     # hoisted out of the node loop: Python groups 2.0 * half * e as
     # (2.0 * half) * e, so hoisting leaves every product bit for bit the same
     two_half = 2.0 * half
-    # past b - a = 2**1016 the weight half (pi/2) cosh t overflows at the
-    # outer nodes: every weight is scaled by 2**-k and the result by 2**k
-    k = max(0, math.frexp(b - a)[1] - 1016)
+    # past b - a = 2**1000 the weight half (pi/2) cosh t overflows at the
+    # outer nodes, or the level sum, about 2**level times the integral, at
+    # level 11: every weight is scaled by 2**-k and the result by 2**k
+    k = max(0, math.frexp(b - a)[1] - 1000)
     weight_scale = math.ldexp(half * 0.5 * math.pi, -k)
 
     def node_sum(level: int) -> tuple[float, int]:

@@ -102,6 +102,23 @@ class TestModulus:
         mod = Modulus(2.0**-510)
         assert mod.m > 0.0 and mod.d > 0.0 and mod.m1 == 1.0
 
+    @pytest.mark.parametrize("scalar", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("kappa", [1e-3, 0.5, 0.6, 0.9])
+    def test_numpy_scalar_kappa_is_its_float(self, scalar, kappa):
+        # a float32 kappa derived m, lam and every period in single
+        # precision: dn2(0.37) came back as a float32, and a float16 0.5
+        # had K' 4.7e-5 relative off
+        k = scalar(kappa)
+        mod, ref = Modulus(k), Modulus(float(k))
+        assert type(mod.kappa) is float and type(mod.m) is float
+        assert mod == ref and hash(mod) == hash(ref) and repr(mod) == repr(ref)
+        for route in Route:
+            assert dn2(0.37, mod, route).hex() == dn2(0.37, ref, route).hex(), route
+        for method in PeriodMethod:
+            assert periods(mod, method) == periods(ref, method), method
+        with pytest.raises(TypeError):
+            Modulus("0.6")
+
     @pytest.mark.parametrize("kappa", [2.0**-510, 1e-9, 1e-3, 0.3, 2.0**-0.5, 0.6, 1.0 - 1e-12])
     def test_complement_is_the_exact_pair(self, kappa):
         mod = Modulus(kappa)
@@ -565,6 +582,21 @@ class TestAmplitude:
     def test_f_forward_trivial(self):
         assert f_forward(0.0, Modulus(0.5)) == 0.0
         assert math.copysign(1.0, f_forward(-0.0, Modulus(0.5))) == -1.0
+
+    @pytest.mark.parametrize("kappa", [1e-12, 0.6, 1.0 - 1e-12])
+    def test_f_at_subnormal_argument_is_the_argument(self, kappa):
+        # quadrature found no node inside [0, T]: f(5e-324) was 0, and
+        # f(8.0953e-320) 1.2e-4 relative off; below 1e-4 f is its series
+        mod = Modulus(kappa)
+        for T in (5e-324, 1e-323, 8.0953e-320, 1e-317, 6.5e-311, 2.2e-308):
+            assert f_forward(T, mod) == T, T
+            assert f_forward(-T, mod) == -T, T
+            assert phi(f_forward(T, mod), mod) == T, T
+        for T in (1e-200, 1e-10, 3e-5):
+            assert f_forward(-T, mod) == -f_forward(T, mod), T
+            assert phi(f_forward(T, mod), mod) == T, T
+        T = math.nextafter(1e-4, 0.0)
+        assert f_forward(-T, mod) == -f_forward(T, mod)
 
     def test_f_forward_quarter_period(self):
         for kappa in [0.3, 0.6, 0.9]:

@@ -100,6 +100,15 @@ class TestIntegrate:
             integrate(lambda t: 1e-10 * abs(t / 1e307 - 0.123456789) ** 0.5, 0.0, 1e307)
         assert abs(info.value.best.value / 1e297 - 0.6) <= 0.1
 
+    def test_level_sum_near_1e306_does_not_overflow(self):
+        # the level sum is about 2**level times the integral: scaled from
+        # 2**1016 on, it overflowed at level 11 and raised "non-finite
+        # tanh-sinh sum" with no best estimate
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            integrate(lambda t: abs(t / 1e306 - 0.123456789) ** 0.5, 0.0, 1e306)
+        best = info.value.best
+        assert math.isfinite(best.value) and abs(best.value / 1e306 - 0.576) <= 0.01
+
     def test_nan_integrand_rejected(self):
         with pytest.raises(ConvergenceError):
             integrate(lambda t: math.nan, 0.0, 1.0)
