@@ -97,7 +97,7 @@ class Route(enum.Enum):
     PHI = "phi"
 
 
-_SN, _PHI = Route.SN, Route.PHI  # dn2 reads a global, not an enum class attribute
+_SN, _WP, _PHI = Route.SN, Route.WP, Route.PHI  # dn2 reads globals, not enum class attributes
 
 
 class PeriodMethod(enum.Enum):
@@ -148,7 +148,8 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
     each route's real path and yields a float; any other point yields a
     complex value, and DomainError on PHI.  SN and WP pass on
     sn_complex's PoleError: within 1e-6/c of a pole (z congruent to iK'
-    modulo the lattice).
+    modulo the lattice).  A route that is not a Route member raises
+    DomainError.
     """
     on_axis = z.imag == 0.0
     if route is _PHI:
@@ -164,6 +165,8 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
     sn2 = sn * sn
     if route is _SN:
         return 1.0 - mod.d * sn2
+    if route is not _WP:
+        raise DomainError(f"unknown dn2 route {route!r}")
     if abs(sn2) < 1e-26:
         # lattice point: P has its pole here and dn2 tends to 1
         return 1.0 if on_axis else complex(1.0)
@@ -175,8 +178,14 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
 
 
 def dn2_deriv(x: float, mod: Modulus) -> float:
-    """d/dx of dn2 on the real axis, by the sn-route chain rule."""
-    t = jacobi_real(x * mod.c, mod.m, mod.m1)
+    """d/dx of dn2 on the real axis, by the sn-route chain rule.
+
+    As in dn2, a point with x.imag == 0.0, whatever its type, is the float
+    x.real, and any other point raises DomainError.
+    """
+    if x.imag != 0.0:
+        raise DomainError(f"dn2_deriv is defined on the real axis only, got {x!r}")
+    t = jacobi_real(float(x.real) * mod.c, mod.m, mod.m1)
     return -2.0 * mod.d * t.sn * t.cn * t.dn * mod.c
 
 
@@ -289,7 +298,7 @@ def _phi_and_s2(u: float, mod: Modulus) -> tuple[float, float]:
             last[:] = T, gx
             return gx
 
-        t = newton_invert(g, f_prime, 0.0, 0.0, math.pi, ur * math.pi / two_k)
+        t = newton_invert(g, f_prime, 0.0, math.pi, ur * math.pi / two_k)
     s = math.copysign(math.sin(t), u)
     return math.copysign(n * math.pi + (t + n * _PI_LO), u), -s if n % 2 else s
 
@@ -355,7 +364,10 @@ class PeriodPair:
 
 
 def periods(mod: Modulus, method: PeriodMethod = PeriodMethod.ELLIPTIC) -> PeriodPair:
-    """Half-period magnitudes (K, K'); fundamental periods are 2K and 2iK'."""
+    """Half-period magnitudes (K, K'); fundamental periods are 2K and 2iK'.
+
+    A method that is not a PeriodMethod member raises DomainError.
+    """
     if method is PeriodMethod.ELLIPTIC:
         pref = math.sqrt(2.0 / (1.0 + mod.lam))
         return PeriodPair(
@@ -370,6 +382,8 @@ def periods(mod: Modulus, method: PeriodMethod = PeriodMethod.ELLIPTIC) -> Perio
             half_pi * gauss_2f1(F_QUARTER_ONE, k2, l2),
             math.sqrt(2.0) * half_pi * gauss_2f1(F_QUARTER_ONE, l2, k2),
         )
+    if method is not PeriodMethod.INTEGRAL:
+        raise DomainError(f"unknown period method {method!r}")
     return PeriodPair(i_gamma(mod.lam, mod.kappa), math.sqrt(2.0) * i_gamma(mod.kappa, mod.lam))
 
 

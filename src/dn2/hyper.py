@@ -83,12 +83,20 @@ F_QUARTER_HALF = HyperParams(0.25, 0.75, 0.5)
 
 
 def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean of two positive numbers."""
+    """Arithmetic-geometric mean of two positive numbers.
+
+    It runs as max(a, b) agm(1, min/max), so that a b can neither overflow
+    nor underflow; at a = 1 >= b, as complete_K calls it, the scaling is
+    exact.  A ratio min/max that underflows raises ConvergenceError.
+    """
     if a <= 0.0 or b <= 0.0:
         raise DomainError("agm requires positive arguments")
+    if a < b:
+        a, b = b, a
+    s, b, a = a, b / a, 1.0
     for _ in range(64):
         if abs(a - b) <= 1e-15 * a:
-            return 0.5 * (a + b)
+            return s * (0.5 * (a + b))
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     raise ConvergenceError("agm iteration failed to converge")
 

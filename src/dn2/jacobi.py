@@ -106,8 +106,9 @@ def jacobi_real(x: float, m: float, mc: float) -> JacobiTriple:
 
 
 def _addition(z: complex, m: float, mc: float):
-    """Triples of Re z at (m, mc) and Im z at (mc, m) and the denominator of
-    DLMF 22.8, or None at m = 0; raises jacobi_complex's errors in its order."""
+    """sn(z) by DLMF 22.8, then the triples of Re z at (m, mc) and Im z at
+    (mc, m) and the formula's denominator, or None at m = 0; raises
+    jacobi_complex's errors in its order."""
     s, c, d = jacobi_real(z.real, m, mc)
     if m == 0.0:
         # cosh(710) is below the largest double, so sin and cos stay finite
@@ -118,16 +119,15 @@ def _addition(z: complex, m: float, mc: float):
     denom = c1 * c1 + m * s * s * s1 * s1
     if denom < POLE_THRESHOLD * m or denom < _FLOAT_MIN:
         raise PoleError(f"jacobi functions at a pole (denominator {denom:.3e})")
-    return s, c, d, s1, c1, d1, denom
+    return complex(s * d1, c * d * s1 * c1) / denom, s, c, d, s1, c1, d1, denom
 
 
 def sn_complex(z: complex, m: float, mc: float) -> complex:
-    """jacobi_complex(z, m, mc).sn, bit for bit, without building cn and dn."""
+    """jacobi_complex(z, m, mc).sn, without building cn and dn."""
     z = complex(z)
     if (split := _addition(z, m, mc)) is None:
         return cmath.sin(z)
-    s, c, d, s1, c1, d1, denom = split
-    return complex(s * d1, c * d * s1 * c1) / denom
+    return split[0]
 
 
 def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
@@ -142,8 +142,7 @@ def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     z = complex(z)
     if (split := _addition(z, m, mc)) is None:
         return _new(JacobiTriple, (cmath.sin(z), cmath.cos(z), complex(1.0)))
-    s, c, d, s1, c1, d1, denom = split
-    sn = complex(s * d1, c * d * s1 * c1) / denom
+    sn, s, c, d, s1, c1, d1, denom = split
     cn = complex(c * c1, -s * d * s1 * d1) / denom
     dn = complex(d * c1 * d1, -m * s * c * s1) / denom
     return _new(JacobiTriple, (sn, cn, dn))

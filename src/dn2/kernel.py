@@ -239,27 +239,26 @@ def _finite_fsum(values: list[float]) -> float:
 def newton_invert(
     f: Callable[[float], float],
     fprime: Callable[[float], float],
-    target: float,
     lo: float,
     hi: float,
     x0: float,
 ) -> float:
-    """Solve f(x) = target for increasing f with f(lo) <= target <= f(hi).
+    """Solve f(x) = 0 for increasing f with f(lo) <= 0 <= f(hi).
 
     Newton steps from x0 in [lo, hi] stay inside a bracket that every
     evaluation shrinks; a step that would leave it, or a derivative that is
     not positive, gives way to bisection.  Once a step is at most
     ``NEWTON_RTOL`` |x| the next iterate, kept in [lo, hi], is returned
     without evaluating f again: Newton's quadratic convergence puts it within
-    rounding of the root.  A target outside [f(lo), f(hi)] by more than
-    that collapses the bracket onto lo or hi without f ever crossing it, and
+    rounding of the root.  An f with no root on [lo, hi], by more than
+    that, collapses the bracket onto lo or hi without ever changing sign, and
     raises ConvergenceError, as does the iteration cap; ``best`` is the last
     iterate.
     """
     x = x0
-    below = above = False  # whether f has been seen on each side of target
+    below = above = False  # whether f has been seen on each side of 0
     for _ in range(NEWTON_MAX_ITER):
-        g = f(x) - target
+        g = f(x)
         if not math.isfinite(g):
             raise ConvergenceError(f"non-finite function value at x={x}")
         if g == 0.0:
@@ -279,8 +278,6 @@ def newton_invert(
             if not lo < xn < hi:
                 if below and above:  # the root lies between adjacent doubles
                     return x
-                raise ConvergenceError(
-                    f"target {target!r} lies outside f's range on the bracket", best=x
-                )
+                raise ConvergenceError("f has no root on the bracket", best=x)
         x = xn
     raise ConvergenceError("root iteration exceeded the iteration cap", best=x)

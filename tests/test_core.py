@@ -220,6 +220,25 @@ class TestDn2:
             fd = (dn2(x + h, mod) - dn2(x - h, mod)) / (2.0 * h)
             assert abs(fd - dn2_deriv(x, mod)) <= 1e-6
 
+    @pytest.mark.parametrize("z", [0.3, complex(0.3, 0.2)])
+    @pytest.mark.parametrize("route", ["sn", "wp", None, 1])
+    def test_unknown_route_is_refused(self, z, route):
+        # not a Route member: it used to fall through to the WP branch
+        with pytest.raises(DomainError, match=f"unknown dn2 route {route!r}"):
+            dn2(z, Modulus(0.6), route)
+
+    def test_deriv_takes_a_real_point_of_any_type(self):
+        # a numpy.float32 x scaled x c in single precision, and a complex
+        # x + 0j raised TypeError
+        mod = Modulus(0.6)
+        x32 = np.float32(0.3)
+        assert dn2_deriv(x32, mod).hex() == dn2_deriv(float(x32), mod).hex()
+        for z in (complex(0.3, 0.0), complex(0.3, -0.0), np.complex128(0.3)):
+            assert dn2_deriv(z, mod).hex() == dn2_deriv(0.3, mod).hex()
+        for z in (complex(0.3, 1e-300), complex(0.3, math.nan)):
+            with pytest.raises(DomainError, match="real axis"):
+                dn2_deriv(z, mod)
+
     def test_double_periodicity(self):
         # even with periods 2K and 2iK' by both complex routes; by WP this is
         # also Weierstrass P's evenness and double periodicity
@@ -919,6 +938,12 @@ class TestPeriods:
         for sin_g in (1e-12, 1e-50, 1e-100, 1e-140, 1e-200, 1e-300):
             cos_g = math.sqrt((1.0 - sin_g) * (1.0 + sin_g))
             assert abs(i_gamma(cos_g, sin_g) - 0.5 * math.pi) <= 1e-15, sin_g
+
+    @pytest.mark.parametrize("method", ["hyper", "elliptic", None, Route.SN])
+    def test_unknown_method_is_refused(self, method):
+        # not a PeriodMethod member: it used to return INTEGRAL's pair
+        with pytest.raises(DomainError, match="unknown period method"):
+            periods(Modulus(0.6), method)
 
     def test_i_gamma_domain(self):
         bad = [

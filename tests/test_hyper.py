@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import time
 
 import pytest
@@ -373,6 +374,52 @@ class TestCompleteK:
         # nan passes the sign check and never meets the stop test
         with pytest.raises(ConvergenceError):
             agm(math.nan, 1.0)
+
+    @pytest.mark.parametrize("a, b", [
+        (1e160, 3e160), (1e200, 2e200), (1e-200, 2e-200), (1e-160, 3e-160),
+        (1e308, 1e308), (1.7e308, 1e300), (1e-307, 2.3e-308), (3.0, 1.0), (1.0, 3.0),
+    ])
+    def test_agm_neither_overflows_nor_underflows(self, a, b):
+        # a b overflowed or underflowed: ConvergenceError, inf, or 4e-5 off
+        import mpmath
+
+        with mpmath.workdps(40):
+            ref = mpmath.agm(a, b)
+        got = agm(a, b)
+        assert abs(got - ref) <= 1e-15 * ref, (a, b)
+        assert got == agm(b, a)
+
+    def test_agm_seeded_pairs_against_mpmath(self):
+        import mpmath
+
+        rng = random.Random("agm pairs")
+        for _ in range(300):
+            a = 10.0 ** rng.uniform(-300.0, 300.0)
+            b = a * 10.0 ** rng.uniform(-12.0, 12.0)
+            with mpmath.workdps(40):
+                ref = mpmath.agm(a, b)
+            assert abs(agm(a, b) - ref) <= 1e-15 * ref, (a, b)
+
+    def test_agm_ratio_that_underflows_raises(self):
+        # b / a rounds to 0, and agm(1, 0) has no positive limit
+        with pytest.raises(ConvergenceError):
+            agm(1e300, 1e-300)
+
+    def test_complete_k_is_the_unscaled_agm_bit_for_bit(self):
+        # at a = 1 >= b the scaling of agm is exact: the iteration of
+        # (1, sqrt(mc)) itself
+        def unscaled(a, b):
+            while abs(a - b) > 1e-15 * a:
+                a, b = 0.5 * (a + b), math.sqrt(a * b)
+            return 0.5 * (a + b)
+
+        rng = random.Random("complete_K bits")
+        pairs = [(1.0 - math.ldexp(1.0, -e), math.ldexp(1.0, -e)) for e in range(1, 1075)]
+        pairs += [(m, 1.0 - m) for m in (rng.random() for _ in range(3000))]
+        pairs += [(0.0, 1.0)]
+        for m, mc in pairs:
+            expected = 0.5 * math.pi / unscaled(1.0, math.sqrt(mc))
+            assert complete_K(m, mc) == expected, (m, mc)
 
     def test_parameter_rounding_to_one(self):
         # K(m) with m = 1 - mc for mc below half an ulp of 1: the AGM runs on

@@ -181,11 +181,11 @@ class TestTrapezoid:
 
 class TestNewtonInvert:
     def test_square(self):
-        x = newton_invert(lambda t: t * t, lambda t: 2 * t, 4.0, 0.0, 3.0, 3.0)
+        x = newton_invert(lambda t: t * t - 4.0, lambda t: 2 * t, 0.0, 3.0, 3.0)
         assert x == 2.0
 
     def test_sine(self):
-        x = newton_invert(math.sin, math.cos, 0.5, 0.0, 0.5 * math.pi, 0.5)
+        x = newton_invert(lambda t: math.sin(t) - 0.5, math.cos, 0.0, 0.5 * math.pi, 0.5)
         assert abs(x - math.pi / 6) <= 2e-16
 
     def test_quadrature_round_trip(self):
@@ -196,7 +196,8 @@ class TestNewtonInvert:
 
         target = forward(0.7)
         x = newton_invert(
-            forward, lambda T: 1.0 + 0.25 * math.sin(T) ** 2, target, 0.0, math.pi, 0.3
+            lambda T: forward(T) - target, lambda T: 1.0 + 0.25 * math.sin(T) ** 2,
+            0.0, math.pi, 0.3,
         )
         assert abs(x - 0.7) <= 1e-15  # the rounding of forward
 
@@ -205,9 +206,9 @@ class TestNewtonInvert:
 
         def f(t):
             calls.append(t)
-            return t * t
+            return t * t - 2.0
 
-        x = newton_invert(f, lambda t: 2 * t, 2.0, 0.0, 2.0, 1.5)
+        x = newton_invert(f, lambda t: 2 * t, 0.0, 2.0, 1.5)
         assert abs(x - math.sqrt(2.0)) <= 2e-16
         assert calls[0] == 1.5
         assert x not in calls  # the converged step is returned unevaluated
@@ -215,25 +216,25 @@ class TestNewtonInvert:
 
     def test_bisects_where_newton_leaves_the_bracket(self):
         # the tangent at the flat start of x^5 points far outside [0, 2]
-        x = newton_invert(lambda t: t**5, lambda t: 5 * t**4, 1.0, 0.0, 2.0, 0.01)
+        x = newton_invert(lambda t: t**5 - 1.0, lambda t: 5 * t**4, 0.0, 2.0, 0.01)
         assert abs(x - 1.0) <= 2e-16
         # a derivative that is not positive is not followed either
-        x = newton_invert(math.tanh, lambda t: 0.0, 0.5, 0.0, 3.0, 2.0)
+        x = newton_invert(lambda t: math.tanh(t) - 0.5, lambda t: 0.0, 0.0, 3.0, 2.0)
         assert abs(x - math.atanh(0.5)) <= 2e-16
 
     def test_target_within_rounding_of_an_end_returns_that_end(self):
         # 3 hi rounds one ulp below the target: Newton keeps aiming past hi
         target = math.nextafter(3.0, math.inf)
-        assert newton_invert(lambda t: 3.0 * t, lambda t: 3.0, target, 0.0, 1.0, 0.5) == 1.0
+        assert newton_invert(lambda t: 3.0 * t - target, lambda t: 3.0, 0.0, 1.0, 0.5) == 1.0
 
     def test_nan_function_value(self):
         with pytest.raises(ConvergenceError):
-            newton_invert(lambda t: math.nan, lambda t: 1.0, 0.5, 0.0, 1.0, 0.5)
+            newton_invert(lambda t: math.nan, lambda t: 1.0, 0.0, 1.0, 0.5)
 
     def test_no_bracket(self):
-        # a target outside [f(lo), f(hi)] collapses the bracket onto an end
+        # an f with no root on [lo, hi] collapses the bracket onto an end
         for target, x0 in [(5.0, 0.0), (0.999, 1.0), (-0.5, 2.0)]:
             with pytest.raises(ConvergenceError) as info:
-                newton_invert(math.tanh, lambda t: 1.0 / math.cosh(t) ** 2,
-                              target, 0.0, 3.0, x0)
+                newton_invert(lambda t: math.tanh(t) - target,
+                              lambda t: 1.0 / math.cosh(t) ** 2, 0.0, 3.0, x0)
             assert 0.0 <= info.value.best <= 3.0

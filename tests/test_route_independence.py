@@ -4,7 +4,8 @@ The three dn2 routes check each other only while none runs another's code
 path.  The Landen ladder of jacobi is the AGM of (1, sqrt(mc)), so it gives
 the real period 4K(m) itself; the SN and WP routes then read nothing of
 hyper's AGM, which the ELLIPTIC periods and the PHI route's reduction by 2K
-run on.
+run on.  Nor do the other kernels that one route or period method runs
+move any other: scaled by 1 + 1e-9, each moves its owner alone.
 """
 
 import math
@@ -62,12 +63,13 @@ def _points(mod):
 
 
 def _values(kappa, xs, zs):
+    """Each route's values and each period method's pair, keyed by name."""
     mod = Modulus(kappa)  # fresh: Modulus caches the 2K that PHI reduces by
     return {
         "sn": [dn2(v, mod, Route.SN) for v in xs + zs],
         "wp": [dn2(v, mod, Route.WP) for v in xs + zs],
         "phi": [dn2(x, mod, Route.PHI) for x in xs],
-        "elliptic": periods(mod, PeriodMethod.ELLIPTIC),
+        **{method.value: periods(mod, method) for method in PeriodMethod},
     }
 
 
@@ -106,3 +108,39 @@ def test_bad_pair_is_refused_by_the_ladder(m, mc):
         sn_complex(complex(0.5, 0.5), m, mc)
     with pytest.raises(DomainError, match="jacobi_real"):
         jacobi_complex(complex(0.5, 0.5), m, mc)
+
+
+def _scaled(value):
+    if isinstance(value, tuple):  # integrate's and trapezoid's QuadResult
+        return value._replace(value=SCALE * value.value)
+    return SCALE * value
+
+
+# kernel, the dn2 modules whose binding of it is scaled, and the one route
+# or period method that runs it at these moduli.  jacobi_real and
+# sn_complex are left out: SN and WP share them
+KERNELS = [
+    ("gauss_2f1", ["core", "hyper"], "hyper"),
+    ("integrate", ["core"], "phi"),
+    ("newton_invert", ["core"], "phi"),
+    ("trapezoid", ["core"], "integral"),
+    ("f14_34_12_closed", ["core"], "integral"),
+]
+
+
+@pytest.mark.parametrize("kernel, modules, owner", KERNELS)
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_each_kernel_moves_one_route_or_method(monkeypatch, kernel, modules, owner, kappa):
+    xs, zs = _points(Modulus(kappa))
+    before = _values(kappa, xs, zs)
+    for name in modules:
+        module = sys.modules[f"dn2.{name}"]
+        original = getattr(module, kernel)
+        monkeypatch.setattr(module, kernel,
+                            lambda *a, _f=original: _scaled(_f(*a)))
+    try:
+        after = _values(kappa, xs, zs)
+    finally:
+        monkeypatch.undo()
+    moved = sorted(key for key in before if after[key] != before[key])
+    assert moved == [owner]
