@@ -16,8 +16,9 @@ from functools import cached_property, partial
 from typing import NamedTuple
 
 from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1
-# jacobi_complex stays bound, unused: bench/tracing.py wraps that name here
-from .jacobi import jacobi_complex, jacobi_real, sn_complex  # noqa: F401
+# jacobi_complex and jacobi_real stay bound, unused: bench/tracing.py wraps
+# those names here
+from .jacobi import _addition, _ascent, _ladder, jacobi_complex, jacobi_real  # noqa: F401
 from .kernel import DomainError, integrate, newton_invert, reduction_limit, trapezoid
 
 
@@ -47,7 +48,11 @@ class Modulus:
     kappa's quantities, each once on construction and in a form that does not
     cancel at either end of (0, 1).  ``complement``, the modulus of the exact
     pair (lam, kappa), ``lattice``, the lattice data ``invariants_of(self)``,
-    and ``two_k``, the ELLIPTIC 2K by which ``phi`` reduces, are cached.
+    and ``two_k``, the ELLIPTIC 2K by which ``phi`` reduces, are cached, as
+    are the two Landen ladders and the constants of the WP bridge that
+    ``dn2`` reads on every SN and WP call.  Every Modulus, a complement too,
+    has 2**-510 <= kappa <= 1 and lam > 0; kappa is 1.0 only for the
+    complement of a kappa below about 6.6e-9, whose lam rounds to 1.0.
     """
 
     kappa: float
@@ -59,14 +64,17 @@ class Modulus:
 
     def __post_init__(self):
         k = self.kappa
-        if not KAPPA_MIN <= k < 1.0:
-            raise DomainError(f"modulus must lie in [2**-510, 1), got {k}")
-        # a numpy.float32 kappa would derive everything in single precision
-        vars(self)["kappa"] = k = float(k)
-        self._derive(math.sqrt((1.0 - k) * (1.0 + k)))
+        lam = 0.0  # kappa = 1 has lam = 0; _derive refuses it, and every kappa outside [0, 1)
+        if 0.0 <= k < 1.0:
+            # a numpy.float32 kappa would derive everything in single precision
+            vars(self)["kappa"] = k = float(k)
+            lam = math.sqrt((1.0 - k) * (1.0 + k))
+        self._derive(lam)
 
     def _derive(self, lam: float) -> None:
         k = self.kappa
+        if not (KAPPA_MIN <= k <= 1.0 and lam > 0.0):
+            raise DomainError(f"modulus must lie in [2**-510, 1), got {k}")
         d = k * k / (1.0 + lam)
         # frozen: set the derived fields the way cached_property does
         vars(self).update(
@@ -89,6 +97,29 @@ class Modulus:
     @cached_property
     def two_k(self) -> float:
         return 2.0 * periods(self, PeriodMethod.ELLIPTIC).K
+
+    @cached_property
+    def _re_ladder(self) -> tuple:  # jacobi's ladder of (m, m1), for Re(c z)
+        return _ladder(self.m, self.m1)
+
+    @cached_property
+    def _im_ladder(self) -> tuple:  # and of (m1, m), for Im(c z)
+        return _ladder(self.m1, self.m)
+
+    @cached_property
+    def _wp_shift(self) -> float:
+        # 1/3 + e3, exactly 0.0: the WP bridge adds it to (e1 - e3)/sn^2,
+        # so that its exact cancellation survives floating point
+        return 1.0 / 3.0 + self.lattice.e3
+
+    @cached_property
+    def _wp_scale(self) -> float:  # e1 - e3
+        lat = self.lattice
+        return lat.e1 - lat.e3
+
+    @cached_property
+    def _wp_half_k2(self) -> float:
+        return 0.5 * self.kappa**2
 
 
 class Route(enum.Enum):
@@ -146,8 +177,8 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
 
     A point on the real axis, z.imag == 0.0 whatever the type of z, takes
     each route's real path and yields a float; any other point yields a
-    complex value, and DomainError on PHI.  SN and WP pass on
-    sn_complex's PoleError: within 1e-6/c of a pole (z congruent to iK'
+    complex value, and DomainError on PHI.  SN and WP pass on the
+    addition split's PoleError: within 1e-6/c of a pole (z congruent to iK'
     modulo the lattice).  A route that is not a Route member raises
     DomainError.
     """
@@ -158,10 +189,11 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
         s = mod.kappa * _phi_and_s2(z.real, mod)[1]
         return math.sqrt(1.0 - s * s)
 
+    # sn of c z: jacobi_real's and sn_complex's arithmetic, on mod's ladders
     if on_axis:
-        sn = jacobi_real(float(z.real) * mod.c, mod.m, mod.m1).sn
+        sn = _ascent(float(z.real) * mod.c, mod._re_ladder, mod.m)[0]
     else:
-        sn = sn_complex(complex(z) * mod.c, mod.m, mod.m1)
+        sn = _addition(complex(z) * mod.c, mod.m, mod.m1, mod._re_ladder, mod._im_ladder)[0]
     sn2 = sn * sn
     if route is _SN:
         return 1.0 - mod.d * sn2
@@ -170,11 +202,9 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
     if abs(sn2) < 1e-26:
         # lattice point: P has its pole here and dn2 tends to 1
         return 1.0 if on_axis else complex(1.0)
-    lat = mod.lattice
-    # 1/3 + wp(z), associated so the exact cancellation 1/3 + e3 = 0
-    # survives floating point
-    denom = (1.0 / 3.0 + lat.e3) + (lat.e1 - lat.e3) / sn2
-    return 1.0 - 0.5 * mod.kappa**2 / denom
+    # 1/3 + wp(z) = (1/3 + e3) + (e1 - e3)/sn^2
+    denom = mod._wp_shift + mod._wp_scale / sn2
+    return 1.0 - mod._wp_half_k2 / denom
 
 
 def dn2_deriv(x: float, mod: Modulus) -> float:
@@ -185,8 +215,8 @@ def dn2_deriv(x: float, mod: Modulus) -> float:
     """
     if x.imag != 0.0:
         raise DomainError(f"dn2_deriv is defined on the real axis only, got {x!r}")
-    t = jacobi_real(float(x.real) * mod.c, mod.m, mod.m1)
-    return -2.0 * mod.d * t.sn * t.cn * t.dn * mod.c
+    sn, cn, dn = _ascent(float(x.real) * mod.c, mod._re_ladder, mod.m)
+    return -2.0 * mod.d * sn * cn * dn * mod.c
 
 
 def _f_prime(mod: Modulus, a: float = 0.0, c: float = 0.0):

@@ -40,7 +40,7 @@ class JacobiTriple(NamedTuple):
 
 @lru_cache(maxsize=128)
 def _ladder(m: float, mc: float) -> tuple[float, float, tuple[tuple[float, float], ...], float]:
-    """Everything jacobi_real needs that depends on the pair (m, mc) alone.
+    """Everything _ascent needs that depends on the pair (m, mc) alone.
 
     Returns the real period 4K(m), the largest |x| that reduction modulo it
     keeps to 8 significant digits, the descending Landen ladder as (a_n, b_n)
@@ -69,24 +69,21 @@ def _ladder(m: float, mc: float) -> tuple[float, float, tuple[tuple[float, float
     return period, reduction_limit(period), tuple(rungs), c
 
 
-def jacobi_real(x: float, m: float, mc: float) -> JacobiTriple:
-    """sn, cn, dn of a real argument, 0 <= m < 1 with complement mc = 1 - m.
-
-    Raises DomainError when |x| is so large (or not finite) that fewer than
-    8 significant digits of x survive reduction modulo the period 4K(m).
-    """
-    period, limit, rungs, c = _ladder(m, mc)
+def _ascent(x: float, ladder: tuple, m: float) -> tuple[float, float, float]:
+    """sn, cn, dn of a real x as a plain tuple, from the ladder of the pair
+    (m, mc); jacobi_real's body, which core.dn2 runs on a Modulus's ladder."""
+    period, limit, rungs, c = ladder
     if not abs(x) <= limit:
         raise DomainError(
             f"jacobi_real argument {x!r} is beyond {limit:.6g}: fewer than 8 digits "
             f"survive reduction modulo the period {period!r}"
         )
     if m == 0.0:
-        return _new(JacobiTriple, (math.sin(x), math.cos(x), 1.0))
+        return math.sin(x), math.cos(x), 1.0
     # reduce modulo the real period to keep the recursion well conditioned
     x = math.remainder(x, period)
     if abs(x) < _TINY:
-        return _new(JacobiTriple, (x, 1.0, 1.0))
+        return x, 1.0, 1.0
 
     dn = 1.0
     u = x * c
@@ -101,21 +98,30 @@ def jacobi_real(x: float, m: float, mc: float) -> JacobiTriple:
         aa = cc / b
     amp = 1.0 / math.sqrt(cc * cc + 1.0)
     sn = amp if sn >= 0.0 else -amp
-    cn = cc * sn
-    return _new(JacobiTriple, (sn, cn, dn))
+    return sn, cc * sn, dn
 
 
-def _addition(z: complex, m: float, mc: float):
+def jacobi_real(x: float, m: float, mc: float) -> JacobiTriple:
+    """sn, cn, dn of a real argument, 0 <= m < 1 with complement mc = 1 - m.
+
+    Raises DomainError when |x| is so large (or not finite) that fewer than
+    8 significant digits of x survive reduction modulo the period 4K(m).
+    """
+    return _new(JacobiTriple, _ascent(x, _ladder(m, mc), m))
+
+
+def _addition(z: complex, m: float, mc: float, re_ladder: tuple, im_ladder: tuple | None):
     """sn(z) by DLMF 22.8, then the triples of Re z at (m, mc) and Im z at
-    (mc, m) and the formula's denominator, or None at m = 0; raises
-    jacobi_complex's errors in its order."""
-    s, c, d = jacobi_real(z.real, m, mc)
+    (mc, m), from their ladders, and the formula's denominator, or None at
+    m = 0, where im_ladder is not read (the pair (1, 0) raises DomainError,
+    so a caller passes None); raises jacobi_complex's errors in its order."""
+    s, c, d = _ascent(z.real, re_ladder, m)
     if m == 0.0:
         # cosh(710) is below the largest double, so sin and cos stay finite
         if not abs(z.imag) <= 710.0:
             raise DomainError(f"|Im z| must be at most 710 at m = 0, got {z!r}")
         return None
-    s1, c1, d1 = jacobi_real(z.imag, mc, m)
+    s1, c1, d1 = _ascent(z.imag, im_ladder, mc)
     denom = c1 * c1 + m * s * s * s1 * s1
     if denom < POLE_THRESHOLD * m or denom < _FLOAT_MIN:
         raise PoleError(f"jacobi functions at a pole (denominator {denom:.3e})")
@@ -125,7 +131,7 @@ def _addition(z: complex, m: float, mc: float):
 def sn_complex(z: complex, m: float, mc: float) -> complex:
     """jacobi_complex(z, m, mc).sn, without building cn and dn."""
     z = complex(z)
-    if (split := _addition(z, m, mc)) is None:
+    if (split := _addition(z, m, mc, _ladder(m, mc), _ladder(mc, m) if m else None)) is None:
         return cmath.sin(z)
     return split[0]
 
@@ -140,7 +146,7 @@ def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     finite), where they would overflow, raises DomainError.
     """
     z = complex(z)
-    if (split := _addition(z, m, mc)) is None:
+    if (split := _addition(z, m, mc, _ladder(m, mc), _ladder(mc, m) if m else None)) is None:
         return _new(JacobiTriple, (cmath.sin(z), cmath.cos(z), complex(1.0)))
     sn, s, c, d, s1, c1, d1, denom = split
     cn = complex(c * c1, -s * d * s1 * d1) / denom

@@ -25,7 +25,7 @@ from dn2.core import (
     s2,
 )
 from dn2.hyper import F_QUARTER_HALF, complete_K, f14_34_12_closed, gauss_2f1
-from dn2.jacobi import PoleError, jacobi_complex, sn_complex
+from dn2.jacobi import PoleError, jacobi_complex
 from dn2.kernel import ConvergenceError, DomainError, integrate, reduction_limit
 
 def _mp_f(T, kappa):
@@ -133,6 +133,34 @@ class TestModulus:
         if mod.lam < 1.0:
             rebuilt = Modulus(mod.lam)
             assert (rebuilt == com) is (rebuilt.lam == kappa)
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.5, math.inf, math.nan, 0.0, -0.5,
+                                       math.nextafter(2.0**-510, 0.0)])
+    def test_kappa_outside_the_domain_is_refused(self, kappa):
+        with pytest.raises(DomainError) as err:
+            Modulus(kappa)
+        assert str(err.value) == f"modulus must lie in [2**-510, 1), got {kappa}"
+
+    @pytest.mark.parametrize("kappa", [2.0**-510, 1e-100, 1e-12, 1e-9, 6e-9])
+    def test_complement_with_kappa_one_passes_the_domain_rule(self, kappa):
+        # below kappa = 6.6e-9 lam rounds to 1.0, so the complement's kappa
+        # is 1.0, which a caller cannot pass, while its lam is kappa > 0
+        mod = Modulus(kappa)
+        assert mod.lam == 1.0
+        com = mod.complement
+        assert (com.kappa, com.lam) == (1.0, kappa)
+        assert com.m1 == 2.0 * kappa / (1.0 + kappa) and math.isfinite(dn2(0.3, com))
+
+    @pytest.mark.parametrize("kappa, lam", [(1.0, 0.0), (1.0, -0.0), (1.0, math.nan),
+                                            (math.nextafter(1.0, 2.0), 0.5),
+                                            (math.nextafter(2.0**-510, 0.0), 1.0)])
+    def test_complement_path_runs_the_domain_rule(self, kappa, lam):
+        # _derive checks 2**-510 <= kappa <= 1 and lam > 0 on the path that
+        # builds a complement from an exact pair as on the constructor's
+        com = object.__new__(Modulus)
+        vars(com)["kappa"] = kappa
+        with pytest.raises(DomainError, match=r"modulus must lie in \[2\*\*-510, 1\)"):
+            com._derive(lam)
 
 
 class TestInvariants:
@@ -406,14 +434,17 @@ class TestRealAxis:
         with pytest.raises(DomainError):
             dn2(z, mod, Route.PHI)
 
-    def test_sn_complex_only_off_the_axis(self, monkeypatch):
+    def test_addition_split_only_off_the_axis(self, monkeypatch):
+        # SN and WP run jacobi's addition split, its complex entry, on the
+        # Modulus's ladders only at a point off the real axis
         calls = []
+        split = core._addition
 
-        def counted(z, m, mc):
+        def counted(z, *args):
             calls.append(z)
-            return sn_complex(z, m, mc)
+            return split(z, *args)
 
-        monkeypatch.setattr(core, "sn_complex", counted)
+        monkeypatch.setattr(core, "_addition", counted)
         mod = Modulus(0.6)
         for route in (Route.SN, Route.WP):
             for z in (0.4, 2, complex(0.4, 0.0), complex(-1.3, -0.0)):

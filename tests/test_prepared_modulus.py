@@ -4,13 +4,14 @@ of any result."""
 
 import dataclasses
 import math
+import random
 
 import pytest
 
-from dn2.core import Modulus, Route, dn2, invariants_of, phi
+from dn2.core import Modulus, Route, dn2, dn2_deriv, invariants_of, periods, phi
 from dn2.identities import identity_bbg_91
-from dn2.jacobi import JacobiTriple, _ladder, jacobi_complex, jacobi_real
-from dn2.kernel import integrate
+from dn2.jacobi import JacobiTriple, PoleError, _ladder, jacobi_complex, jacobi_real, sn_complex
+from dn2.kernel import DomainError, integrate
 from dn2.weier import lattice_from_invariants
 
 Z = [complex(0.4, 0.3), complex(1.9, 2.2), complex(-2.7, 0.8)]
@@ -75,6 +76,82 @@ def test_reused_and_fresh_modulus_agree_bit_for_bit():
     assert _values(reused) == first
 
 
+def _outcome(f, *args):
+    try:
+        v = f(*args)
+    except (DomainError, PoleError) as exc:
+        return type(exc), str(exc)
+    return type(v), _hex(v)
+
+
+def _public_sn(z, mod):
+    """sn(c z) by jacobi's public functions, as dn2 took it before it ran
+    their arithmetic on the Modulus's own ladders."""
+    if z.imag == 0.0:
+        return jacobi_real(float(z.real) * mod.c, mod.m, mod.m1).sn
+    return sn_complex(complex(z) * mod.c, mod.m, mod.m1)
+
+
+def _public_sn_route(z, mod):
+    sn = _public_sn(z, mod)
+    return 1.0 - mod.d * (sn * sn)
+
+
+def _public_wp_route(z, mod):
+    # the WP bridge as it reads the lattice data
+    sn = _public_sn(z, mod)
+    sn2 = sn * sn
+    if abs(sn2) < 1e-26:
+        return 1.0 if z.imag == 0.0 else complex(1.0)
+    lat = mod.lattice
+    denom = (1.0 / 3.0 + lat.e3) + (lat.e1 - lat.e3) / sn2
+    return 1.0 - 0.5 * mod.kappa**2 / denom
+
+
+def _public_deriv(x, mod):
+    t = jacobi_real(float(x) * mod.c, mod.m, mod.m1)
+    return -2.0 * mod.d * t.sn * t.cn * t.dn * mod.c
+
+
+def _seeded_moduli():
+    """Seeded kappa over [2**-510, 1 - 2**-53], log-spaced from both ends,
+    with the ends themselves, and the complement of each."""
+    rng = random.Random("ladders on the modulus")
+    kappas = [2.0**-510, 1.0 - 2.0**-53, 0.6]
+    kappas += [2.0 ** -rng.uniform(1.0, 510.0) for _ in range(6)]
+    kappas += [1.0 - 2.0 ** -rng.uniform(1.0, 53.0) for _ in range(6)]
+    mods = [Modulus(k) for k in kappas]
+    return mods + [mod.complement for mod in mods]
+
+
+@pytest.mark.parametrize("mod", _seeded_moduli(), ids=lambda mod: f"{mod.kappa!r},{mod.lam!r}")
+def test_sn_and_wp_are_the_public_functions_bit_for_bit(mod):
+    # dn2 runs jacobi's ascent and addition split on mod's cached ladders:
+    # every value, PoleError and DomainError is the one that jacobi_real
+    # and sn_complex give, with the same message
+    rng = random.Random(f"public bits:{mod.kappa}:{mod.lam}")
+    p = periods(mod)
+    K, Kp, c = p.K, p.Kprime, mod.c
+    xs = [rng.uniform(-6.0, 6.0) * K for _ in range(12)]
+    xs += [0.0, -0.0, 1e-300, 2.0 * K, 1e300, math.inf, math.nan]
+    zs = [complex(rng.uniform(-4.0, 4.0) * K, rng.uniform(-4.0, 4.0) * Kp) for _ in range(12)]
+    zs += [complex(x, 0.0) for x in xs[:4]] + [complex(x, -0.0) for x in xs[:4]]
+    zs += [complex(0.0, Kp), complex(2.0 * K, 3.0 * Kp), complex(0.5, 1e300), complex(math.nan, 0.5)]
+    # the rim of the pole disc around iK', inside and outside it
+    zs += [complex(0.0, Kp) + r / c * complex(math.cos(a), math.sin(a))
+           for r in (0.99e-6, 1.01e-6) for a in range(4)]
+    outcomes = {PoleError: 0, DomainError: 0, float: 0, complex: 0}
+    for z in xs + zs:
+        for route, public in ((Route.SN, _public_sn_route), (Route.WP, _public_wp_route)):
+            got = _outcome(dn2, z, mod, route)
+            assert got == _outcome(public, z, mod), (z, route)
+            outcomes[got[0]] += 1
+    for x in xs:
+        assert _outcome(dn2_deriv, x, mod) == _outcome(_public_deriv, x, mod), x
+    # each kind of outcome was met
+    assert all(outcomes.values()), outcomes
+
+
 def test_jacobi_real_same_on_cold_and_warm_ladder_cache():
     for m in (0.0, 0.09, 0.5, 0.95):
         _ladder.cache_clear()
@@ -109,6 +186,13 @@ def test_cached_values_are_the_derived_quantities():
     assert (mod.lattice.m, mod.lattice.mc, mod.lattice.scale) == (mod.m, mod.m1, mod.c)
     assert mod.lattice is mod.lattice
     assert mod.two_k > 0.0
+    # what dn2's SN and WP read on every call
+    assert mod._re_ladder == _ladder(mod.m, mod.m1) and mod._re_ladder is mod._re_ladder
+    assert mod._im_ladder == _ladder(mod.m1, mod.m) and mod._im_ladder is mod._im_ladder
+    lat = mod.lattice
+    assert mod._wp_shift == 1.0 / 3.0 + lat.e3 == 0.0
+    assert mod._wp_scale == lat.e1 - lat.e3
+    assert mod._wp_half_k2 == 0.5 * mod.kappa**2
 
 
 LATTICE_FIELDS = ("g2", "g3", "delta", "e1", "e2", "e3", "m", "mc", "scale")
