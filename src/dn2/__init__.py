@@ -37,10 +37,10 @@ from .identities import (
     symmetric_pair,
     transform_signature4,
 )
-from .jacobi import POLE_THRESHOLD, JacobiTriple, PoleError, jacobi_complex, jacobi_real, sn_complex
+from .jacobi import POLE_THRESHOLD, JacobiTriple, PoleError, jacobi_complex, jacobi_real
 from .kernel import ConvergenceError, DomainError, QuadResult, integrate, newton_invert
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "LatticeData",
@@ -77,7 +77,6 @@ __all__ = [
     "PoleError",
     "jacobi_complex",
     "jacobi_real",
-    "sn_complex",
     "ConvergenceError",
     "DomainError",
     "QuadResult",

@@ -4,7 +4,8 @@ Three evaluation routes (Jacobian sn closed form, Weierstrass P bridge,
 amplitude inversion on the real axis), the companion function s2, the
 incomplete integral f and its inverse phi, and the fundamental periods by
 three methods.  The WP route is the package's one Weierstrass P bridge,
-1/3 + P(z) = kappa^2 / (2 (1 - dn2(z))), on the lattice of ``invariants_of``.
+1/3 + P(z) = kappa^2 / (2 (1 - dn2(z))), on the lattice of ``invariants_of``:
+there e3 = -1/3, so 1/3 + P(z) = (e1 - e3) / sn^2(c z).
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ class Modulus:
     pair (lam, kappa), ``lattice``, the lattice data ``invariants_of(self)``,
     and ``two_k``, the ELLIPTIC 2K by which ``phi`` reduces, are cached, as
     are the two Landen ladders and the constants of the WP bridge that
-    ``dn2`` reads on every SN and WP call.  Every Modulus, a complement too,
-    has 2**-510 <= kappa <= 1 and lam > 0; kappa is 1.0 only for the
-    complement of a kappa below about 6.6e-9, whose lam rounds to 1.0.
+    ``dn2`` reads on every SN and WP call.  These ladders are the package's
+    only ladder cache: jacobi_real and jacobi_complex build theirs on every
+    call.  Every Modulus, a complement too, has 2**-510 <= kappa <= 1 and
+    lam > 0; kappa is 1.0 only for the complement of a kappa below about
+    6.6e-9, whose lam rounds to 1.0.
     """
 
     kappa: float
@@ -107,12 +110,6 @@ class Modulus:
         return _ladder(self.m1, self.m)
 
     @cached_property
-    def _wp_shift(self) -> float:
-        # 1/3 + e3, exactly 0.0: the WP bridge adds it to (e1 - e3)/sn^2,
-        # so that its exact cancellation survives floating point
-        return 1.0 / 3.0 + self.lattice.e3
-
-    @cached_property
     def _wp_scale(self) -> float:  # e1 - e3
         lat = self.lattice
         return lat.e1 - lat.e3
@@ -155,9 +152,9 @@ class LatticeData(NamedTuple):
 def invariants_of(mod: Modulus) -> LatticeData:
     """Lattice data of the coperiodic Weierstrass function.
 
-    The midpoint values have closed forms for this family; using them keeps
-    1/3 + e3 exactly zero in double precision, which the WP route needs to
-    stay accurate near its pole.
+    The midpoint values have closed forms for this family.  e3 is -1/3
+    exactly, so the WP route's 1/3 + P = (1/3 + e3) + (e1 - e3)/sn^2 is
+    (e1 - e3)/sn^2, with no sum that could cancel near its pole.
     """
     k2 = mod.kappa**2
     lam = mod.lam
@@ -189,7 +186,7 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
         s = mod.kappa * _phi_and_s2(z.real, mod)[1]
         return math.sqrt(1.0 - s * s)
 
-    # sn of c z: jacobi_real's and sn_complex's arithmetic, on mod's ladders
+    # sn of c z: jacobi_real's and jacobi_complex's arithmetic, on mod's ladders
     if on_axis:
         sn = _ascent(float(z.real) * mod.c, mod._re_ladder, mod.m)[0]
     else:
@@ -202,9 +199,8 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
     if abs(sn2) < 1e-26:
         # lattice point: P has its pole here and dn2 tends to 1
         return 1.0 if on_axis else complex(1.0)
-    # 1/3 + wp(z) = (1/3 + e3) + (e1 - e3)/sn^2
-    denom = mod._wp_shift + mod._wp_scale / sn2
-    return 1.0 - mod._wp_half_k2 / denom
+    # 1/3 + wp(z) = (e1 - e3)/sn^2, as 1/3 + e3 = 0
+    return 1.0 - mod._wp_half_k2 / (mod._wp_scale / sn2)
 
 
 def dn2_deriv(x: float, mod: Modulus) -> float:

@@ -4,6 +4,9 @@ Every function takes m with its exact complement mc = 1 - m.  Real arguments
 go through the descending Landen/AGM recursion seeded from mc; complex
 arguments are split into two real evaluations at (m, mc) and (mc, m) by the
 classical addition formula, so the recursion itself stays entirely real.
+jacobi_real and jacobi_complex build the Landen ladder of each pair anew on
+every call; core.Modulus caches its two ladders and runs _ascent and
+_addition, the arithmetic of these two functions, on them.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import lru_cache
 from typing import NamedTuple
 
 # complete_K stays bound, unused: bench/tracing.py wraps that name here
@@ -25,7 +27,6 @@ POLE_THRESHOLD = 1e-12
 # squares cot(x c)), while sn, cn, dn round to x, 1, 1 from |x| < 1e-9 on
 _TINY = 1e-150
 _FLOAT_MIN = sys.float_info.min
-_new = tuple.__new__  # _new(JacobiTriple, t): namedtuple's own __new__, without its frame
 
 
 class PoleError(ArithmeticError):
@@ -38,7 +39,6 @@ class JacobiTriple(NamedTuple):
     dn: float | complex
 
 
-@lru_cache(maxsize=128)
 def _ladder(m: float, mc: float) -> tuple[float, float, tuple[tuple[float, float], ...], float]:
     """Everything _ascent needs that depends on the pair (m, mc) alone.
 
@@ -48,7 +48,6 @@ def _ladder(m: float, mc: float) -> tuple[float, float, tuple[tuple[float, float
     ladder's limit c.  Its rungs are the steps of hyper.agm(1, sqrt(mc)); one
     more where the last is not within 1e-15 gives that AGM, and 2 pi / agm
     is 4.0 * complete_K(m, mc) bit for bit.  A bad pair raises DomainError.
-    Bounded, because a sweep over moduli would otherwise grow it without end.
     """
     _check_pair("jacobi_real", m, mc)
     emc = mc
@@ -107,7 +106,7 @@ def jacobi_real(x: float, m: float, mc: float) -> JacobiTriple:
     Raises DomainError when |x| is so large (or not finite) that fewer than
     8 significant digits of x survive reduction modulo the period 4K(m).
     """
-    return _new(JacobiTriple, _ascent(x, _ladder(m, mc), m))
+    return JacobiTriple(*_ascent(x, _ladder(m, mc), m))
 
 
 def _addition(z: complex, m: float, mc: float, re_ladder: tuple, im_ladder: tuple | None):
@@ -128,14 +127,6 @@ def _addition(z: complex, m: float, mc: float, re_ladder: tuple, im_ladder: tupl
     return complex(s * d1, c * d * s1 * c1) / denom, s, c, d, s1, c1, d1, denom
 
 
-def sn_complex(z: complex, m: float, mc: float) -> complex:
-    """jacobi_complex(z, m, mc).sn, without building cn and dn."""
-    z = complex(z)
-    if (split := _addition(z, m, mc, _ladder(m, mc), _ladder(mc, m) if m else None)) is None:
-        return cmath.sin(z)
-    return split[0]
-
-
 def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     """sn, cn, dn of a complex argument via the real-real addition split.
 
@@ -147,8 +138,8 @@ def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     """
     z = complex(z)
     if (split := _addition(z, m, mc, _ladder(m, mc), _ladder(mc, m) if m else None)) is None:
-        return _new(JacobiTriple, (cmath.sin(z), cmath.cos(z), complex(1.0)))
+        return JacobiTriple(cmath.sin(z), cmath.cos(z), complex(1.0))
     sn, s, c, d, s1, c1, d1, denom = split
     cn = complex(c * c1, -s * d * s1 * d1) / denom
     dn = complex(d * c1 * d1, -m * s * c * s1) / denom
-    return _new(JacobiTriple, (sn, cn, dn))
+    return JacobiTriple(sn, cn, dn)

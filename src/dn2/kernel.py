@@ -108,7 +108,8 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     that a difference small by accident between levels 1 and 2 cannot.
     Bounds that are not finite, not in order, or so far apart that b - a
     overflows, raise DomainError; a non-finite node sum of a level, which any
-    non-finite value of f makes, or no convergence by ``MAX_LEVEL``, raises
+    non-finite value of f makes, a level with no node inside (a, b), as on
+    [100, 100 + 1e-14], or no convergence by ``MAX_LEVEL``, raises
     ConvergenceError, as in ``trapezoid``.
     """
     _check_interval("integrate", a, b)
@@ -164,6 +165,8 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
         # makes the sum non-finite
         if not math.isfinite(acc):
             raise ConvergenceError(f"non-finite tanh-sinh sum at level {level}")
+        if not used:  # no evaluation supports this level's share of the value
+            raise ConvergenceError(f"no tanh-sinh node of level {level} lies inside ({a!r}, {b!r})")
         return acc, used
 
     h = 1.0
@@ -251,9 +254,10 @@ def newton_invert(
     ``NEWTON_RTOL`` |x| the next iterate, kept in [lo, hi], is returned
     without evaluating f again: Newton's quadratic convergence puts it within
     rounding of the root.  An f with no root on [lo, hi], by more than
-    that, collapses the bracket onto lo or hi without ever changing sign, and
-    raises ConvergenceError, as does the iteration cap; ``best`` is the last
-    iterate.
+    that, raises ConvergenceError "f has no root on the bracket" once the
+    bracket collapses onto lo or hi, or, where halving toward 0.0 meets the
+    iteration cap first, once f keeps its sign at the end that never moved;
+    the cap raises otherwise.  ``best`` is the last iterate.
     """
     x = x0
     below = above = False  # whether f has been seen on each side of 0
@@ -280,4 +284,7 @@ def newton_invert(
                     return x
                 raise ConvergenceError("f has no root on the bracket", best=x)
         x = xn
+    # f seen on one side of 0 only: the same sign at the end that never moved
+    if below != above and (f(hi) < 0.0 if below else f(lo) > 0.0):
+        raise ConvergenceError("f has no root on the bracket", best=x)
     raise ConvergenceError("root iteration exceeded the iteration cap", best=x)

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from dn2.core import Modulus
 from dn2.hyper import complete_K
-from dn2.jacobi import JacobiTriple, PoleError, jacobi_complex, jacobi_real, sn_complex
+from dn2.jacobi import JacobiTriple, PoleError, jacobi_complex, jacobi_real
 from dn2.kernel import DomainError
 
 # mpmath.ellipfun at dps=50
@@ -175,13 +175,23 @@ class TestComplex:
 
 
 def _outcome(fn, z, m, mc):
-    """The value as hex, or the error's type and message."""
+    """The sn as hex, or the error's type and message."""
     try:
         v = fn(z, m, mc)
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
     v = v if type(v) is complex else v.sn
     return v.real.hex(), v.imag.hex()
+
+
+def _split_sn(z, m, mc):
+    """sn(z) by DLMF 22.8 from jacobi_real's triples of Re z at (m, mc) and
+    Im z at (mc, m), and sin z at m = 0, as the addition split writes it."""
+    if m == 0.0:
+        return cmath.sin(z)
+    s, c, d = jacobi_real(z.real, m, mc)
+    s1, c1, d1 = jacobi_real(z.imag, mc, m)
+    return complex(s * d1, c * d * s1 * c1) / (c1 * c1 + m * s * s * s1 * s1)
 
 
 def _pairs():
@@ -191,7 +201,8 @@ def _pairs():
 
 
 class TestSnComplex:
-    """sn_complex is jacobi_complex's sn, from the same addition split."""
+    """The sn of jacobi_complex: the addition split of two real triples, and
+    the typed errors of its pole, its 710 rule and its reduction limit."""
 
     @pytest.mark.parametrize("m, mc", _pairs() + [(0.0, 1.0)])
     def test_sn_of_jacobi_complex_bit_for_bit(self, m, mc):
@@ -202,33 +213,31 @@ class TestSnComplex:
         zs = [complex(rng.uniform(-2.0, 2.0) * K, rng.uniform(-2.0, 2.0) * Kp) for _ in range(200)]
         values = 0
         for z in zs + [complex(0.0, Kp), complex(K, Kp), complex(0.3, 0.0), complex(-0.0, 0.4)]:
-            got = _outcome(sn_complex, z, m, mc)
-            assert got == _outcome(jacobi_complex, z, m, mc), z
-            values += type(got[0]) is str
+            got = _outcome(jacobi_complex, z, m, mc)
+            if type(got[0]) is str:
+                assert got == _outcome(_split_sn, z, m, mc), z
+                values += 1
         assert values >= 200
 
     @pytest.mark.parametrize("m, mc", _pairs())
-    def test_same_pole_error(self, m, mc):
+    def test_pole_error(self, m, mc):
         K, Kp = complete_K(m, mc), complete_K(mc, m)
         for z in (complex(0.0, Kp), complex(2.0 * K, Kp), complex(1e-8, Kp * (1.0 - 1e-9))):
-            got = _outcome(sn_complex, z, m, mc)
-            assert got[0] is PoleError, z
-            assert got == _outcome(jacobi_complex, z, m, mc), z
+            got = _outcome(jacobi_complex, z, m, mc)
+            assert got[0] is PoleError and got[1].startswith("jacobi functions at a pole"), z
 
     @pytest.mark.parametrize("y", [711.0, -711.0, 1e5, math.inf, math.nan])
-    def test_same_domain_error_beyond_710_at_m_zero(self, y):
-        got = _outcome(sn_complex, complex(0.3, y), 0.0, 1.0)
+    def test_domain_error_beyond_710_at_m_zero(self, y):
+        got = _outcome(jacobi_complex, complex(0.3, y), 0.0, 1.0)
         assert got[0] is DomainError and got[1].startswith("|Im z| must be at most 710")
-        assert got == _outcome(jacobi_complex, complex(0.3, y), 0.0, 1.0)
 
     @pytest.mark.parametrize("m, mc", [(0.0, 1.0), (0.5, 0.5)] + _pairs()[::5])
     @pytest.mark.parametrize("x", [1e300, -math.inf, math.nan])
-    def test_same_domain_error_beyond_the_reduction_limit(self, m, mc, x):
+    def test_domain_error_beyond_the_reduction_limit(self, m, mc, x):
         # the real part is checked first: at m = 0 before the 710 rule
         for y in (0.3, 800.0):
-            got = _outcome(sn_complex, complex(x, y), m, mc)
+            got = _outcome(jacobi_complex, complex(x, y), m, mc)
             assert got[0] is DomainError and got[1].startswith("jacobi_real argument"), (x, y)
-            assert got == _outcome(jacobi_complex, complex(x, y), m, mc), (x, y)
 
     def test_every_path_returns_a_jacobi_triple(self):
         # m = 0, a tiny argument, the Landen ascent, and the complex split

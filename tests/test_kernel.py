@@ -130,6 +130,15 @@ class TestIntegrate:
         assert info.value.best is not None
         assert math.isfinite(info.value.best.value)
 
+    @pytest.mark.parametrize("a, b", [(100.0, 100.0 + 1e-14), (0.0, 5e-324)])
+    def test_level_with_no_node_inside_raises(self, a, b):
+        # both used to return 0.0 after 0 evaluations, with err_estimate 0
+        calls = []
+        with pytest.raises(ConvergenceError, match="no tanh-sinh node of level 0") as info:
+            integrate(lambda t: calls.append(t) or 1.0, a, b)
+        assert f"({a!r}, {b!r})" in str(info.value)
+        assert calls == [] and info.value.best is None
+
 
 class TestTrapezoid:
     @pytest.mark.parametrize("a", [1e-3, 0.5, 3.0, 100.0])
@@ -232,9 +241,22 @@ class TestNewtonInvert:
             newton_invert(lambda t: math.nan, lambda t: 1.0, 0.0, 1.0, 0.5)
 
     def test_no_bracket(self):
-        # an f with no root on [lo, hi] collapses the bracket onto an end
-        for target, x0 in [(5.0, 0.0), (0.999, 1.0), (-0.5, 2.0)]:
-            with pytest.raises(ConvergenceError) as info:
+        # an f with no root on [lo, hi] collapses the bracket onto an end;
+        # toward 0.0 that takes over 1,000 halvings, past the iteration cap,
+        # where f at the end that never moved names the cause
+        for target, x0 in [(5.0, 0.0), (0.999, 1.0), (-0.5, 2.0), (-1e-300, 2.0)]:
+            with pytest.raises(ConvergenceError, match="f has no root on the bracket") as info:
                 newton_invert(lambda t: math.tanh(t) - target,
                               lambda t: 1.0 / math.cosh(t) ** 2, 0.0, 3.0, x0)
             assert 0.0 <= info.value.best <= 3.0
+
+    def test_root_just_inside_an_end_at_zero(self):
+        x = newton_invert(lambda t: math.tanh(t) - 1e-300,
+                          lambda t: 1.0 / math.cosh(t) ** 2, 0.0, 3.0, 2.0)
+        assert x == 1e-300
+
+    def test_iteration_cap_with_a_sign_change_keeps_its_message(self):
+        # f seen below 0 only, with hi far and the Newton steps tiny: the
+        # cap comes first, and f(hi) > 0 shows a root may lie on the bracket
+        with pytest.raises(ConvergenceError, match="iteration cap"):
+            newton_invert(lambda t: t - 1.0, lambda t: 1e300, 0.0, 2.0, 0.0)

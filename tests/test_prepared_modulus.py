@@ -1,6 +1,5 @@
-"""The per-modulus caches: a Modulus caches what depends on kappa alone, and
-jacobi caches the Landen ladder per parameter, without changing a single bit
-of any result."""
+"""The per-modulus caches: a Modulus caches what depends on kappa alone, its
+Landen ladders included, without changing a single bit of any result."""
 
 import dataclasses
 import math
@@ -10,7 +9,7 @@ import pytest
 
 from dn2.core import Modulus, Route, dn2, dn2_deriv, invariants_of, periods, phi
 from dn2.identities import identity_bbg_91
-from dn2.jacobi import JacobiTriple, PoleError, _ladder, jacobi_complex, jacobi_real, sn_complex
+from dn2.jacobi import JacobiTriple, PoleError, _ladder, jacobi_complex, jacobi_real
 from dn2.kernel import DomainError, integrate
 from dn2.weier import lattice_from_invariants
 
@@ -71,7 +70,6 @@ def test_values_match_the_uncached_computation_bit_for_bit(kappa):
 def test_reused_and_fresh_modulus_agree_bit_for_bit():
     reused = Modulus(0.6)
     first = _values(reused)
-    _ladder.cache_clear()
     assert _values(Modulus(0.6)) == first
     assert _values(reused) == first
 
@@ -89,7 +87,7 @@ def _public_sn(z, mod):
     their arithmetic on the Modulus's own ladders."""
     if z.imag == 0.0:
         return jacobi_real(float(z.real) * mod.c, mod.m, mod.m1).sn
-    return sn_complex(complex(z) * mod.c, mod.m, mod.m1)
+    return jacobi_complex(complex(z) * mod.c, mod.m, mod.m1).sn
 
 
 def _public_sn_route(z, mod):
@@ -98,7 +96,8 @@ def _public_sn_route(z, mod):
 
 
 def _public_wp_route(z, mod):
-    # the WP bridge as it reads the lattice data
+    # the WP bridge as it reads the lattice data, with the 1/3 + e3 = 0
+    # that dn2's WP branch leaves out
     sn = _public_sn(z, mod)
     sn2 = sn * sn
     if abs(sn2) < 1e-26:
@@ -128,7 +127,7 @@ def _seeded_moduli():
 def test_sn_and_wp_are_the_public_functions_bit_for_bit(mod):
     # dn2 runs jacobi's ascent and addition split on mod's cached ladders:
     # every value, PoleError and DomainError is the one that jacobi_real
-    # and sn_complex give, with the same message
+    # and jacobi_complex give, with the same message
     rng = random.Random(f"public bits:{mod.kappa}:{mod.lam}")
     p = periods(mod)
     K, Kp, c = p.K, p.Kprime, mod.c
@@ -150,18 +149,6 @@ def test_sn_and_wp_are_the_public_functions_bit_for_bit(mod):
         assert _outcome(dn2_deriv, x, mod) == _outcome(_public_deriv, x, mod), x
     # each kind of outcome was met
     assert all(outcomes.values()), outcomes
-
-
-def test_jacobi_real_same_on_cold_and_warm_ladder_cache():
-    for m in (0.0, 0.09, 0.5, 0.95):
-        _ladder.cache_clear()
-        cold = [jacobi_real(x, m, 1.0 - m) for x in X]
-        warm = [jacobi_real(x, m, 1.0 - m) for x in X]
-        assert [tuple(map(_hex, t)) for t in cold] == [tuple(map(_hex, t)) for t in warm]
-
-
-def test_ladder_cache_is_bounded():
-    assert _ladder.cache_info().maxsize is not None
 
 
 def test_modulus_compares_and_hashes_by_kappa_and_stays_frozen():
@@ -190,7 +177,6 @@ def test_cached_values_are_the_derived_quantities():
     assert mod._re_ladder == _ladder(mod.m, mod.m1) and mod._re_ladder is mod._re_ladder
     assert mod._im_ladder == _ladder(mod.m1, mod.m) and mod._im_ladder is mod._im_ladder
     lat = mod.lattice
-    assert mod._wp_shift == 1.0 / 3.0 + lat.e3 == 0.0
     assert mod._wp_scale == lat.e1 - lat.e3
     assert mod._wp_half_k2 == 0.5 * mod.kappa**2
 

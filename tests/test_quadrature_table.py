@@ -124,7 +124,8 @@ def test_kappa_to_one_failure_keeps_its_best_estimate():
 
 def _reference_integrate(f, a, b, *, singular_left=False, tol=1e-12):
     """integrate as it was before the node table: every node worked out anew;
-    it stops from level 3 on, as integrate does."""
+    it stops from level 3 on, and raises at a level with no node inside
+    (a, b), as integrate does."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     span_eps = 8.0 * math.ulp(max(abs(a), abs(b), 1.0))
@@ -149,6 +150,8 @@ def _reference_integrate(f, a, b, *, singular_left=False, tol=1e-12):
                     continue
                 raise ConvergenceError(f"non-finite integrand value at x={x}")
             acc += w * fx
+        if not used:
+            raise ConvergenceError("no node inside the interval")
         return acc, used
 
     h = 1.0

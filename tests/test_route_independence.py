@@ -17,7 +17,7 @@ import pytest
 from dn2 import hyper
 from dn2.core import Modulus, PeriodMethod, Route, dn2, periods
 from dn2.hyper import complete_K
-from dn2.jacobi import _ladder, jacobi_complex, jacobi_real, sn_complex
+from dn2.jacobi import _ladder, jacobi_complex, jacobi_real
 from dn2.kernel import DomainError
 
 KAPPAS = [0.3, 0.6, 0.9]
@@ -84,12 +84,10 @@ def test_sn_and_wp_do_not_run_hypers_agm(monkeypatch, kernel, kappa):
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "dn2"]:
         if getattr(module, kernel, None) is original:
             monkeypatch.setattr(module, kernel, lambda a, b: SCALE * original(a, b))
-    _ladder.cache_clear()
     try:
         after = _values(kappa, xs, zs)
     finally:
         monkeypatch.undo()
-        _ladder.cache_clear()
     assert after["sn"] == before["sn"] and after["wp"] == before["wp"]
     assert after["elliptic"] != before["elliptic"]
     moved = [abs(a - b) for a, b in zip(after["phi"], before["phi"])]
@@ -102,10 +100,11 @@ def test_sn_and_wp_do_not_run_hypers_agm(monkeypatch, kernel, kappa):
 
 @pytest.mark.parametrize("m, mc", [(1.0, 0.0), (-0.1, 1.1), (0.5, 0.6)])
 def test_bad_pair_is_refused_by_the_ladder(m, mc):
+    # the ladder that jacobi_real and jacobi_complex build on each call
+    with pytest.raises(DomainError, match="jacobi_real"):
+        _ladder(m, mc)
     with pytest.raises(DomainError, match="jacobi_real"):
         jacobi_real(0.5, m, mc)
-    with pytest.raises(DomainError, match="jacobi_real"):
-        sn_complex(complex(0.5, 0.5), m, mc)
     with pytest.raises(DomainError, match="jacobi_real"):
         jacobi_complex(complex(0.5, 0.5), m, mc)
 
@@ -117,8 +116,8 @@ def _scaled(value):
 
 
 # kernel, the dn2 modules whose binding of it is scaled, and the one route
-# or period method that runs it at these moduli.  jacobi_real and
-# sn_complex are left out: SN and WP share them
+# or period method that runs it at these moduli.  jacobi._ascent and
+# jacobi._addition are left out: SN and WP share them
 KERNELS = [
     ("gauss_2f1", ["core", "hyper"], "hyper"),
     ("integrate", ["core"], "phi"),
