@@ -40,7 +40,7 @@ from .identities import (
 from .jacobi import POLE_THRESHOLD, JacobiTriple, PoleError, jacobi_complex, jacobi_real
 from .kernel import ConvergenceError, DomainError, QuadResult, integrate, newton_invert
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [
     "LatticeData",

@@ -155,8 +155,15 @@ def cmd_eval(args) -> list[dict]:
     each = args.route == "all"
     routes = [r for r in Route if real or r is not Route.PHI] if each else [Route(args.route)]
     values = []
+    solved = None  # the PHI route's (dn2, phi, s2) at a real z, from one solve
     for route in routes:
-        fields, v = _dn2_fields(f"dn2_{route.value}" if each else "dn2", z, mod, route)
+        key = f"dn2_{route.value}" if each else "dn2"
+        if route is Route.PHI:
+            solved = core._phi_route(z.real, mod)
+            v = complex(solved[0])
+            fields = {f"{key}_re": v.real, f"{key}_im": v.imag}
+        else:
+            fields, v = _dn2_fields(key, z, mod, route)
         record.update(fields)
         values.append(v)
     if each:
@@ -164,7 +171,7 @@ def cmd_eval(args) -> list[dict]:
         record["delta_max"] = "pole" if None in values else max(
             abs(p - q) for i, p in enumerate(values) for q in values[i + 1:])
     if real:
-        phi, s2 = core._phi_and_s2(z.real, mod)
+        _, phi, s2 = solved or core._phi_route(z.real, mod)
         record.update(s2=s2, phi=phi)
     return [record]
 

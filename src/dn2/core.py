@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1
+# f14_34_12_closed stays bound, unused: bench/tracing.py counts that name here
+from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1  # noqa: F401
 # jacobi_complex and jacobi_real stay bound, unused: bench/tracing.py wraps
 # those names here
 from .jacobi import _addition, _ascent, _ladder, jacobi_complex, jacobi_real  # noqa: F401
@@ -34,10 +35,22 @@ _PI_LO = 1.2246467991473532e-16
 # would stop failing as kappa -> 1; bench/test_bench_harness.py pins one
 # such failure, so that waits for a benchmark change (ROADMAP item 1)
 _REFLECT = 0.75 * math.pi
-# i_gamma sums by the trapezoid rule where cot gamma is at least this, and by
-# tanh-sinh below it: at 0.05 the trapezoid rule takes 257 evaluations and
-# tanh-sinh 297, at 0.04 they take 513 and 297
-_TRAPEZOID_COT = 0.05
+# i_gamma's trapezoid rule starts from n0 = max(4, ceil(_STRIP_N / a))
+# intervals, a = asinh(cot gamma) the half-width of h's strip of
+# analyticity.  Its error with n intervals is about A e^(-4 a n), A between
+# 0.2 and 2 for n >= 4 from cot gamma = 0.07 up, and the first doubling
+# changes the sum by about the error of n0, at most A e^(-4 _STRIP_N).  For
+# that to meet QUAD_TOL at A = 1 takes _STRIP_N >= 5.8; 7 is the least
+# integer that meets it with a margin wider than the spread of A: the
+# largest first change is 3e-13, 1/336 of QUAD_TOL (at 6, 1/6).  The
+# doubled sum is then off by about A e^(-56), far below rounding
+_STRIP_N = 7.0
+# i_gamma sums by that trapezoid rule where cot gamma is at least this, and
+# below it by tanh-sinh over the sinh map of [0, pi/4] and over [pi/4, pi/2].
+# The regimes cost the same here: the map takes 199 evaluations from
+# cot gamma = 2.6e-19 up, and the trapezoid rule 2 n0 + 1 = 199 from
+# sinh(7/99) = 0.07077 up, but 201 just below
+_TRAPEZOID_COT = 0.0708
 
 
 @dataclass(frozen=True)
@@ -183,8 +196,7 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
     if route is _PHI:
         if not on_axis:
             raise DomainError("PHI route is defined on the real axis only")
-        s = mod.kappa * _phi_and_s2(z.real, mod)[1]
-        return math.sqrt(1.0 - s * s)
+        return _phi_route(z.real, mod)[0]
 
     # sn of c z: jacobi_real's and jacobi_complex's arithmetic, on mod's ladders
     if on_axis:
@@ -329,6 +341,13 @@ def _phi_and_s2(u: float, mod: Modulus) -> tuple[float, float]:
     return math.copysign(n * math.pi + (t + n * _PI_LO), u), -s if n % 2 else s
 
 
+def _phi_route(x: float, mod: Modulus) -> tuple[float, float, float]:
+    """dn2(x) by the PHI route, phi(x) and s2(x), from one solve of phi."""
+    p, s2x = _phi_and_s2(x, mod)
+    s = mod.kappa * s2x
+    return math.sqrt(1.0 - s * s), p, s2x
+
+
 def phi(u: float, mod: Modulus) -> float:
     """Inverse of f on the whole real line.
 
@@ -359,13 +378,20 @@ def i_gamma(cos_g: float, sin_g: float) -> float:
     I(gamma) is the integral of cos(t/2) / sqrt(cos^2 t - cos^2 gamma) over
     [0, gamma].  With sin t = sin gamma cos s it is the integral over
     [0, pi/2] of h(s) = cos(t/2) / cos t = F(1/4, 3/4; 1/2; sin^2 t), taken
-    from cos^2 t = cos^2 gamma + (sin gamma sin s)^2, which does not cancel.
-    h is smooth, even and pi-periodic, with its poles at
-    Im s = +-asinh(cot gamma).  Where cot gamma >= 0.05 the trapezoid rule
-    sums it; below, h peaks at s = 0 with a width of about cot gamma, which
-    tanh-sinh resolves from the endpoint.  Raises DomainError unless both
-    members are positive, cos^2 + sin^2 = 1 within 1e-12, and
-    cos gamma >= 2**-510, below which its square is subnormal, as for kappa.
+    from p^2 = cos^2 t = cos^2 gamma + (sin gamma sin s)^2, which does not
+    cancel.  h is smooth, even and pi-periodic, with its poles at
+    Im s = +-a, a = asinh(cot gamma).  Where cot gamma >= _TRAPEZOID_COT the
+    trapezoid rule sums it from max(4, ceil(7 / a)) intervals, a start that
+    the strip's width makes enough for its first doubling.  Below, h peaks at
+    s = 0 with a width of about cot gamma: sin s = cot gamma sinh v maps
+    [0, pi/4] onto [0, asinh(tan gamma / sqrt 2)], where h ds is
+    sqrt((1 + p)/2) / (sin gamma cos s) dv with p = cos gamma cosh v, which
+    lies between 0.7 and 1.4 at any cot gamma, and tanh-sinh sums that piece
+    and h over [pi/4, pi/2].  Either way the cost is bounded: at most 199
+    evaluations from cot gamma = 2.6e-19 up, and 348 down to 2**-510.
+    Raises DomainError unless both members are positive, cos^2 + sin^2 = 1
+    within 1e-12, and cos gamma >= 2**-510, below which its square is
+    subnormal, as for kappa.
     """
     if not (KAPPA_MIN <= cos_g and 0.0 < sin_g
             and abs(cos_g * cos_g + sin_g * sin_g - 1.0) <= 1e-12):
@@ -374,13 +400,28 @@ def i_gamma(cos_g: float, sin_g: float) -> float:
             f">= 2**-510, got ({cos_g!r}, {sin_g!r})"
         )
     c2 = cos_g * cos_g
+    cot = cos_g / sin_g
+    sin, sinh, cosh, sqrt = math.sin, math.sinh, math.cosh, math.sqrt  # closure cells
 
     def h(s: float) -> float:
-        x = sin_g * math.sin(s)
-        return f14_34_12_closed(c2 + x * x)
+        # f14_34_12_closed(c2 + x * x), written out with the same operations
+        # in the same order, as in _f_prime
+        x = sin_g * sin(s)
+        p = sqrt(c2 + x * x)
+        return sqrt(0.5 * (1.0 + p)) / p
 
-    quad = trapezoid if cos_g >= _TRAPEZOID_COT * sin_g else integrate
-    return quad(h, 0.0, 0.5 * math.pi).value
+    if cos_g >= _TRAPEZOID_COT * sin_g:
+        n = max(4, math.ceil(_STRIP_N / math.asinh(cot)))
+        return trapezoid(h, 0.0, 0.5 * math.pi, n).value
+
+    def mapped(v: float) -> float:  # h(s) ds / dv with sin s = cot sinh v
+        p = cos_g * cosh(v)
+        sg = cot * sinh(v)
+        return sqrt(0.5 * (1.0 + p)) / (sin_g * sqrt((1.0 - sg) * (1.0 + sg)))
+
+    quarter = 0.25 * math.pi
+    top = math.asinh(math.sqrt(0.5) * (sin_g / cos_g))
+    return integrate(mapped, 0.0, top).value + integrate(h, quarter, 2.0 * quarter).value
 
 
 @dataclass(frozen=True)

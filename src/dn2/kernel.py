@@ -190,22 +190,26 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     )
 
 
-def trapezoid(f: Callable[[float], float], a: float, b: float) -> QuadResult:
+def trapezoid(f: Callable[[float], float], a: float, b: float, n: int) -> QuadResult:
     """Nested trapezoid rule for ``f`` over ``[a, b]``.
 
     Meant for an f whose odd derivatives vanish at a and b, such as a smooth
     even periodic function over a half period: the Euler-Maclaurin
     corrections then vanish, and the rule converges geometrically, at a rate
     set by the width of the strip about [a, b] where f is analytic
-    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458).  From n = 8
-    intervals it doubles n, reusing every value, and stops at the first
-    doubling that changes the sum by at most ``QUAD_TOL``; a doubling about
-    squares the error, so the doubled sum lies far within it.  It takes
-    n + 1 evaluations.  Bounds as for ``integrate``; a non-finite sum, or no
-    convergence by n = 8 * 2**MAX_LEVEL, raises ConvergenceError.
+    (Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458).  That width tells
+    the caller how many intervals suffice, so the caller passes the start n.
+    From n intervals it doubles n, reusing every value, and stops at the
+    first doubling that changes the sum by at most ``QUAD_TOL``; a doubling
+    about squares the error, so the doubled sum lies far within it.  It
+    takes n + 1 evaluations for the final n, 2 n + 1 when the first doubling
+    stops it.  Bounds as for ``integrate``, and an n that is not a positive
+    integer, raise DomainError; a non-finite sum, or no convergence by
+    n * 2**MAX_LEVEL intervals, raises ConvergenceError.
     """
     _check_interval("trapezoid", a, b)
-    n = 8
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError(f"trapezoid requires a positive integer n, got {n!r}")
     h = (b - a) / n
     # one exactly rounded sum per level, and one of the levels: in a sum of
     # thousands of values, the rounding of a running sum would cost digits

@@ -145,7 +145,7 @@ class TestTrapezoid:
     def test_even_periodic_integrand(self, a):
         # 1/(1 + a sin^2 s) is smooth, even and pi-periodic, and its
         # integral over [0, pi/2] is pi / (2 sqrt(1 + a))
-        r = trapezoid(lambda s: 1.0 / (1.0 + a * math.sin(s) ** 2), 0.0, 0.5 * math.pi)
+        r = trapezoid(lambda s: 1.0 / (1.0 + a * math.sin(s) ** 2), 0.0, 0.5 * math.pi, 8)
         ref = 0.5 * math.pi / math.sqrt(1.0 + a)
         assert abs(r.value - ref) <= 1e-15 * ref, a
         assert 0.0 <= r.err_estimate <= QUAD_TOL
@@ -155,13 +155,13 @@ class TestTrapezoid:
 
     def test_non_finite_value_raises(self):
         with pytest.raises(ConvergenceError):
-            trapezoid(lambda s: math.nan, 0.0, 1.0)
+            trapezoid(lambda s: math.nan, 0.0, 1.0, 8)
         # a single non-finite value, at an endpoint or at a midpoint added by
         # a doubling
         with pytest.raises(ConvergenceError):
-            trapezoid(lambda s: math.inf if s == 0.0 else 1.0, 0.0, 1.0)
+            trapezoid(lambda s: math.inf if s == 0.0 else 1.0, 0.0, 1.0, 8)
         with pytest.raises(ConvergenceError):
-            trapezoid(lambda s: math.nan if s == 1.0 / 16.0 else 1.0, 0.0, 1.0)
+            trapezoid(lambda s: math.nan if s == 1.0 / 16.0 else 1.0, 0.0, 1.0, 8)
 
     @pytest.mark.parametrize("f", [
         lambda s: math.inf if s < 0.5 else -math.inf,  # fsum meets inf - inf
@@ -170,21 +170,34 @@ class TestTrapezoid:
     def test_sum_that_fsum_rejects_raises_convergence_error(self, f):
         # math.fsum raises ValueError or OverflowError, not a non-finite sum
         with pytest.raises(ConvergenceError):
-            trapezoid(f, 0.0, 1.0)
+            trapezoid(f, 0.0, 1.0, 8)
 
     @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (1.0, 1.0)])
     def test_bounds_not_finite_and_ordered_raise(self, a, b):
         with pytest.raises(DomainError):
-            trapezoid(lambda s: 1.0, a, b)
+            trapezoid(lambda s: 1.0, a, b, 8)
+
+    def test_start_is_the_callers(self):
+        # the first doubling of n = 5 intervals stops on a constant: 2 n + 1
+        # values, none computed twice
+        calls = []
+        r = trapezoid(lambda s: calls.append(s) or 1.0, 0.0, 1.0, 5)
+        assert r == (1.0, 0.0, 11)
+        assert len(calls) == len(set(calls)) == 11
+
+    @pytest.mark.parametrize("n", [0, -8, 8.0])
+    def test_start_that_is_not_a_positive_integer_raises(self, n):
+        with pytest.raises(DomainError, match="positive integer"):
+            trapezoid(lambda s: 1.0, 0.0, 1.0, n)
 
     def test_width_that_overflows_raises(self):
         with pytest.raises(DomainError):
-            trapezoid(lambda s: 1.0, -1.7e308, 1.7e308)
+            trapezoid(lambda s: 1.0, -1.7e308, 1.7e308, 8)
 
     def test_nonconvergence_carries_best(self):
         # an interior kink: the error falls only algebraically
         with pytest.raises(ConvergenceError) as info:
-            trapezoid(lambda s: abs(s - 0.3) ** 0.5, 0.0, 1.0)
+            trapezoid(lambda s: abs(s - 0.3) ** 0.5, 0.0, 1.0, 8)
         assert abs(info.value.best.value - 0.5) <= 1e-4
 
 

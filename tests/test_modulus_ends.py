@@ -8,11 +8,13 @@ not cancel, and every kernel must take a parameter with its exact complement.
 """
 
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dn2 import core
 from dn2.core import Modulus, PeriodMethod, Route, dn2, periods
 from dn2.hyper import complete_K
 from dn2.jacobi import jacobi_complex, jacobi_real
@@ -62,13 +64,20 @@ def test_elliptic_and_hyper_periods(kappa):
             assert abs(p.Kprime / Kp - 1) <= 1e-14, (method, "K'")
 
 
-# INTEGRAL's rule changes where cot gamma = 0.05: for K, lam / kappa = 0.05
-# near kappa = 0.99875; for K', kappa / lam = 0.05 near kappa = 0.0499
+# INTEGRAL's rule changes where cot gamma = 0.0708: for K', kappa / lam =
+# 0.0708 near kappa = 0.070623, between 0.07062 (sinh map) and 0.07063
+# (trapezoid rule); for K, lam / kappa = 0.0708 near kappa = 0.997503,
+# between 0.9975 (trapezoid rule) and 0.99751 (sinh map).  The first four
+# examples straddle cot gamma = 0.05, the switch of v0.18.0, inside the map
 @given(KAPPA)
 @example(0.0499)
 @example(0.0500)
 @example(0.99874)
 @example(0.99876)
+@example(0.07062)
+@example(0.07063)
+@example(0.9975)
+@example(0.99751)
 @PROPERTY
 def test_integral_periods(kappa):
     with mpmath.workdps(DPS):
@@ -78,8 +87,7 @@ def test_integral_periods(kappa):
         assert abs(p.Kprime / Kp - 1) <= 2e-15, "K'"
 
 
-@pytest.mark.parametrize("kappa", [2.0**-510, 1e-150, 1 - 2.0**-53])
-def test_integral_periods_at_the_extremes(kappa):
+def _check_integral_at_an_extreme(kappa):
     p = periods(Modulus(kappa), PeriodMethod.INTEGRAL)
     with mpmath.workdps(DPS):
         # lam rounds to 1 at DPS digits for the smallest kappa: take K and K'
@@ -92,6 +100,40 @@ def test_integral_periods_at_the_extremes(kappa):
         Kp = mpmath.pi / (2 * c * mpmath.agm(1, k / (1 + lam)))
         assert abs(p.K / K - 1) <= 2e-15, "K"
         assert abs(p.Kprime / Kp - 1) <= 2e-15, "K'"
+
+
+@pytest.mark.parametrize("kappa", [2.0**-510, 1e-150, 1 - 2.0**-53])
+def test_integral_periods_at_the_extremes(kappa):
+    _check_integral_at_an_extreme(kappa)
+
+
+def test_integral_periods_at_a_bounded_cost(monkeypatch):
+    # the integrand evaluations of K and K' together, summed over every
+    # trapezoid and tanh-sinh call, from kappa = 2**-510 to 1 - 2**-53; each
+    # trapezoid call stops at its first doubling, after 2 n0 + 1 of them
+    calls = []
+    trapezoid, integrate = core.trapezoid, core.integrate
+
+    def counted(quad):
+        def run(*args):
+            result = quad(*args)
+            calls.append((args[3] if quad is trapezoid else None, result.evaluations))
+            return result
+        return run
+
+    monkeypatch.setattr(core, "trapezoid", counted(trapezoid))
+    monkeypatch.setattr(core, "integrate", counted(integrate))
+    rng = random.Random("integral cost")
+    kappas = [2.0**-e for e in range(1, 511)] + [1.0 - 2.0**-e for e in range(1, 54)]
+    kappas += [rng.random() for _ in range(2000)]
+    costs, restarts = {}, []
+    for kappa in kappas:
+        calls.clear()
+        periods(Modulus(kappa), PeriodMethod.INTEGRAL)
+        costs[kappa] = sum(evaluations for _, evaluations in calls)
+        restarts += [(kappa, n, ev) for n, ev in calls if n is not None and ev != 2 * n + 1]
+    assert [(k, c) for k, c in costs.items() if c > 400] == []
+    assert restarts == []
 
 
 def _check_dn2(kappa, z, bound):
@@ -189,8 +231,13 @@ def test_large_imaginary_part_where_lam_rounds_to_one():
 @pytest.mark.parametrize("kappa", [1e-9, 1e-50, 1e-150, 1e-200, 5e-324, 1 - 2.0**-53])
 @pytest.mark.parametrize("method", list(PeriodMethod))
 def test_periods_fail_only_with_typed_errors(kappa, method):
-    # INTEGRAL's K' integrand peaks at s = 0 with a width of about kappa;
-    # Modulus rejects kappa below 2**-510 (1e-200, 5e-324) with DomainError
+    # Modulus rejects kappa below 2**-510 (1e-200, 5e-324) with DomainError.
+    # INTEGRAL's K' integrand peaks at s = 0 with a width of about kappa,
+    # which the sinh map resolves at a fixed cost: INTEGRAL returns at every
+    # other kappa here, within 2e-15 of the AGM reference
+    if method is PeriodMethod.INTEGRAL and kappa >= 2.0**-510:
+        _check_integral_at_an_extreme(kappa)
+        return
     try:
         p = periods(Modulus(kappa), method)
     except (DomainError, ConvergenceError):

@@ -116,14 +116,16 @@ def _scaled(value):
 
 
 # kernel, the dn2 modules whose binding of it is scaled, and the one route
-# or period method that runs it at these moduli.  jacobi._ascent and
-# jacobi._addition are left out: SN and WP share them
+# or period method that runs it at these moduli, or None for none.
+# jacobi._ascent and jacobi._addition are left out: SN and WP share them.
+# INTEGRAL's integrand writes f14_34_12_closed out, as PHI's does, so core's
+# binding, which bench/tracing.py counts, moves nothing
 KERNELS = [
     ("gauss_2f1", ["core", "hyper"], "hyper"),
     ("integrate", ["core"], "phi"),
     ("newton_invert", ["core"], "phi"),
     ("trapezoid", ["core"], "integral"),
-    ("f14_34_12_closed", ["core"], "integral"),
+    ("f14_34_12_closed", ["core"], None),
 ]
 
 
@@ -142,4 +144,4 @@ def test_each_kernel_moves_one_route_or_method(monkeypatch, kernel, modules, own
     finally:
         monkeypatch.undo()
     moved = sorted(key for key in before if after[key] != before[key])
-    assert moved == [owner]
+    assert moved == ([owner] if owner else [])
