@@ -155,11 +155,12 @@ def cmd_eval(args) -> list[dict]:
     each = args.route == "all"
     routes = [r for r in Route if real or r is not Route.PHI] if each else [Route(args.route)]
     values = []
-    solved = None  # the PHI route's (dn2, phi, s2) at a real z, from one solve
+    # at a real z one solve gives the PHI route's dn2, phi and s2; off the
+    # axis core.dn2 rejects the PHI route
+    solved = core._phi_route(z.real, mod) if real else None
     for route in routes:
         key = f"dn2_{route.value}" if each else "dn2"
-        if route is Route.PHI:
-            solved = core._phi_route(z.real, mod)
+        if real and route is Route.PHI:
             v = complex(solved[0])
             fields = {f"{key}_re": v.real, f"{key}_im": v.imag}
         else:
@@ -171,7 +172,7 @@ def cmd_eval(args) -> list[dict]:
         record["delta_max"] = "pole" if None in values else max(
             abs(p - q) for i, p in enumerate(values) for q in values[i + 1:])
     if real:
-        _, phi, s2 = solved or core._phi_route(z.real, mod)
+        _, phi, s2 = solved
         record.update(s2=s2, phi=phi)
     return [record]
 

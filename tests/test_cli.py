@@ -156,6 +156,11 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_phi_route_off_the_real_axis_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--kappa", "0.6", "--z", "0.3+0.2i", "--route", "phi")
+        assert (code, out) == (2, "")
+        assert err == "error: PHI route is defined on the real axis only\n"
+
     @pytest.mark.parametrize("z", ["1e400i", "0.3+1e300i"])
     def test_unreducible_imaginary_part_exit_2(self, capsys, z):
         code, out, err = run(capsys, "eval", "--kappa", "0.6", "--z", z, "--route", "all")
