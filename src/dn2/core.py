@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -21,7 +22,9 @@ from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1  # noq
 # jacobi_complex and jacobi_real stay bound, unused: bench/tracing.py wraps
 # those names here
 from .jacobi import _addition, _ascent, _ladder, jacobi_complex, jacobi_real  # noqa: F401
-from .kernel import DomainError, integrate, newton_invert, reduction_limit, trapezoid
+from .kernel import (
+    NEWTON_MAX_ITER, DomainError, integrate, newton_invert, reduction_limit, trapezoid,
+)
 
 
 _derived = partial(field, init=False, repr=False, compare=False)
@@ -51,6 +54,25 @@ _STRIP_N = 7.0
 # cot gamma = 2.6e-19 up, and the trapezoid rule 2 n0 + 1 = 199 from
 # sinh(7/99) = 0.07077 up, but 201 just below
 _TRAPEZOID_COT = 0.0708
+# phi's Newton solve starts from the root of f~(T) = a0 T + sum a_j
+# sin(2jT)/(2j), j <= N, with a_j the cosine coefficients of f' from a DCT of
+# N + 1 samples on [0, pi/2], N = ceil(_SERIES_C / b).  f' has its branch
+# points at pi/2 +- ib, b = asinh(lam/kappa), so a_j falls like e^(-2bj), and
+# newton_invert's first step from that root is about B e^(-2bN), at most
+# B e^(-2 _SERIES_C), relative, with B up to 5.3e-3 from kappa = 0.03 to the
+# cap (below, the step is at rounding level).  Over 38 kappa from 1e-3 to
+# the cap and 300 seeded u each, the largest first step is 1.0e-10 at 9,
+# 8.4e-12 at 10, 1.1e-12 at 11 and 5.5e-13 at 12: 11 is where the truncation
+# meets the floor that rounding sets, and its step lies 1/900 of NEWTON_RTOL
+_SERIES_C = 11.0
+# N grows like 11/lam as kappa -> 1, and the DCT's cost like N^2.  At 40
+# terms, kappa = 0.9633, the series costs 0.16 ms (2 CPUs, Python 3.11),
+# which the integrate calls it saves repay by the second solve; past 40,
+# kappa above about 0.9633, phi's solve starts from u_r pi / 2K
+_SERIES_CAP = 40
+# the series' root is taken at the first Newton step of at most this share of
+# the iterate: quadratic convergence puts the next iterate within about 1e-12
+_SERIES_STOP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,9 +88,12 @@ class Modulus:
     are the two Landen ladders and the constants of the WP bridge that
     ``dn2`` reads on every SN and WP call.  These ladders are the package's
     only ladder cache: jacobi_real and jacobi_complex build theirs on every
-    call.  Every Modulus, a complement too, has 2**-510 <= kappa <= 1 and
-    lam > 0; kappa is 1.0 only for the complement of a kappa below about
-    6.6e-9, whose lam rounds to 1.0.
+    call.  ``_f_series`` caches the cosine coefficients of f', the
+    integrand of f, integrated term by term, from which ``phi`` starts its
+    solve; it is None beyond the series' reach, kappa above about 0.9633.
+    Every Modulus, a complement too, has 2**-510 <= kappa <= 1 and lam > 0;
+    kappa is 1.0 only for the complement of a kappa below about 6.6e-9,
+    whose lam rounds to 1.0.
     """
 
     kappa: float
@@ -113,6 +138,10 @@ class Modulus:
     @cached_property
     def two_k(self) -> float:
         return 2.0 * periods(self, PeriodMethod.ELLIPTIC).K
+
+    @cached_property
+    def _f_series(self) -> tuple[float, tuple[float, ...]] | None:
+        return _cosine_series(self)
 
     @cached_property
     def _re_ladder(self) -> tuple:  # jacobi's ladder of (m, m1), for Re(c z)
@@ -227,9 +256,10 @@ def dn2_deriv(x: float, mod: Modulus) -> float:
     return -2.0 * mod.d * sn * cn * dn * mod.c
 
 
-def _f_prime(mod: Modulus, a: float = 0.0, c: float = 0.0):
-    """f'(a + (s - c)), where f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t) is
-    the integrand of f; with the default shift it is f'(s) bit for bit.
+def _f_prime(mod: Modulus, a: float = 0.0, c: float = 0.0, less: float = 0.0):
+    """f'(a + (s - c)) - less, where f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t)
+    is the integrand of f; with the default shift and less it is f'(s) bit
+    for bit.
 
     The complement is cos^2 psi = lam^2 + kappa^2 cos^2 t, with
     sin psi = kappa sin t, which does not cancel as kappa sin t -> 1.  The
@@ -246,20 +276,74 @@ def _f_prime(mod: Modulus, a: float = 0.0, c: float = 0.0):
     def f_prime(s: float) -> float:
         p = k * cos(a + (s - c))
         p = sqrt(l2 + p * p)
-        return sqrt(0.5 * (1.0 + p)) / p
+        return sqrt(0.5 * (1.0 + p)) / p - less
 
     return f_prime
 
 
-def _integral(mod: Modulus, a: float, b: float) -> float:
-    """The integral of f' over [a, b], a <= b: tanh-sinh of f'(a + (s - c))
-    over [c, c + (b - a)], c = (b - a)/1024, whose left-end nodes stop near
-    ulp(c), 1e-19 (b - a), where from 0 they would walk down to the smallest
-    double with f' flat there.  s - c is exact near c, so the left end is a.
+def _integral(mod: Modulus, a: float, b: float, less: float = 0.0) -> float:
+    """The integral of f' - less over [a, b], a <= b: tanh-sinh of
+    f'(a + (s - c)) - less over [c, c + (b - a)], c = (b - a)/1024, whose
+    left-end nodes stop near ulp(c), 1e-19 (b - a), where from 0 they would
+    walk down to the smallest double with f' flat there.  s - c is exact near
+    c, so the left end is a.
     """
     w = b - a
     c = w / 1024.0
-    return integrate(_f_prime(mod, a, c), c, c + w).value if w > 0.0 else 0.0
+    return integrate(_f_prime(mod, a, c, less), c, c + w).value if w > 0.0 else 0.0
+
+
+def _cosine_series(mod: Modulus) -> tuple[float, tuple[float, ...]] | None:
+    """(a0, (b_N, ..., b_1)) with f~(T) = a0 T + sum b_j sin 2jT, b_j = a_j/(2j),
+    the integral of the cosine series sum a_j cos 2jt of f' truncated at j = N,
+    or None where N passes _SERIES_CAP.
+
+    f' is even and pi-periodic, so its N + 1 samples at t_k = k pi/(2N) give
+    the a_j by a DCT-I; the cosine of pi jk/N is read from a table of the 2N
+    cosines repeated, with step j.
+    """
+    n = max(1, math.ceil(_SERIES_C / math.asinh(mod.lam / mod.kappa)))
+    if n > _SERIES_CAP:
+        return None
+    f_prime = _f_prime(mod)
+    h = 0.5 * math.pi / n
+    g = [f_prime(k * h) for k in range(n + 1)]
+    g[0] *= 0.5
+    g[n] *= 0.5
+    cosines = [math.cos(math.pi * m / n) for m in range(2 * n)] * (n // 2 + 1)
+    a = [sum(map(operator.mul, g, cosines[0:j * n + 1:j])) / n for j in range(1, n + 1)]
+    a[-1] *= 0.5
+    return sum(g) / n, tuple(a[j - 1] / j for j in range(n, 0, -1))
+
+
+def _series_root(mod: Modulus, ur: float, f_prime) -> float:
+    """The start of phi's solve of f(T) = ur on [0, pi]: the root of
+    Modulus._f_series's f~ by Newton with f' for f~', kept to a shrinking
+    bracket by bisection, or ur pi / 2K where there is no series."""
+    series = mod._f_series
+    if series is None:
+        return ur * math.pi / mod.two_k
+    a0, terms = series
+    cos, sin = math.cos, math.sin
+    lo, hi = 0.0, math.pi
+    x = min(ur / a0, hi)
+    for _ in range(NEWTON_MAX_ITER):
+        c2 = 2.0 * cos(2.0 * x)
+        y1 = y2 = 0.0
+        for b in terms:  # Clenshaw's recurrence for the sine series
+            y1, y2 = b + c2 * y1 - y2, y1
+        gx = a0 * x + y1 * sin(2.0 * x) - ur
+        if gx < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = gx / f_prime(x)
+        x -= step
+        if not lo <= x <= hi:
+            x = 0.5 * (lo + hi)
+        elif abs(step) <= _SERIES_STOP * x:
+            break
+    return x
 
 
 def f_forward(T: float, mod: Modulus) -> float:
@@ -307,12 +391,15 @@ def _reduce(a: float, period: float, what: str) -> tuple[int, float]:
     return round((a - r) / period), r
 
 
-def _phi_and_s2(u: float, mod: Modulus) -> tuple[float, float]:
-    """phi(u) and s2(u) from one solve of phi(|u|) = n pi + t, t in [0, pi].
+def _phi_route(u: float, mod: Modulus) -> tuple[float, float, float]:
+    """dn2(u) by the PHI route, phi(u) and s2(u), from one solve of
+    phi(|u|) = n pi + t, t in [0, pi].
 
     phi is n pi + t with u's sign, and s2 is (-1)^n sin t with u's sign: the
     sine of the rounded phi would carry phi's rounding, up to ulp(phi)/2,
-    where phi nears a multiple of pi and s2 nears 0.
+    where phi nears a multiple of pi and s2 nears 0.  dn2 is
+    sqrt(cos^2 t + lam^2 sin^2 t), which is sqrt(1 - (kappa s2)^2) without
+    its cancellation where kappa s2 nears 1.
     """
     a = abs(u)
     if a < 1e-4:
@@ -322,6 +409,12 @@ def _phi_and_s2(u: float, mod: Modulus) -> tuple[float, float]:
         two_k = mod.two_k
         n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
         f_prime = _f_prime(mod)
+        # from the series' start the residual takes its exact part out of
+        # the quadrature: (T - ur) plus the integral of f' - 1 from 0, or
+        # with r = pi - T from pi.  T - ur is exact while ur <= 2T, and the
+        # integral, f(T) - T, is smaller than f(T), and so is its rounding.
+        # one = 0.0 leaves every bit of the residual alone beyond the reach
+        one = 0.0 if mod._f_series is None else 1.0
         last = []  # the last iterate x and g(x)
 
         def g(T: float) -> float:  # f(T) - ur, as phi's docstring says
@@ -330,22 +423,17 @@ def _phi_and_s2(u: float, mod: Modulus) -> tuple[float, float]:
                 gx += _integral(mod, x, T) if x <= T else -_integral(mod, T, x)
             elif T > _REFLECT:
                 r = math.pi - T  # exact; two_k - ur is exact for ur >= K
-                gx = (two_k - ur) - _integral(mod, 0.0, r) - _PI_LO * f_prime(r)
+                gx = ((two_k - ur) - one * r) - _integral(mod, 0.0, r, one) - _PI_LO * f_prime(r)
             else:
-                gx = _integral(mod, 0.0, T) - ur
+                gx = (one * T - ur) + _integral(mod, 0.0, T, one)
             last[:] = T, gx
             return gx
 
-        t = newton_invert(g, f_prime, 0.0, math.pi, ur * math.pi / two_k)
-    s = math.copysign(math.sin(t), u)
-    return math.copysign(n * math.pi + (t + n * _PI_LO), u), -s if n % 2 else s
-
-
-def _phi_route(x: float, mod: Modulus) -> tuple[float, float, float]:
-    """dn2(x) by the PHI route, phi(x) and s2(x), from one solve of phi."""
-    p, s2x = _phi_and_s2(x, mod)
-    s = mod.kappa * s2x
-    return math.sqrt(1.0 - s * s), p, s2x
+        t = newton_invert(g, f_prime, 0.0, math.pi, _series_root(mod, ur, f_prime))
+    sin_t = math.sin(t)
+    s = math.copysign(sin_t, u)
+    return (math.hypot(math.cos(t), mod.lam * sin_t),
+            math.copysign(n * math.pi + (t + n * _PI_LO), u), -s if n % 2 else s)
 
 
 def phi(u: float, mod: Modulus) -> float:
@@ -354,8 +442,13 @@ def phi(u: float, mod: Modulus) -> float:
     phi is odd, so it solves for |u| and takes u's sign.  Reduction uses
     f(T + pi) = f(T) + 2K, then a safeguarded Newton solve of f(T) = u_r on
     [0, pi], where f runs from 0 to 2K; the derivative of f is at least 1
-    everywhere.  Its residual f(T) - u_r comes from the nearer end of
-    [0, pi] at the first iterate and at one across 3 pi/4 from the last; at
+    everywhere.  The first iterate is the root of the cosine series of f'
+    that the Modulus caches, integrated term by term, within about 1e-12 of
+    phi, so that the first step meets the solve's stop and one quadrature
+    decides phi; beyond the series' reach, kappa above about 0.9633, it is
+    u_r pi / 2K.  The residual f(T) - u_r comes from the nearer end of
+    [0, pi] at the first iterate, there as (T - u_r) plus the integral of
+    f' - 1 from the series' start, and at one across 3 pi/4 from the last; at
     any other it is the last residual plus f' integrated over the step.
     Below |u| = 1e-4 it returns the series u - kappa^2 u^3 / 8 instead,
     whose next term is below 1e-17 u there: quadrature cannot integrate
@@ -363,12 +456,12 @@ def phi(u: float, mod: Modulus) -> float:
     when |u| is so large (or not finite) that fewer than 8 significant
     digits of u survive reduction modulo 2K.
     """
-    return _phi_and_s2(u, mod)[0]
+    return _phi_route(u, mod)[1]
 
 
 def s2(x: float, mod: Modulus) -> float:
     """Companion function sin(phi(x)), from the same solve as phi(x)."""
-    return _phi_and_s2(x, mod)[1]
+    return _phi_route(x, mod)[2]
 
 
 def i_gamma(cos_g: float, sin_g: float) -> float:

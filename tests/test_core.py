@@ -72,6 +72,18 @@ def _mp_phi(u, kappa):
         return mpmath.sign(u) * ((mpmath.pi - t if cn < 0 else t) + n * mpmath.pi)
 
 
+def _mp_dn2(x, kappa):
+    """dn2(x) = 1 - (1 - lam) sn^2(c x | m) by mpmath at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        k = mpmath.mpf(kappa)
+        lam = mpmath.sqrt((1 - k) * (1 + k))
+        m = (1 - lam) / (1 + lam)
+        c = mpmath.sqrt((1 + lam) / 2)
+        return 1 - (1 - lam) * mpmath.ellipfun("sn", mpmath.mpf(x) * c, m=m) ** 2
+
+
 def _rel_err(got, ref):
     return float(abs(got - ref) / abs(ref))
 
@@ -354,14 +366,17 @@ class TestDn2:
 
     @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9, 0.99, 0.999])
     def test_phi_route_takes_s2_from_its_own_solve(self, kappa):
-        # sqrt(1 - kappa^2 s2^2) bit for bit: the sine of the rounded phi
-        # differs from s2 in the last bits at a few percent of the points
+        # dn2, phi and s2 of one solve, bit for bit, and dn2^2 + kappa^2 s2^2
+        # = 1 to rounding: dn2 is sqrt(cos^2 t + lam^2 sin^2 t) of the t
+        # whose sine s2 is, where it was sqrt(1 - kappa^2 s2^2) of that s2
         mod = Modulus(kappa)
         rng = random.Random(f"phi route:{kappa}")
         for _ in range(100):
             x = rng.uniform(-6.0, 6.0) * periods(mod).K
+            d = dn2(x, mod, Route.PHI)
+            assert core._phi_route(x, mod) == (d, phi(x, mod), s2(x, mod)), x
             s = mod.kappa * s2(x, mod)
-            assert dn2(x, mod, Route.PHI) == math.sqrt(1.0 - s * s), x
+            assert abs(d * d + s * s - 1.0) <= 4e-16, x
 
     def test_phi_route_takes_a_real_complex(self):
         mod = Modulus(0.6)
@@ -715,12 +730,19 @@ class TestAmplitude:
                     got = s2(sign * u, mod)
                     assert abs(got - sign * ref_s2) <= 1e-13 * ref_s2, sign * u
 
-    @pytest.mark.parametrize("kappa, bound", [(0.3, 2e-15), (0.6, 2e-15), (0.9, 2e-15),
-                                              (0.999, 5e-15)])
+    @pytest.mark.parametrize("kappa, bound", [(0.3, 2e-16), (0.6, 2e-16), (0.9, 2e-16),
+                                              (0.95, 3.5e-16), (0.999, 5e-15)])
     def test_phi_relative_accuracy_against_mpmath(self, kappa, bound):
         # u seeded over three periods either side of 0, log-spaced over
         # +-[1e-4, 1], and 1e-9 and an ulp either side of each multiple of
-        # 2K, where f(pi) by quadrature may round below the target
+        # 2K, where f(pi) by quadrature may round below the target.  From
+        # the series' start the residual takes T - u_r, exact while
+        # f(T) <= 2T, out of its quadrature: the worst is 1.5e-16 / 1.3e-16 /
+        # 1.7e-16 / 2.1e-16 at 0.3 / 0.6 / 0.9 / 0.95, where the quadrature
+        # of all of f(T) left 4.3e-16 / 2.7e-16 / 3.1e-16 / 2.7e-16 (the
+        # bounds were 2e-15); on 400 other seeded u per kappa the worst is
+        # 1.8e-16 / 1.6e-16 / 1.6e-16 / 2.8e-16, against 3.6e-16 / 4.9e-16 /
+        # 4.6e-16 / 4.7e-16
         mod = Modulus(kappa)
         two_k = 2.0 * periods(mod).K
         rng = random.Random(f"phi:{kappa}")
@@ -798,8 +820,8 @@ class TestAmplitude:
                 assert f_prime(t) == unshifted(mod, t), (k, t)
                 assert shifted(t) == unshifted(mod, 1.25 + (t - 0.5)), (k, t)
 
-    @pytest.mark.parametrize("kappa, per_solve, per_f", [(0.3, 186, 76), (0.6, 200, 81),
-                                                         (0.9, 274, 102)])
+    @pytest.mark.parametrize("kappa, per_solve, per_f", [(0.3, 80, 76), (0.6, 80, 81),
+                                                         (0.9, 112, 102)])
     def test_phi_route_quadrature_evaluations(self, monkeypatch, kappa, per_solve, per_f):
         # f' evaluations per phi solve and per f, over u in three periods 2K
         # and T in three periods pi either side of 0.  Integrating from 0
@@ -807,7 +829,8 @@ class TestAmplitude:
         # integrated again from 0: 305 / 316 / 546 per solve and 100 / 104 /
         # 128 per f at kappa = 0.3 / 0.6 / 0.9.  Over the shifted interval,
         # with the residual carried between iterates: 174 / 183 / 247 and
-        # 70 / 73 / 90; the bounds are about 10% above those
+        # 70 / 73 / 90; from the series' start, one quadrature per solve:
+        # 73 / 73 / 101.  The bounds are about 10% above those
         evaluations = []
 
         def counted(f, a, b):
@@ -825,6 +848,65 @@ class TestAmplitude:
         for _ in range(40):
             f_forward(rng.uniform(-3.0 * math.pi, 3.0 * math.pi), mod)
         assert sum(evaluations) / 40 <= per_f
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9, 0.95])
+    def test_phi_solve_makes_one_quadrature_call(self, monkeypatch, kappa):
+        # Newton starts from the root of the series of f', within about 1e-12
+        # of phi, so its first step meets NEWTON_RTOL and it returns before
+        # a second residual: one integrate call per solve, where the start
+        # u_r pi / 2K took 3.0 / 3.1 / 3.9 / 4.3 on average
+        calls = []
+
+        def counted(f, a, b):
+            calls.append((a, b))
+            return integrate(f, a, b)
+
+        monkeypatch.setattr(core, "integrate", counted)
+        mod = Modulus(kappa)
+        rng = random.Random(f"one quadrature:{kappa}")
+        us = [rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k) for _ in range(200)]
+        us += [mod.two_k * n + e for n in range(1, 4) for e in (1e-9, -1e-9, 1e-3, -1e-3)]
+        for u in us:
+            calls.clear()
+            phi(u, mod)
+            assert len(calls) == 1, u
+
+    def test_series_reach(self):
+        # N = ceil(11 / asinh(lam / kappa)) terms, up to 40: kappa up to
+        # about 0.9633, beyond which phi's solve starts from u_r pi / 2K
+        for kappa, n in [(KAPPA_MIN, 1), (1e-9, 1), (0.3, 6), (0.6, 11), (0.9, 24),
+                         (0.95, 35), (0.9633, 40)]:
+            a0, terms = Modulus(kappa)._f_series
+            assert len(terms) == n, kappa
+        for kappa in (0.9634, 0.97, 0.999, 1.0 - 1e-12):
+            assert Modulus(kappa)._f_series is None, kappa
+
+    @pytest.mark.parametrize("kappa", [1e-9, 0.3, 0.6, 0.9, 0.95, 0.9633])
+    def test_series_is_f_to_about_1e_12(self, kappa):
+        # a0 pi is 2K, and f~(T) = a0 T + sum b_j sin 2jT is f to the
+        # truncation the strip width sizes, well within NEWTON_RTOL
+        mod = Modulus(kappa)
+        a0, terms = mod._f_series
+        assert abs(a0 * math.pi - mod.two_k) <= 1e-13 * mod.two_k
+        rng = random.Random(f"series:{kappa}")
+        for T in [rng.uniform(0.0, math.pi) for _ in range(50)]:
+            tilde = a0 * T + math.fsum(b * math.sin(2.0 * j * T)
+                                       for j, b in enumerate(reversed(terms), 1))
+            assert abs(tilde - f_forward(T, mod)) <= 1e-12 * f_forward(T, mod), T
+            start = core._series_root(mod, f_forward(T, mod), _f_prime(mod))
+            assert abs(start - T) <= 1e-11 * T, T
+
+    @pytest.mark.parametrize("kappa", [0.9, 0.99, 0.999, 0.9999])
+    def test_phi_route_near_k_against_mpmath(self, kappa):
+        # dn2 falls to lam at x = K, where sqrt(1 - (kappa s2)^2) cancelled:
+        # it was up to 5.8e-16 / 5.1e-15 / 5.3e-14 / 5.3e-13 off on these x.
+        # sqrt(cos^2 t + lam^2 sin^2 t) of the solve's t is at most 2.2e-15
+        mod = Modulus(kappa)
+        K = periods(mod).K
+        rng = random.Random(f"phi near K:{kappa}")
+        for _ in range(40):
+            x = rng.uniform(0.95, 1.05) * K
+            assert _rel_err(dn2(x, mod, Route.PHI), _mp_dn2(x, kappa)) <= 1e-14, x
 
     @pytest.mark.parametrize("kappa", [0.3, 0.9, 0.999])
     def test_f_reduces_by_its_period_against_mpmath(self, kappa):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from dn2.core import Modulus, Route, dn2, dn2_deriv, invariants_of, periods, phi
+from dn2.core import Modulus, Route, dn2, dn2_deriv, invariants_of, periods, phi, s2
 from dn2.identities import identity_bbg_91
 from dn2.jacobi import JacobiTriple, PoleError, _ladder, jacobi_complex, jacobi_real
 from dn2.kernel import DomainError, integrate
@@ -24,25 +24,28 @@ X = [0.37, -3.1, 7.5]
 # and when f began to reflect past 3 pi/4 and phi to add n pi to double
 # precision (phi(-3.1) at 0.3 and 0.6 moved, closer to mpmath), and when
 # phi's Newton solve began to carry its residual between iterates (at 0.9,
-# phi(0.37) moved closer to mpmath and phi(7.5) by 1 ulp away from it)
+# phi(0.37) moved closer to mpmath and phi(7.5) by 1 ulp away from it), and
+# when the solve began from the root of the series of f' and took T - u_r
+# out of the residual's quadrature (phi(0.37) moved at 0.3, 0.6 and 0.9, and
+# phi(7.5) at 0.9: see tests/test_quadrature_table.py)
 GOLDEN = {
     0.3: (
         [('0x1.fdfef3446e5a5p-1', '-0x1.50a9ba1420891p-7'), ('0x1.557f6090e0a42p-2', '0x1.54ad3c82f438ap-2'), ('0x1.024a250761509p+0', '-0x1.6e82a70dc8fe5p-5')],
         [('0x1.fdfef3446e5a5p-1', '-0x1.50a9ba1420893p-7'), ('0x1.557f6090e0a40p-2', '0x1.54ad3c82f438ap-2'), ('0x1.024a250761509p+0', '-0x1.6e82a70dc8fe6p-5')],
         ['0x1.fcfca5ef2a572p-1', '0x1.ffc83bb61acd3p-1', '0x1.ed7e06a451782p-1'],
-        ['0x1.7a4fd280c59d1p-2', '-0x1.85a8c81896328p+1', '0x1.d817891c15e62p+2'],
+        ['0x1.7a4fd280c59d2p-2', '-0x1.85a8c81896328p+1', '0x1.d817891c15e62p+2'],
     ),
     0.6: (
         [('0x1.f7ffbd1d3a5d0p-1', '-0x1.507d0b88ebe10p-5'), ('-0x1.17916abf0d8ecp-1', '0x1.b4582472db42cp-3'), ('0x1.e4273f4ee76e8p-1', '-0x1.a6821d75cb7dcp-3')],
         [('0x1.f7ffbd1d3a5d0p-1', '-0x1.507d0b88ebe10p-5'), ('-0x1.17916abf0d8eep-1', '0x1.b4582472db42dp-3'), ('0x1.e4273f4ee76e7p-1', '-0x1.a6821d75cb7dep-3')],
         ['0x1.f3f1d26c8640dp-1', '0x1.f76f7a6d12edcp-1', '0x1.db61ac8d646f7p-1'],
-        ['0x1.789a156ff5ea0p-2', '-0x1.6aa4e1f8a78fdp+1', '0x1.bcd6f15a6adc0p+2'],
+        ['0x1.789a156ff5e9fp-2', '-0x1.6aa4e1f8a78fdp+1', '0x1.bcd6f15a6adc0p+2'],
     ),
     0.9: (
         [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a72bp-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb37620p-6'), ('0x1.81392a75157d0p-2', '-0x1.00514f342a775p-2')],
         [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a729p-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb3761fp-6'), ('0x1.81392a75157d4p-2', '-0x1.00514f342a773p-2')],
         ['0x1.e4dd3533d49b4p-1', '0x1.559342b13745cp-1', '0x1.849f9f52fa6cfp-1'],
-        ['0x1.75bbe7d9fd3fap-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e4p+2'],
+        ['0x1.75bbe7d9fd3fbp-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e6p+2'],
     ),
 }
 
@@ -65,6 +68,47 @@ def test_values_match_the_uncached_computation_bit_for_bit(kappa):
     mod = Modulus(kappa)
     assert _values(mod) == GOLDEN[kappa]
     assert _values(mod) == GOLDEN[kappa]  # again, from warm caches
+
+
+# kappa -> (phi, s2, dn2 by the PHI route) at U and 0.98 K, as float.hex,
+# beyond the reach of the series of f' that Modulus caches, where phi's
+# solve starts from u_r pi / 2K as it did before the series: phi and s2 as
+# computed before the series existed, and dn2 as sqrt(cos^2 t + lam^2 sin^2 t)
+# of that solve's t (its former sqrt(1 - (kappa s2)^2) differed by up to 243 ulp,
+# at 0.98 K, kappa = 0.999)
+U = [0.37, -3.1, 7.5, 12.0]
+BEYOND_SERIES = {
+    0.97: [
+        ('0x1.74e53e2bac250p-2', '0x1.6cb5584ce34c4p-2', '0x1.e07998301b053p-1'),
+        ('-0x1.c6ce8fdb36951p+0', '-0x1.f53247d9b02dap-1', '0x1.41328cc0fa16dp-2'),
+        ('0x1.2e78a6488d031p+2', '-0x1.fff3a7af4bcccp-1', '0x1.f29ff48f6615cp-3'),
+        ('0x1.ede7a0fe1abd4p+2', '0x1.fb38e6722e272p-1', '0x1.1b5e73da7f389p-2'),
+        ('0x1.8e32b5deb5923p+0', '0x1.fff096af87b6cp-1', '0x1.f2cf57b68671cp-3'),
+    ],
+    0.99: [
+        ('0x1.74a4dc8780afbp-2', '0x1.6c792eb9bcc13p-2', '0x1.df290ef322bc4p-1'),
+        ('-0x1.9db2618f50ab1p+0', '-0x1.ff7a16ff4f664p-1', '0x1.2f166984815e0p-3'),
+        ('0x1.1c6f1b7583abcp+2', '-0x1.edb550b8e12efp-1', '0x1.30f005d1d7e83p-2'),
+        ('0x1.b447ee61f124cp+2', '0x1.0477cf98b0e48p-1', '0x1.ba52f049145e7p-1'),
+        ('0x1.8f62999a25d7ep+0', '0x1.fff87fe42b877p-1', '0x1.21b811b86400fp-3'),
+    ],
+    0.999: [
+        ('0x1.748772385ba98p-2', '0x1.6c5db168bff43p-2', '0x1.de8f5e4ac95cfp-1'),
+        ('-0x1.88302e034853fp+0', '-0x1.ff9d4b8ba8b4ap-1', '0x1.e4c07cd58593dp-5'),
+        ('0x1.a6deadfc534dfp+1', '-0x1.4a7bfe07c59c7p-3', '0x1.f94da39021691p-1'),
+        ('0x1.32d3d8297edb8p+2', '-0x1.fe49d2f289387p-1', '0x1.7d2e77fe716e2p-4'),
+        ('0x1.90f5bcd70b964p+0', '0x1.fffea52dc8a9dp-1', '0x1.7026a4c993679p-5'),
+    ],
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(BEYOND_SERIES))
+def test_phi_beyond_the_series_keeps_its_bits(kappa):
+    mod = Modulus(kappa)
+    assert mod._f_series is None
+    us = U + [0.98 * periods(mod).K]
+    assert [(phi(u, mod).hex(), s2(u, mod).hex(), dn2(u, mod, Route.PHI).hex())
+            for u in us] == BEYOND_SERIES[kappa]
 
 
 def test_reused_and_fresh_modulus_agree_bit_for_bit():
@@ -179,6 +223,8 @@ def test_cached_values_are_the_derived_quantities():
     lat = mod.lattice
     assert mod._wp_scale == lat.e1 - lat.e3
     assert mod._wp_half_k2 == 0.5 * mod.kappa**2
+    # and what phi reads on every solve
+    assert mod._f_series is mod._f_series and len(mod._f_series[1]) == 11
 
 
 LATTICE_FIELDS = ("g2", "g3", "delta", "e1", "e2", "e3", "m", "mc", "scale")

@@ -5,7 +5,9 @@ path.  The Landen ladder of jacobi is the AGM of (1, sqrt(mc)), so it gives
 the real period 4K(m) itself; the SN and WP routes then read nothing of
 hyper's AGM, which the ELLIPTIC periods and the PHI route's reduction by 2K
 run on.  Nor do the other kernels that one route or period method runs
-move any other: scaled by 1 + 1e-9, each moves its owner alone.
+move any other: scaled by 1 + 1e-9, each moves its owner alone, but for
+integrate near either end of the modulus range, which INTEGRAL runs there
+as PHI does.
 """
 
 import math
@@ -129,9 +131,9 @@ KERNELS = [
 ]
 
 
-@pytest.mark.parametrize("kernel, modules, owner", KERNELS)
-@pytest.mark.parametrize("kappa", KAPPAS)
-def test_each_kernel_moves_one_route_or_method(monkeypatch, kernel, modules, owner, kappa):
+def _moved(monkeypatch, kernel, modules, kappa):
+    """The routes and period methods whose values move when the dn2
+    modules' bindings of kernel are scaled by SCALE."""
     xs, zs = _points(Modulus(kappa))
     before = _values(kappa, xs, zs)
     for name in modules:
@@ -143,5 +145,25 @@ def test_each_kernel_moves_one_route_or_method(monkeypatch, kernel, modules, own
         after = _values(kappa, xs, zs)
     finally:
         monkeypatch.undo()
-    moved = sorted(key for key in before if after[key] != before[key])
-    assert moved == ([owner] if owner else [])
+    return sorted(key for key in before if after[key] != before[key])
+
+
+@pytest.mark.parametrize("kernel, modules, owner", KERNELS)
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_each_kernel_moves_one_route_or_method(monkeypatch, kernel, modules, owner, kappa):
+    assert _moved(monkeypatch, kernel, modules, kappa) == ([owner] if owner else [])
+
+
+# at moduli where cot gamma < 0.0708 for K' or for K, below about 0.0706
+# and above 0.9975, INTEGRAL sums the peak of its integrand by integrate:
+# there integrate moves PHI and INTEGRAL, and nothing else, and every other
+# kernel still moves its owner alone
+END_KAPPAS = [0.05, 0.999]
+END_OWNERS = {"integrate": ["integral", "phi"]}
+
+
+@pytest.mark.parametrize("kernel, modules, owner", KERNELS)
+@pytest.mark.parametrize("kappa", END_KAPPAS)
+def test_each_kernel_at_the_ends_of_the_modulus_range(monkeypatch, kernel, modules, owner, kappa):
+    expected = END_OWNERS.get(kernel, [owner] if owner else [])
+    assert _moved(monkeypatch, kernel, modules, kappa) == expected
