@@ -10,12 +10,12 @@ there e3 = -1/3, so 1/3 + P(z) = (e1 - e3) / sn^2(c z).
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 # f14_34_12_closed stays bound, unused: bench/tracing.py counts that name here
 from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1  # noqa: F401
@@ -23,7 +23,8 @@ from .hyper import F_QUARTER_ONE, complete_K, f14_34_12_closed, gauss_2f1  # noq
 # those names here
 from .jacobi import _addition, _ascent, _ladder, jacobi_complex, jacobi_real  # noqa: F401
 from .kernel import (
-    NEWTON_MAX_ITER, DomainError, integrate, newton_invert, reduction_limit, trapezoid,
+    ConvergenceError, DomainError, gauss_legendre, integrate, newton_invert, reduction_limit,
+    trapezoid,
 )
 
 
@@ -54,25 +55,25 @@ _STRIP_N = 7.0
 # cot gamma = 2.6e-19 up, and the trapezoid rule 2 n0 + 1 = 199 from
 # sinh(7/99) = 0.07077 up, but 201 just below
 _TRAPEZOID_COT = 0.0708
-# phi's Newton solve starts from the root of f~(T) = a0 T + sum a_j
-# sin(2jT)/(2j), j <= N, with a_j the cosine coefficients of f' from a DCT of
-# N + 1 samples on [0, pi/2], N = ceil(_SERIES_C / b).  f' has its branch
-# points at pi/2 +- ib, b = asinh(lam/kappa), so a_j falls like e^(-2bj), and
-# newton_invert's first step from that root is about B e^(-2bN), at most
-# B e^(-2 _SERIES_C), relative, with B up to 5.3e-3 from kappa = 0.03 to the
-# cap (below, the step is at rounding level).  Over 38 kappa from 1e-3 to
-# the cap and 300 seeded u each, the largest first step is 1.0e-10 at 9,
-# 8.4e-12 at 10, 1.1e-12 at 11 and 5.5e-13 at 12: 11 is where the truncation
-# meets the floor that rounding sets, and its step lies 1/900 of NEWTON_RTOL
-_SERIES_C = 11.0
-# N grows like 11/lam as kappa -> 1, and the DCT's cost like N^2.  At 40
-# terms, kappa = 0.9633, the series costs 0.16 ms (2 CPUs, Python 3.11),
-# which the integrate calls it saves repay by the second solve; past 40,
-# kappa above about 0.9633, phi's solve starts from u_r pi / 2K
-_SERIES_CAP = 40
-# the series' root is taken at the first Newton step of at most this share of
-# the iterate: quadratic convergence puts the next iterate within about 1e-12
-_SERIES_STOP = 1e-6
+# inside the reach, f and phi read a table of f(T_k) - T_k at T_k = k h on
+# [0, pi/2], each step the 5-point Gauss-Legendre rule's integral of f' - 1
+# over its two halves.  f' has its branch points at pi/2 +- ib,
+# b = asinh(lam/kappa), and a step h <= _TABLE_STEP b keeps them at least
+# about 12 half-steps from it: the rule's error over the step then meets
+# its rounding only next to the peak at the largest kappa, and over the
+# halves it lies below it (Trefethen, SIAM Rev. 50 (2008) 67-87)
+_TABLE_STEP = 0.08
+# the table takes n = ceil((pi/2) / (_TABLE_STEP b)) steps, at most this
+# many: up to kappa = 0.9639.  Beyond, f and phi integrate by tanh-sinh as
+# they did before the table; the table cannot serve kappa -> 1, where b -> 0
+_TABLE_CAP = 72
+# each step's rule is checked against its sum over the two halves.  On
+# 2,000 kappa across the reach the two differ by at most 1.3e-15 h, near
+# the peak of f' at the largest kappa, where the rule's error over the
+# whole step and the rounding of a step (about 2 h) meet; 2**-48 = 3.6e-15
+# leaves that a margin, and a gap beyond it means the integrand is not the
+# analytic f' - 1 the step assumes
+_TABLE_TOL = 2.0**-48
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,10 @@ class Modulus:
     are the two Landen ladders and the constants of the WP bridge that
     ``dn2`` reads on every SN and WP call.  These ladders are the package's
     only ladder cache: jacobi_real and jacobi_complex build theirs on every
-    call.  ``_f_series`` caches the cosine coefficients of f', the
-    integrand of f, integrated term by term, from which ``phi`` starts its
-    solve; it is None beyond the series' reach, kappa above about 0.9633.
+    call.  ``_f_table``, built on the first f or phi call and never on
+    construction, caches f(T) - T on a grid of [0, pi/2], from which
+    ``f_forward`` and ``phi`` take f with no tanh-sinh; it is None beyond
+    the table's reach, kappa above about 0.9639.
     Every Modulus, a complement too, has 2**-510 <= kappa <= 1 and lam > 0;
     kappa is 1.0 only for the complement of a kappa below about 6.6e-9,
     whose lam rounds to 1.0.
@@ -140,8 +142,8 @@ class Modulus:
         return 2.0 * periods(self, PeriodMethod.ELLIPTIC).K
 
     @cached_property
-    def _f_series(self) -> tuple[float, tuple[float, ...]] | None:
-        return _cosine_series(self)
+    def _f_table(self) -> _FTable | None:
+        return _build_f_table(self)
 
     @cached_property
     def _re_ladder(self) -> tuple:  # jacobi's ladder of (m, m1), for Re(c z)
@@ -256,10 +258,9 @@ def dn2_deriv(x: float, mod: Modulus) -> float:
     return -2.0 * mod.d * sn * cn * dn * mod.c
 
 
-def _f_prime(mod: Modulus, a: float = 0.0, c: float = 0.0, less: float = 0.0):
-    """f'(a + (s - c)) - less, where f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t)
-    is the integrand of f; with the default shift and less it is f'(s) bit
-    for bit.
+def _f_prime(mod: Modulus, a: float = 0.0, c: float = 0.0):
+    """f'(a + (s - c)), where f'(t) = F(1/4, 3/4; 1/2; kappa^2 sin^2 t) is
+    the integrand of f; with the default shift it is f'(s) bit for bit.
 
     The complement is cos^2 psi = lam^2 + kappa^2 cos^2 t, with
     sin psi = kappa sin t, which does not cancel as kappa sin t -> 1.  The
@@ -276,94 +277,153 @@ def _f_prime(mod: Modulus, a: float = 0.0, c: float = 0.0, less: float = 0.0):
     def f_prime(s: float) -> float:
         p = k * cos(a + (s - c))
         p = sqrt(l2 + p * p)
-        return sqrt(0.5 * (1.0 + p)) / p - less
+        return sqrt(0.5 * (1.0 + p)) / p
 
     return f_prime
 
 
-def _integral(mod: Modulus, a: float, b: float, less: float = 0.0) -> float:
-    """The integral of f' - less over [a, b], a <= b: tanh-sinh of
-    f'(a + (s - c)) - less over [c, c + (b - a)], c = (b - a)/1024, whose
-    left-end nodes stop near ulp(c), 1e-19 (b - a), where from 0 they would
-    walk down to the smallest double with f' flat there.  s - c is exact near
-    c, so the left end is a.
+def _f_excess(mod: Modulus):
+    """f'(t) - 1, without the cancellation of f'(t) - 1.0 where f' nears 1.
+
+    With p = cos psi as in _f_prime and sin psi = kappa sin t,
+    sqrt((1 + p)/2) - p = (1 - p)(1 + 2p) / (2 (sqrt((1 + p)/2) + p)) and
+    1 - p = (kappa sin t)^2 / (1 + p): a product and quotients of terms
+    that are all accurate to a few ulp, so that f'(t) - 1 is too, where
+    f'(t) - 1.0 would carry the rounding of f', up to 2e-16, and lose
+    every digit at t = 0.
+    """
+    k = mod.kappa
+    l2 = mod.lam * mod.lam
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt  # closure cells
+
+    def excess(t: float) -> float:
+        p = k * cos(t)
+        p = sqrt(l2 + p * p)
+        q = k * sin(t)
+        return q * q * (1.0 + 2.0 * p) / (2.0 * p * (1.0 + p) * (sqrt(0.5 * (1.0 + p)) + p))
+
+    return excess
+
+
+def _integral(mod: Modulus, a: float, b: float) -> float:
+    """The integral of f' over [a, b], a <= b: tanh-sinh of f'(a + (s - c))
+    over [c, c + (b - a)], c = (b - a)/1024, whose left-end nodes stop near
+    ulp(c), 1e-19 (b - a), where from 0 they would walk down to the smallest
+    double with f' flat there.  s - c is exact near c, so the left end is a.
     """
     w = b - a
     c = w / 1024.0
-    return integrate(_f_prime(mod, a, c, less), c, c + w).value if w > 0.0 else 0.0
+    return integrate(_f_prime(mod, a, c), c, c + w).value if w > 0.0 else 0.0
 
 
-def _cosine_series(mod: Modulus) -> tuple[float, tuple[float, ...]] | None:
-    """(a0, (b_N, ..., b_1)) with f~(T) = a0 T + sum b_j sin 2jT, b_j = a_j/(2j),
-    the integral of the cosine series sum a_j cos 2jt of f' truncated at j = N,
-    or None where N passes _SERIES_CAP.
+class _FTable(NamedTuple):
+    """f(T_k) - T_k at T_k = k h, k = 0..n, n h = pi/2, as the unevaluated
+    sums hi_k + lo_k; f(T_k) rounded, for phi's start; 2K - pi, twice the
+    last sum, in three parts of at most 26 significant bits; and the
+    closures f' - 1, which the rule integrates, and f'."""
 
-    f' is even and pi-periodic, so its N + 1 samples at t_k = k pi/(2N) give
-    the a_j by a DCT-I; the cosine of pi jk/N is read from a table of the 2N
-    cosines repeated, with step j.
-    """
-    n = max(1, math.ceil(_SERIES_C / math.asinh(mod.lam / mod.kappa)))
-    if n > _SERIES_CAP:
+    h: float
+    t: tuple[float, ...]
+    hi: tuple[float, ...]
+    lo: tuple[float, ...]
+    f: tuple[float, ...]
+    two_k_less_pi: tuple[float, float, float]
+    excess: Callable[[float], float]
+    f_prime: Callable[[float], float]
+
+
+def _build_f_table(mod: Modulus) -> _FTable | None:
+    """Modulus._f_table: None where it would take more than _TABLE_CAP
+    steps, kappa above about 0.9639.  Each step adds the rule over its two
+    halves to the running sum exactly, by fsum, which hi + lo carries; a
+    step whose rule differs from the sum over its halves by more than
+    _TABLE_TOL h raises ConvergenceError."""
+    n = max(1, math.ceil(0.5 * math.pi / (_TABLE_STEP * math.asinh(mod.lam / mod.kappa))))
+    if n > _TABLE_CAP:
         return None
-    f_prime = _f_prime(mod)
+    excess = _f_excess(mod)
     h = 0.5 * math.pi / n
-    g = [f_prime(k * h) for k in range(n + 1)]
-    g[0] *= 0.5
-    g[n] *= 0.5
-    cosines = [math.cos(math.pi * m / n) for m in range(2 * n)] * (n // 2 + 1)
-    a = [sum(map(operator.mul, g, cosines[0:j * n + 1:j])) / n for j in range(1, n + 1)]
-    a[-1] *= 0.5
-    return sum(g) / n, tuple(a[j - 1] / j for j in range(n, 0, -1))
+    t = [k * h for k in range(n + 1)]
+    hi, lo = [0.0], [0.0]
+    for a, b in zip(t, t[1:]):
+        m = 0.5 * (a + b)
+        left, right = gauss_legendre(excess, a, m), gauss_legendre(excess, m, b)
+        if not abs(gauss_legendre(excess, a, b) - (left + right)) <= _TABLE_TOL * h:
+            raise ConvergenceError(f"the table of f fails its check on [{a!r}, {b!r}]")
+        parts = (hi[-1], lo[-1], left, right)
+        hi.append(math.fsum(parts))
+        lo.append(math.fsum((*parts, -hi[-1])))
+    f = [math.fsum(parts) for parts in zip(t, hi, lo)]
+    # f's reduction multiplies these by n + 1 < 2**27, exactly
+    c1, c2 = _split(2.0 * hi[-1])
+    return _FTable(h, tuple(t), tuple(hi), tuple(lo), tuple(f), (c1, c2, _split(2.0 * lo[-1])[0]),
+                   excess, _f_prime(mod))
 
 
-def _series_root(mod: Modulus, ur: float, f_prime) -> float:
-    """The start of phi's solve of f(T) = ur on [0, pi]: the root of
-    Modulus._f_series's f~ by Newton with f' for f~', kept to a shrinking
-    bracket by bisection, or ur pi / 2K where there is no series."""
-    series = mod._f_series
-    if series is None:
-        return ur * math.pi / mod.two_k
-    a0, terms = series
-    cos, sin = math.cos, math.sin
-    lo, hi = 0.0, math.pi
-    x = min(ur / a0, hi)
-    for _ in range(NEWTON_MAX_ITER):
-        c2 = 2.0 * cos(2.0 * x)
-        y1 = y2 = 0.0
-        for b in terms:  # Clenshaw's recurrence for the sine series
-            y1, y2 = b + c2 * y1 - y2, y1
-        gx = a0 * x + y1 * sin(2.0 * x) - ur
-        if gx < 0.0:
-            lo = x
-        else:
-            hi = x
-        step = gx / f_prime(x)
-        x -= step
-        if not lo <= x <= hi:
-            x = 0.5 * (lo + hi)
-        elif abs(step) <= _SERIES_STOP * x:
-            break
-    return x
+def _split(x: float) -> tuple[float, float]:
+    """Veltkamp's split: x = hi + lo exactly, each with at most 26
+    significant bits."""
+    y = 134217729.0 * x  # 2**27 + 1
+    hi = y - (y - x)
+    return hi, x - hi
+
+
+def _f_terms(table: _FTable, a: float, n: int, r: float) -> list[float]:
+    """Terms whose exact sum is f(a), a = n math.pi + r >= 0 exactly,
+    r in [0, math.pi], inside the table's reach.
+
+    With pi = math.pi + _PI_LO, f(T + pi) = f(T) + 2K and
+    f(pi - r) = 2K - f(r), f(a) is a + m (2K - pi) + s (f(r') - r')
+    + m _PI_LO (1 - f'(r')), to first order in _PI_LO: m = n, s = 1 and
+    r' = r up to pi/2, and past it m = n + 1, s = -1 and r' = math.pi - r,
+    exact.  f(r') - r' is hi_k + lo_k at the nearest T_k plus the rule's
+    integral of f' - 1 from T_k to r'.
+    """
+    m, s = n, 1.0
+    if r > 0.5 * math.pi:
+        m, s, r = n + 1, -1.0, math.pi - r
+    k = int(r / table.h + 0.5)
+    terms = [a, s * table.hi[k], s * table.lo[k], s * gauss_legendre(table.excess, table.t[k], r)]
+    if m:
+        terms += [m * c for c in table.two_k_less_pi]
+        terms.append(m * _PI_LO * (1.0 - table.f_prime(r)))
+    return terms
+
+
+def _table_start(table: _FTable, v: float) -> float:
+    """The T in [0, pi/2] with f(T) = v by linear interpolation between the
+    table's f(T_k); 0 for v < 0, which 2K - u_r can be by rounding."""
+    fs = table.f
+    k = min(max(bisect.bisect_right(fs, v) - 1, 0), len(fs) - 2)
+    return table.t[k] + max(v - fs[k], 0.0) * table.h / (fs[k + 1] - fs[k])
 
 
 def f_forward(T: float, mod: Modulus) -> float:
     """The incomplete integral f(T); odd, bit for bit, and strictly increasing.
 
     |T| = n pi + r is reduced by f(T + n pi) = f(T) + n 2K, and an r past
-    3 pi/4 by f(pi - r) = 2K - f(r): the quadrature over [0, pi - r] is
-    shorter, stays clear of the peak of f' at pi/2, and near pi leaves f
-    with little more than the error of 2K; it is _integral's, with no nodes
-    spent next to 0.  The reduction is by math.pi; the n (pi - math.pi) it
-    drops is restored through f'.  Below |T| = 1e-4 it returns the series
-    T + kappa^2 T^3 / 8 instead, as phi does: quadrature finds no node
-    inside an interval as short as [0, 5e-324].  Raises DomainError when
-    |T| is so large (or not finite) that fewer than 8 significant digits of
-    T survive reduction modulo pi.
+    pi/2 by f(pi - r) = 2K - f(r).  Inside the reach of Modulus._f_table,
+    kappa up to about 0.9639, f(|T|) is the exactly rounded sum of |T|, the
+    table's f(T_k) - T_k at the nearest T_k, the 5-point Gauss-Legendre
+    rule's integral of f' - 1 from T_k to r or pi - r, and the table's
+    2K - pi, times the number of periods and reflections, exactly: no
+    tanh-sinh.  Beyond the reach the reflection is past 3 pi/4, 2K is
+    Modulus.two_k, and f(r) is _integral's tanh-sinh of f' over [0, r],
+    with no nodes spent next to 0.  Either way the reduction is by math.pi;
+    the n (pi - math.pi) it drops is restored through f'.  Below
+    |T| = 1e-4 it returns the series T + kappa^2 T^3 / 8 instead, as phi
+    does: quadrature finds no node inside an interval as short as
+    [0, 5e-324].  Raises DomainError when |T| is so large (or not finite)
+    that fewer than 8 significant digits of T survive reduction modulo pi.
     """
     if abs(T) < 1e-4:
         T = float(T)  # a numpy.float32 would sum the series in single precision
         return T + mod.kappa**2 * T**3 / 8.0
-    n, r = _reduce(abs(T), math.pi, f"f argument {T!r}")
+    a = abs(T)
+    n, r = _reduce(a, math.pi, f"f argument {T!r}")
+    table = mod._f_table
+    if table is not None:
+        return math.copysign(math.fsum(_f_terms(table, float(a), n, r)), T)
     sign = 1.0
     if r > _REFLECT:
         n, r, sign = n + 1, math.pi - r, -1.0  # math.pi - r is exact
@@ -393,7 +453,8 @@ def _reduce(a: float, period: float, what: str) -> tuple[int, float]:
 
 def _phi_route(u: float, mod: Modulus) -> tuple[float, float, float]:
     """dn2(u) by the PHI route, phi(u) and s2(u), from one solve of
-    phi(|u|) = n pi + t, t in [0, pi].
+    phi(|u|) = n pi + t, t in [0, pi]: _phi_tabled's inside the reach of
+    Modulus._f_table, and _phi_integrated's beyond it.
 
     phi is n pi + t with u's sign, and s2 is (-1)^n sin t with u's sign: the
     sine of the rounded phi would carry phi's rounding, up to ulp(phi)/2,
@@ -408,32 +469,50 @@ def _phi_route(u: float, mod: Modulus) -> tuple[float, float, float]:
     else:
         two_k = mod.two_k
         n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
-        f_prime = _f_prime(mod)
-        # from the series' start the residual takes its exact part out of
-        # the quadrature: (T - ur) plus the integral of f' - 1 from 0, or
-        # with r = pi - T from pi.  T - ur is exact while ur <= 2T, and the
-        # integral, f(T) - T, is smaller than f(T), and so is its rounding.
-        # one = 0.0 leaves every bit of the residual alone beyond the reach
-        one = 0.0 if mod._f_series is None else 1.0
-        last = []  # the last iterate x and g(x)
-
-        def g(T: float) -> float:  # f(T) - ur, as phi's docstring says
-            if last and (T > _REFLECT) == (last[0] > _REFLECT):
-                x, gx = last
-                gx += _integral(mod, x, T) if x <= T else -_integral(mod, T, x)
-            elif T > _REFLECT:
-                r = math.pi - T  # exact; two_k - ur is exact for ur >= K
-                gx = ((two_k - ur) - one * r) - _integral(mod, 0.0, r, one) - _PI_LO * f_prime(r)
-            else:
-                gx = (one * T - ur) + _integral(mod, 0.0, T, one)
-            last[:] = T, gx
-            return gx
-
-        t = newton_invert(g, f_prime, 0.0, math.pi, _series_root(mod, ur, f_prime))
+        table = mod._f_table
+        t = _phi_integrated(mod, two_k, ur) if table is None else _phi_tabled(table, ur)
     sin_t = math.sin(t)
     s = math.copysign(sin_t, u)
     return (math.hypot(math.cos(t), mod.lam * sin_t),
             math.copysign(n * math.pi + (t + n * _PI_LO), u), -s if n % 2 else s)
+
+
+def _phi_tabled(table: _FTable, ur: float) -> float:
+    """The root T in [0, pi] of f(T) = ur inside the table's reach: Newton
+    from the table's linear interpolation, reflected by
+    f(pi - r) = 2K - f(r) for ur above K, on the residual f(T) - ur that
+    is -ur plus f_forward's exact terms of f(T), rounded once.
+    """
+    def g(T: float) -> float:  # f(T) - ur, as phi's docstring says
+        return math.fsum((-ur, *_f_terms(table, T, 0, T)))
+
+    half = table.f[-1]  # K
+    x0 = math.pi - _table_start(table, 2.0 * half - ur) if ur > half else _table_start(table, ur)
+    return newton_invert(g, table.f_prime, 0.0, math.pi, x0)
+
+
+def _phi_integrated(mod: Modulus, two_k: float, ur: float) -> float:
+    """The root T in [0, pi] of f(T) = ur beyond the table's reach, from
+    ur pi / 2K.  The residual is f(T) - ur by _integral from the nearer
+    end of [0, pi] at the first iterate and at one across 3 pi/4 from the
+    last, and otherwise the last residual plus f' integrated over the step.
+    """
+    f_prime = _f_prime(mod)
+    last = []  # the last iterate x and g(x)
+
+    def g(T: float) -> float:  # f(T) - ur, as phi's docstring says
+        if last and (T > _REFLECT) == (last[0] > _REFLECT):
+            x, gx = last
+            gx += _integral(mod, x, T) if x <= T else -_integral(mod, T, x)
+        elif T > _REFLECT:
+            r = math.pi - T  # exact; two_k - ur is exact for ur >= K
+            gx = (two_k - ur) - _integral(mod, 0.0, r) - _PI_LO * f_prime(r)
+        else:
+            gx = _integral(mod, 0.0, T) - ur
+        last[:] = T, gx
+        return gx
+
+    return newton_invert(g, f_prime, 0.0, math.pi, ur * math.pi / two_k)
 
 
 def phi(u: float, mod: Modulus) -> float:
@@ -442,14 +521,15 @@ def phi(u: float, mod: Modulus) -> float:
     phi is odd, so it solves for |u| and takes u's sign.  Reduction uses
     f(T + pi) = f(T) + 2K, then a safeguarded Newton solve of f(T) = u_r on
     [0, pi], where f runs from 0 to 2K; the derivative of f is at least 1
-    everywhere.  The first iterate is the root of the cosine series of f'
-    that the Modulus caches, integrated term by term, within about 1e-12 of
-    phi, so that the first step meets the solve's stop and one quadrature
-    decides phi; beyond the series' reach, kappa above about 0.9633, it is
-    u_r pi / 2K.  The residual f(T) - u_r comes from the nearer end of
-    [0, pi] at the first iterate, there as (T - u_r) plus the integral of
-    f' - 1 from the series' start, and at one across 3 pi/4 from the last; at
-    any other it is the last residual plus f' integrated over the step.
+    everywhere; the reduction is by Modulus.two_k, the ELLIPTIC 2K.  Inside
+    the reach of Modulus._f_table, kappa up to about 0.9639, the first
+    iterate interpolates the table's f(T_k) linearly, and the residual
+    f(T) - u_r is -u_r plus f_forward's exact terms of f(T), rounded once:
+    about two residuals, of five f' - 1 evaluations each, decide phi, with
+    no tanh-sinh.  Beyond the reach the first iterate is u_r pi / 2K, and
+    the residual comes from the nearer end of [0, pi] at the first iterate
+    and at one across 3 pi/4 from the last, by tanh-sinh of f'; at any
+    other it is the last residual plus f' integrated over the step.
     Below |u| = 1e-4 it returns the series u - kappa^2 u^3 / 8 instead,
     whose next term is below 1e-17 u there: quadrature cannot integrate
     over an interval as short as [0, 5e-324].  Raises DomainError

@@ -88,6 +88,14 @@ def _rel_err(got, ref):
     return float(abs(got - ref) / abs(ref))
 
 
+def _no_integrate(*args):
+    raise AssertionError("integrate was called")
+
+
+# the largest kappa whose Modulus._f_table is not None
+LARGEST_TABLED = 0.9639336823901394
+
+
 # SN closed form evaluated with mpmath at dps=50
 REF_DN2_037_05 = 0.98365050427242663257
 
@@ -742,7 +750,8 @@ class TestAmplitude:
         # of all of f(T) left 4.3e-16 / 2.7e-16 / 3.1e-16 / 2.7e-16 (the
         # bounds were 2e-15); on 400 other seeded u per kappa the worst is
         # 1.8e-16 / 1.6e-16 / 1.6e-16 / 2.8e-16, against 3.6e-16 / 4.9e-16 /
-        # 4.6e-16 / 4.7e-16
+        # 4.6e-16 / 4.7e-16.  From the table of f(T) - T the worst here is
+        # 1.3e-16 / 1.3e-16 / 1.7e-16 / 1.6e-16
         mod = Modulus(kappa)
         two_k = 2.0 * periods(mod).K
         rng = random.Random(f"phi:{kappa}")
@@ -820,8 +829,8 @@ class TestAmplitude:
                 assert f_prime(t) == unshifted(mod, t), (k, t)
                 assert shifted(t) == unshifted(mod, 1.25 + (t - 0.5)), (k, t)
 
-    @pytest.mark.parametrize("kappa, per_solve, per_f", [(0.3, 80, 76), (0.6, 80, 81),
-                                                         (0.9, 112, 102)])
+    @pytest.mark.parametrize("kappa, per_solve, per_f", [(0.3, 14.0, 6.4), (0.6, 14.3, 6.5),
+                                                         (0.9, 16.0, 6.5)])
     def test_phi_route_quadrature_evaluations(self, monkeypatch, kappa, per_solve, per_f):
         # f' evaluations per phi solve and per f, over u in three periods 2K
         # and T in three periods pi either side of 0.  Integrating from 0
@@ -829,72 +838,154 @@ class TestAmplitude:
         # integrated again from 0: 305 / 316 / 546 per solve and 100 / 104 /
         # 128 per f at kappa = 0.3 / 0.6 / 0.9.  Over the shifted interval,
         # with the residual carried between iterates: 174 / 183 / 247 and
-        # 70 / 73 / 90; from the series' start, one quadrature per solve:
-        # 73 / 73 / 101.  The bounds are about 10% above those
-        evaluations = []
+        # 70 / 73 / 90; from the cosine series' start, one quadrature per
+        # solve: 73 / 73 / 101.  From the table of f(T) - T, with no
+        # tanh-sinh at all, counting f' and f' - 1 alike: 12.8 / 13.0 / 14.6
+        # and 5.8 / 5.9 / 5.9.  The bounds are about 10% above those; the
+        # table, built once per modulus, is not counted
+        evaluations = [0]
 
-        def counted(f, a, b):
-            result = integrate(f, a, b)
-            evaluations.append(result.evaluations)
-            return result
+        def counted(make):
+            def make_counted(*args):
+                f = make(*args)
 
-        monkeypatch.setattr(core, "integrate", counted)
+                def f_counted(t):
+                    evaluations[0] += 1
+                    return f(t)
+
+                return f_counted
+
+            return make_counted
+
+        monkeypatch.setattr(core, "_f_prime", counted(core._f_prime))
+        monkeypatch.setattr(core, "_f_excess", counted(core._f_excess))
+        monkeypatch.setattr(core, "integrate", _no_integrate)
         mod = Modulus(kappa)
+        mod._f_table
+        evaluations[0] = 0
         rng = random.Random(f"evaluations:{kappa}")
         for _ in range(40):
             phi(rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k), mod)
-        assert sum(evaluations) / 40 <= per_solve
-        evaluations.clear()
+        assert evaluations[0] / 40 <= per_solve
+        evaluations[0] = 0
         for _ in range(40):
             f_forward(rng.uniform(-3.0 * math.pi, 3.0 * math.pi), mod)
-        assert sum(evaluations) / 40 <= per_f
+        assert evaluations[0] / 40 <= per_f
 
-    @pytest.mark.parametrize("kappa", [0.3, 0.6, 0.9, 0.95])
-    def test_phi_solve_makes_one_quadrature_call(self, monkeypatch, kappa):
-        # Newton starts from the root of the series of f', within about 1e-12
-        # of phi, so its first step meets NEWTON_RTOL and it returns before
-        # a second residual: one integrate call per solve, where the start
-        # u_r pi / 2K took 3.0 / 3.1 / 3.9 / 4.3 on average
-        calls = []
-
-        def counted(f, a, b):
-            calls.append((a, b))
-            return integrate(f, a, b)
-
-        monkeypatch.setattr(core, "integrate", counted)
+    @pytest.mark.parametrize("kappa", [KAPPA_MIN, 1e-9, 0.05, 0.3, 0.6, 0.9, 0.95, LARGEST_TABLED])
+    def test_phi_solve_makes_no_quadrature_call(self, monkeypatch, kappa):
+        # inside the table's reach f, phi, s2 and the PHI route take f from
+        # the table and its Gauss-Legendre steps: no integrate call, where
+        # the cosine series' start made one per solve, and u_r pi / 2K 3.0 /
+        # 3.1 / 3.9 / 4.3 at kappa = 0.3 / 0.6 / 0.9 / 0.95 on average
         mod = Modulus(kappa)
         rng = random.Random(f"one quadrature:{kappa}")
-        us = [rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k) for _ in range(200)]
+        us = [rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k) for _ in range(100)]
         us += [mod.two_k * n + e for n in range(1, 4) for e in (1e-9, -1e-9, 1e-3, -1e-3)]
+        us += [0.5 * mod.two_k * n for n in range(-5, 6)]
+        ts = [rng.uniform(-3.0 * math.pi, 3.0 * math.pi) for _ in range(100)]
+        ts += [0.5 * math.pi * n for n in range(-5, 6)]
+        monkeypatch.setattr(core, "integrate", _no_integrate)
         for u in us:
-            calls.clear()
             phi(u, mod)
-            assert len(calls) == 1, u
+            s2(u, mod)
+            dn2(u, mod, Route.PHI)
+        for t in ts:
+            f_forward(t, mod)
 
-    def test_series_reach(self):
-        # N = ceil(11 / asinh(lam / kappa)) terms, up to 40: kappa up to
-        # about 0.9633, beyond which phi's solve starts from u_r pi / 2K
-        for kappa, n in [(KAPPA_MIN, 1), (1e-9, 1), (0.3, 6), (0.6, 11), (0.9, 24),
-                         (0.95, 35), (0.9633, 40)]:
-            a0, terms = Modulus(kappa)._f_series
-            assert len(terms) == n, kappa
-        for kappa in (0.9634, 0.97, 0.999, 1.0 - 1e-12):
-            assert Modulus(kappa)._f_series is None, kappa
+    def test_table_reach(self):
+        # n = ceil((pi/2) / (0.08 asinh(lam / kappa))) steps, up to 72: kappa
+        # up to LARGEST_TABLED, beyond which f and phi integrate by tanh-sinh.
+        # Modulus() builds no table, nor do the SN and WP routes and the
+        # periods: the moduli workload builds a fresh Modulus per operation
+        for kappa, n in [(KAPPA_MIN, 1), (1e-9, 1), (0.05, 6), (0.3, 11), (0.6, 18), (0.9, 43),
+                         (0.95, 61), (0.9633, 72), (LARGEST_TABLED, 72)]:
+            mod = Modulus(kappa)
+            for method in PeriodMethod:
+                periods(mod, method)
+            dn2(0.3, mod, Route.SN)
+            dn2(complex(0.3, 0.2), mod, Route.WP)
+            assert "_f_table" not in vars(mod), kappa
+            f_forward(0.5, mod)
+            assert len(mod._f_table.t) == n + 1, kappa
+        for kappa in (math.nextafter(LARGEST_TABLED, 1.0), 0.964, 0.97, 0.999, 1.0 - 1e-12):
+            mod = Modulus(kappa)
+            assert mod._f_table is None, kappa
+            assert mod.complement._f_table is not None, kappa
 
-    @pytest.mark.parametrize("kappa", [1e-9, 0.3, 0.6, 0.9, 0.95, 0.9633])
-    def test_series_is_f_to_about_1e_12(self, kappa):
-        # a0 pi is 2K, and f~(T) = a0 T + sum b_j sin 2jT is f to the
-        # truncation the strip width sizes, well within NEWTON_RTOL
+    @pytest.mark.parametrize("kappa", [1e-9, 0.05, 0.3, 0.6, 0.9, 0.95, LARGEST_TABLED])
+    def test_table_is_f_to_rounding(self, kappa):
+        # hi_k + lo_k is f(T_k) - T_k to far below an ulp of f(T_k), f(T_k)
+        # is rounded from it, and the table's 2K - pi, in its three parts,
+        # is twice the last of them
+        import mpmath
+
+        table = Modulus(kappa)._f_table
+        nodes = list(zip(table.t, table.hi, table.lo, table.f))
+        for t, hi, lo, f in nodes[1::3] + nodes[-1:]:
+            ref = _mp_f(t, kappa)
+            with mpmath.workdps(40):
+                assert abs(t + (mpmath.mpf(hi) + lo) - ref) <= 2e-17 * ref, t
+                assert f == float(t + (mpmath.mpf(hi) + lo)), t
+        assert table.two_k_less_pi[0] + table.two_k_less_pi[1] == 2.0 * table.hi[-1]
+        assert abs(table.two_k_less_pi[2] - 2.0 * table.lo[-1]) <= 2.0**-25 * abs(table.lo[-1])
+
+    def test_table_that_fails_its_check_raises(self, monkeypatch):
+        # an integrand with a jump is not the analytic f' - 1 the steps
+        # assume: its rule and its halves differ far beyond rounding, and
+        # f and phi raise ConvergenceError, with no value and no table left
+        # on the modulus
+        mod = Modulus(0.6)
+        monkeypatch.setattr(core, "_f_excess", lambda mod: lambda t: float(t > 1.0))
+        for fn in (f_forward, phi, s2, partial(dn2, route=Route.PHI)):
+            with pytest.raises(ConvergenceError, match="table of f"):
+                fn(1.0, mod)
+            assert "_f_table" not in vars(mod)
+        monkeypatch.undo()
+        assert f_forward(1.0, mod) == f_forward(1.0, Modulus(0.6))
+
+    @pytest.mark.parametrize("kappa, phi_bound", [(1e-9, 2e-16), (0.05, 3.5e-16), (0.3, 2e-16),
+                                                  (0.6, 2e-16), (0.9, 2e-16), (0.95, 3.5e-16),
+                                                  (LARGEST_TABLED, 3.5e-16)])
+    def test_f_and_phi_across_the_table_reach_against_mpmath(self, kappa, phi_bound):
+        # seeded T and u over three periods either side of 0, and T next to
+        # the multiples of pi/2 where f reflects and reduces.  f is the
+        # exactly rounded sum of exact terms but the rule's and the table's,
+        # each far below an ulp: on 200 seeded T per kappa its worst is
+        # 1.0e-16 to 1.5e-16 (4.5e-16 by tanh-sinh).  phi reduces by
+        # Modulus.two_k, and carries n times its error: at 0.05 two_k is
+        # 1.34 ulp off, and phi's worst on 200 seeded u is 2.7e-16; 1.4e-16 to
+        # 1.6e-16 at 0.3, 0.6 and 0.9, 2.3e-16 at 0.95 and 1.9e-16 at
+        # LARGEST_TABLED
         mod = Modulus(kappa)
-        a0, terms = mod._f_series
-        assert abs(a0 * math.pi - mod.two_k) <= 1e-13 * mod.two_k
-        rng = random.Random(f"series:{kappa}")
-        for T in [rng.uniform(0.0, math.pi) for _ in range(50)]:
-            tilde = a0 * T + math.fsum(b * math.sin(2.0 * j * T)
-                                       for j, b in enumerate(reversed(terms), 1))
-            assert abs(tilde - f_forward(T, mod)) <= 1e-12 * f_forward(T, mod), T
-            start = core._series_root(mod, f_forward(T, mod), _f_prime(mod))
-            assert abs(start - T) <= 1e-11 * T, T
+        rng = random.Random(f"table accuracy:{kappa}")
+        ts = [rng.uniform(-3.0 * math.pi, 3.0 * math.pi) for _ in range(30)]
+        ts += [n * 0.5 * math.pi * (1.0 + s * 1e-9) for n in (1, 2, 3, -5) for s in (1, -1)]
+        for T in ts:
+            assert _rel_err(f_forward(T, mod), _mp_f(T, kappa)) <= 2e-16, T
+        for _ in range(30):
+            u = rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k)
+            assert _rel_err(phi(u, mod), _mp_phi(u, kappa)) <= phi_bound, u
+
+    def test_f_and_phi_where_integrate_stopped_early(self):
+        # tanh-sinh stopped at level 3 on a level difference small by
+        # accident: f was 1.3e-13 and phi 8.9e-14 from mpmath here, and phi
+        # 8.9e-14 at the next two u, where its solve's quadrature stopped
+        # in such a band
+        import mpmath
+
+        T = 1.5609974584473087
+        assert _rel_err(f_forward(T, Modulus(0.9)), _mp_f(T, 0.9)) <= 2e-16
+        with mpmath.workdps(40):
+            u = float(_mp_f(T, 0.9))
+        for u in (u, 2.0729737075553634, 2.07894527238805):
+            assert _rel_err(phi(u, Modulus(0.9)), _mp_phi(u, 0.9)) <= 2e-16, u
+
+    def test_f_rounds_to_within_an_ulp(self):
+        # tanh-sinh's rounding of all of f(T) left 3.25 ulp here
+        T = 1.5221859140993492
+        got = f_forward(T, Modulus(0.3))
+        assert abs(got - _mp_f(T, 0.3)) <= math.ulp(got)
 
     @pytest.mark.parametrize("kappa", [0.9, 0.99, 0.999, 0.9999])
     def test_phi_route_near_k_against_mpmath(self, kappa):

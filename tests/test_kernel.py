@@ -6,6 +6,7 @@ from dn2.kernel import (
     QUAD_TOL,
     ConvergenceError,
     DomainError,
+    gauss_legendre,
     integrate,
     newton_invert,
     trapezoid,
@@ -199,6 +200,41 @@ class TestTrapezoid:
         with pytest.raises(ConvergenceError) as info:
             trapezoid(lambda s: abs(s - 0.3) ** 0.5, 0.0, 1.0, 8)
         assert abs(info.value.best.value - 0.5) <= 1e-4
+
+
+class TestGaussLegendre:
+    def test_exact_for_degree_nine(self):
+        # the integral of x^j over [-1, 1] is 2/(j + 1) for even j, 0 for odd
+        for j in range(10):
+            ref = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert abs(gauss_legendre(lambda x: x**j, -1.0, 1.0) - ref) <= 4e-16, j
+        # and not beyond: x^10 is off by the rule's error term
+        assert abs(gauss_legendre(lambda x: x**10, -1.0, 1.0) - 2.0 / 11.0) > 1e-4
+
+    def test_weights_and_nodes(self):
+        # a constant sums the weights: 2 on [-1, 1], exactly
+        assert gauss_legendre(lambda x: 1.0, -1.0, 1.0) == 2.0
+        nodes = []
+        gauss_legendre(lambda x: nodes.append(x) or 0.0, -1.0, 1.0)
+        x1, x2 = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0, \
+            math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+        assert sorted(nodes) == pytest.approx([-x2, -x1, 0.0, x1, x2], abs=1e-16)
+
+    def test_short_step_of_an_analytic_integrand(self):
+        # exp over a step of 0.08 is exact to rounding
+        a, b = 0.3, 0.38
+        ref = math.exp(a) * math.expm1(b - a)  # b - a is exact
+        assert abs(gauss_legendre(math.exp, a, b) - ref) <= 2e-16 * ref
+
+    def test_reversed_and_empty_steps(self):
+        f = math.cos
+        assert gauss_legendre(f, 0.7, 0.2) == -gauss_legendre(f, 0.2, 0.7)
+        assert gauss_legendre(f, 0.5, 0.5) == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_raises(self, value):
+        with pytest.raises(ConvergenceError, match="Gauss-Legendre"):
+            gauss_legendre(lambda x: value if x > 0.5 else 1.0, 0.0, 1.0)
 
 
 class TestNewtonInvert:

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from dn2.core import Modulus, Route, dn2, dn2_deriv, invariants_of, periods, phi, s2
+from dn2.core import Modulus, Route, dn2, dn2_deriv, f_forward, invariants_of, periods, phi, s2
 from dn2.identities import identity_bbg_91
 from dn2.jacobi import JacobiTriple, PoleError, _ladder, jacobi_complex, jacobi_real
-from dn2.kernel import DomainError, integrate
+from dn2.kernel import ConvergenceError, DomainError, integrate
 from dn2.weier import lattice_from_invariants
 
 Z = [complex(0.4, 0.3), complex(1.9, 2.2), complex(-2.7, 0.8)]
@@ -27,7 +27,9 @@ X = [0.37, -3.1, 7.5]
 # phi(0.37) moved closer to mpmath and phi(7.5) by 1 ulp away from it), and
 # when the solve began from the root of the series of f' and took T - u_r
 # out of the residual's quadrature (phi(0.37) moved at 0.3, 0.6 and 0.9, and
-# phi(7.5) at 0.9: see tests/test_quadrature_table.py)
+# phi(7.5) at 0.9: see tests/test_quadrature_table.py), and when f and phi
+# began to read the per-modulus table of f(T) - T (phi(0.37) moved at 0.9,
+# closer to mpmath)
 GOLDEN = {
     0.3: (
         [('0x1.fdfef3446e5a5p-1', '-0x1.50a9ba1420891p-7'), ('0x1.557f6090e0a42p-2', '0x1.54ad3c82f438ap-2'), ('0x1.024a250761509p+0', '-0x1.6e82a70dc8fe5p-5')],
@@ -45,7 +47,7 @@ GOLDEN = {
         [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a72bp-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb37620p-6'), ('0x1.81392a75157d0p-2', '-0x1.00514f342a775p-2')],
         [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a729p-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb3761fp-6'), ('0x1.81392a75157d4p-2', '-0x1.00514f342a773p-2')],
         ['0x1.e4dd3533d49b4p-1', '0x1.559342b13745cp-1', '0x1.849f9f52fa6cfp-1'],
-        ['0x1.75bbe7d9fd3fbp-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e6p+2'],
+        ['0x1.75bbe7d9fd3fap-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e6p+2'],
     ),
 }
 
@@ -71,13 +73,14 @@ def test_values_match_the_uncached_computation_bit_for_bit(kappa):
 
 
 # kappa -> (phi, s2, dn2 by the PHI route) at U and 0.98 K, as float.hex,
-# beyond the reach of the series of f' that Modulus caches, where phi's
-# solve starts from u_r pi / 2K as it did before the series: phi and s2 as
-# computed before the series existed, and dn2 as sqrt(cos^2 t + lam^2 sin^2 t)
+# beyond the reach of the table of f that Modulus caches, where phi's
+# solve starts from u_r pi / 2K and integrates by tanh-sinh as it did before
+# the cosine series of f' and the table: phi and s2 as computed before
+# either existed, and dn2 as sqrt(cos^2 t + lam^2 sin^2 t)
 # of that solve's t (its former sqrt(1 - (kappa s2)^2) differed by up to 243 ulp,
 # at 0.98 K, kappa = 0.999)
 U = [0.37, -3.1, 7.5, 12.0]
-BEYOND_SERIES = {
+BEYOND_TABLE = {
     0.97: [
         ('0x1.74e53e2bac250p-2', '0x1.6cb5584ce34c4p-2', '0x1.e07998301b053p-1'),
         ('-0x1.c6ce8fdb36951p+0', '-0x1.f53247d9b02dap-1', '0x1.41328cc0fa16dp-2'),
@@ -102,13 +105,93 @@ BEYOND_SERIES = {
 }
 
 
-@pytest.mark.parametrize("kappa", sorted(BEYOND_SERIES))
-def test_phi_beyond_the_series_keeps_its_bits(kappa):
+@pytest.mark.parametrize("kappa", sorted(BEYOND_TABLE))
+def test_phi_beyond_the_table_keeps_its_bits(kappa):
     mod = Modulus(kappa)
-    assert mod._f_series is None
+    assert mod._f_table is None
     us = U + [0.98 * periods(mod).K]
     assert [(phi(u, mod).hex(), s2(u, mod).hex(), dn2(u, mod, Route.PHI).hex())
-            for u in us] == BEYOND_SERIES[kappa]
+            for u in us] == BEYOND_TABLE[kappa]
+
+
+# kappa -> (f at 6 seeded T in +-3 pi, phi at 6 seeded u in +-3 periods 2K),
+# as float.hex, or a ConvergenceError's message and best value: beyond the
+# table's reach f and phi integrate by tanh-sinh, and every bit and every
+# failure is what it was before the table
+BEYOND_TABLE_F = {
+    0.97: (
+        [
+            '0x1.4ac1e4d521320p+3',
+            '0x1.fdce87007221ep+2',
+            '0x1.2cba782aa614ep+3',
+            '-0x1.d5bb4a04eb800p+3',
+            '0x1.b40ad350af9dep+3',
+            '-0x1.2d5800e470258p-1',
+        ],
+        [
+            '0x1.f2e129f467057p+2',
+            '-0x1.fdce004bd44ddp+2',
+            '0x1.fba68437ffd26p+1',
+            '0x1.dc4acf8f58244p+2',
+            '-0x1.301733bac5223p+2',
+            '-0x1.94683a20fa180p+0',
+        ],
+    ),
+    0.999: (
+        [
+            '-0x1.81de8cc6c53e5p+2',
+            '-0x1.f6e189347d972p-1',
+            '0x1.85879c026da4ep+0',
+            '-0x1.fb945039c310ap+2',
+            '-0x1.bb16720bc6911p+3',
+            '-0x1.00c5d27e29c70p+4',
+        ],
+        [
+            '-0x1.fed1155efee9ep+2',
+            '0x1.e1231e290d608p+2',
+            '-0x1.666db15756aadp-1',
+            '0x1.be722161bee75p-1',
+            '-0x1.2e2405c7ad5f5p+2',
+            '-0x1.10454dfafb2acp+2',
+        ],
+    ),
+    0.999999: (
+        [
+            ('quadrature did not converge to 1e-10 within 11 levels', '0x1.6508f891572e0p+3'),
+            ('quadrature did not converge to 1e-10 within 11 levels', '0x1.5208b05225a90p+3'),
+            '0x1.7d05771912330p+4',
+            ('quadrature did not converge to 1e-10 within 11 levels', '0x1.55f1daadd2174p+3'),
+            '0x1.71a11015e556dp+3',
+            '0x1.aab257cd0ff2ap-1',
+        ],
+        [
+            '0x1.df131efcb096ap+2',
+            '0x1.c8e9d91e6409ep+2',
+            '-0x1.459f2f1107ccep+1',
+            '-0x1.9243eeb13c204p+0',
+            ('quadrature did not converge to 1e-10 within 11 levels', '0x1.5c83e959125c0p+3'),
+            '-0x1.7371bb0027640p+2',
+        ],
+    ),
+}
+
+
+def _outcome_or_failure(fn, x, mod):
+    try:
+        return fn(x, mod).hex()
+    except ConvergenceError as exc:
+        return str(exc), exc.best.value.hex()
+
+
+@pytest.mark.parametrize("kappa", sorted(BEYOND_TABLE_F))
+def test_f_and_phi_beyond_the_table_keep_their_bits(kappa):
+    mod = Modulus(kappa)
+    assert mod._f_table is None
+    rng = random.Random(f"beyond the table:{kappa}")
+    ts = [rng.uniform(-3.0 * math.pi, 3.0 * math.pi) for _ in range(6)]
+    us = [rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k) for _ in range(6)]
+    assert ([_outcome_or_failure(f_forward, t, mod) for t in ts],
+            [_outcome_or_failure(phi, u, mod) for u in us]) == BEYOND_TABLE_F[kappa]
 
 
 def test_reused_and_fresh_modulus_agree_bit_for_bit():
@@ -223,8 +306,8 @@ def test_cached_values_are_the_derived_quantities():
     lat = mod.lattice
     assert mod._wp_scale == lat.e1 - lat.e3
     assert mod._wp_half_k2 == 0.5 * mod.kappa**2
-    # and what phi reads on every solve
-    assert mod._f_series is mod._f_series and len(mod._f_series[1]) == 11
+    # and what f and phi read on every call: 18 steps of the table at 0.6
+    assert mod._f_table is mod._f_table and len(mod._f_table.t) == 19
 
 
 LATTICE_FIELDS = ("g2", "g3", "delta", "e1", "e2", "e3", "m", "mc", "scale")

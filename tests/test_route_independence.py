@@ -6,8 +6,8 @@ the real period 4K(m) itself; the SN and WP routes then read nothing of
 hyper's AGM, which the ELLIPTIC periods and the PHI route's reduction by 2K
 run on.  Nor do the other kernels that one route or period method runs
 move any other: scaled by 1 + 1e-9, each moves its owner alone, but for
-integrate near either end of the modulus range, which INTEGRAL runs there
-as PHI does.
+integrate near kappa = 1, which INTEGRAL runs there as PHI does beyond the
+reach of its table of f.
 """
 
 import math
@@ -121,10 +121,13 @@ def _scaled(value):
 # or period method that runs it at these moduli, or None for none.
 # jacobi._ascent and jacobi._addition are left out: SN and WP share them.
 # INTEGRAL's integrand writes f14_34_12_closed out, as PHI's does, so core's
-# binding, which bench/tracing.py counts, moves nothing
+# binding, which bench/tracing.py counts, moves nothing.  Inside the reach of
+# the table of f, PHI takes f from Gauss-Legendre steps and no longer
+# integrates by tanh-sinh, so integrate runs for nothing here
 KERNELS = [
     ("gauss_2f1", ["core", "hyper"], "hyper"),
-    ("integrate", ["core"], "phi"),
+    ("gauss_legendre", ["core"], "phi"),
+    ("integrate", ["core"], None),
     ("newton_invert", ["core"], "phi"),
     ("trapezoid", ["core"], "integral"),
     ("f14_34_12_closed", ["core"], None),
@@ -156,14 +159,19 @@ def test_each_kernel_moves_one_route_or_method(monkeypatch, kernel, modules, own
 
 # at moduli where cot gamma < 0.0708 for K' or for K, below about 0.0706
 # and above 0.9975, INTEGRAL sums the peak of its integrand by integrate:
-# there integrate moves PHI and INTEGRAL, and nothing else, and every other
-# kernel still moves its owner alone
+# there integrate moves INTEGRAL, and at 0.999, beyond the table's reach,
+# where PHI integrates f' by tanh-sinh and runs no Gauss-Legendre step, PHI
+# too; every other kernel still moves its owner alone
 END_KAPPAS = [0.05, 0.999]
-END_OWNERS = {"integrate": ["integral", "phi"]}
+END_OWNERS = {
+    ("integrate", 0.05): ["integral"],
+    ("integrate", 0.999): ["integral", "phi"],
+    ("gauss_legendre", 0.999): [],
+}
 
 
 @pytest.mark.parametrize("kernel, modules, owner", KERNELS)
 @pytest.mark.parametrize("kappa", END_KAPPAS)
 def test_each_kernel_at_the_ends_of_the_modulus_range(monkeypatch, kernel, modules, owner, kappa):
-    expected = END_OWNERS.get(kernel, [owner] if owner else [])
+    expected = END_OWNERS.get((kernel, kappa), [owner] if owner else [])
     assert _moved(monkeypatch, kernel, modules, kappa) == expected
