@@ -84,15 +84,15 @@ class Modulus:
     one built from kappa, and is immutable.  It is the one place that derives
     kappa's quantities, each once on construction and in a form that does not
     cancel at either end of (0, 1).  ``complement``, the modulus of the exact
-    pair (lam, kappa), ``lattice``, the lattice data ``invariants_of(self)``,
-    and ``two_k``, the ELLIPTIC 2K by which ``phi`` reduces, are cached, as
-    are the two Landen ladders and the constants of the WP bridge that
-    ``dn2`` reads on every SN and WP call.  These ladders are the package's
-    only ladder cache: jacobi_real and jacobi_complex build theirs on every
-    call.  ``_f_table``, built on the first f or phi call and never on
-    construction, caches f(T) - T on a grid of [0, pi/2], from which
-    ``f_forward`` and ``phi`` take f with no tanh-sinh; it is None beyond
-    the table's reach, kappa above about 0.9639.
+    pair (lam, kappa), and ``lattice``, the lattice data
+    ``invariants_of(self)``, are cached, as are the two Landen ladders and
+    the constants of the WP bridge that ``dn2`` reads on every SN and WP
+    call.  These ladders are the package's only ladder cache: jacobi_real
+    and jacobi_complex build theirs on every call.  ``_f_table``, built on
+    the first f or phi call and never on construction, caches f(T) - T on
+    a grid of [0, pi/2] and the period 2K of f, from which ``f_forward``
+    and ``phi`` take f and reduce with no tanh-sinh and no ELLIPTIC K; it
+    is None beyond the table's reach, kappa above about 0.9639.
     Every Modulus, a complement too, has 2**-510 <= kappa <= 1 and lam > 0;
     kappa is 1.0 only for the complement of a kappa below about 6.6e-9,
     whose lam rounds to 1.0.
@@ -136,10 +136,6 @@ class Modulus:
     @cached_property
     def lattice(self) -> LatticeData:
         return invariants_of(self)
-
-    @cached_property
-    def two_k(self) -> float:
-        return 2.0 * periods(self, PeriodMethod.ELLIPTIC).K
 
     @cached_property
     def _f_table(self) -> _FTable | None:
@@ -319,15 +315,17 @@ def _integral(mod: Modulus, a: float, b: float) -> float:
 class _FTable(NamedTuple):
     """f(T_k) - T_k at T_k = k h, k = 0..n, n h = pi/2, as the unevaluated
     sums hi_k + lo_k; f(T_k) rounded, for phi's start; 2K - pi, twice the
-    last sum, in three parts of at most 26 significant bits; and the
+    last sum, in three parts of at most 26 significant bits; 2K as two_k,
+    the double nearest pi plus those parts, and carry, the rest; and the
     closures f' - 1, which the rule integrates, and f'."""
 
     h: float
-    t: tuple[float, ...]
     hi: tuple[float, ...]
     lo: tuple[float, ...]
     f: tuple[float, ...]
     two_k_less_pi: tuple[float, float, float]
+    two_k: float
+    carry: float
     excess: Callable[[float], float]
     f_prime: Callable[[float], float]
 
@@ -355,9 +353,11 @@ def _build_f_table(mod: Modulus) -> _FTable | None:
         lo.append(math.fsum((*parts, -hi[-1])))
     f = [math.fsum(parts) for parts in zip(t, hi, lo)]
     # f's reduction multiplies these by n + 1 < 2**27, exactly
-    c1, c2 = _split(2.0 * hi[-1])
-    return _FTable(h, tuple(t), tuple(hi), tuple(lo), tuple(f), (c1, c2, _split(2.0 * lo[-1])[0]),
-                   excess, _f_prime(mod))
+    two_k_less_pi = (*_split(2.0 * hi[-1]), _split(2.0 * lo[-1])[0])
+    two_k = math.fsum((math.pi, _PI_LO, *two_k_less_pi))
+    carry = math.fsum((math.pi, _PI_LO, *two_k_less_pi, -two_k))
+    return _FTable(h, tuple(hi), tuple(lo), tuple(f), two_k_less_pi, two_k, carry, excess,
+                   _f_prime(mod))
 
 
 def _split(x: float) -> tuple[float, float]:
@@ -383,7 +383,7 @@ def _f_terms(table: _FTable, a: float, n: int, r: float) -> list[float]:
     if r > 0.5 * math.pi:
         m, s, r = n + 1, -1.0, math.pi - r
     k = int(r / table.h + 0.5)
-    terms = [a, s * table.hi[k], s * table.lo[k], s * gauss_legendre(table.excess, table.t[k], r)]
+    terms = [a, s * table.hi[k], s * table.lo[k], s * gauss_legendre(table.excess, k * table.h, r)]
     if m:
         terms += [m * c for c in table.two_k_less_pi]
         terms.append(m * _PI_LO * (1.0 - table.f_prime(r)))
@@ -391,11 +391,11 @@ def _f_terms(table: _FTable, a: float, n: int, r: float) -> list[float]:
 
 
 def _table_start(table: _FTable, v: float) -> float:
-    """The T in [0, pi/2] with f(T) = v by linear interpolation between the
-    table's f(T_k); 0 for v < 0, which 2K - u_r can be by rounding."""
+    """The T with f(T) = v >= 0 by linear interpolation between the table's
+    f(T_k); from v = K on, the last step's line extended."""
     fs = table.f
-    k = min(max(bisect.bisect_right(fs, v) - 1, 0), len(fs) - 2)
-    return table.t[k] + max(v - fs[k], 0.0) * table.h / (fs[k + 1] - fs[k])
+    k = min(bisect.bisect_right(fs, v) - 1, len(fs) - 2)
+    return k * table.h + (v - fs[k]) * table.h / (fs[k + 1] - fs[k])
 
 
 def f_forward(T: float, mod: Modulus) -> float:
@@ -408,8 +408,8 @@ def f_forward(T: float, mod: Modulus) -> float:
     rule's integral of f' - 1 from T_k to r or pi - r, and the table's
     2K - pi, times the number of periods and reflections, exactly: no
     tanh-sinh.  Beyond the reach the reflection is past 3 pi/4, 2K is
-    Modulus.two_k, and f(r) is _integral's tanh-sinh of f' over [0, r],
-    with no nodes spent next to 0.  Either way the reduction is by math.pi;
+    ELLIPTIC's, and f(r) is _integral's tanh-sinh of f' over [0, r], with
+    no nodes spent next to 0.  Either way the reduction is by math.pi;
     the n (pi - math.pi) it drops is restored through f'.  Below
     |T| = 1e-4 it returns the series T + kappa^2 T^3 / 8 instead, as phi
     does: quadrature finds no node inside an interval as short as
@@ -430,7 +430,8 @@ def f_forward(T: float, mod: Modulus) -> float:
     fr = _integral(mod, 0.0, r)
     if n:
         # f(|T|) = n 2K + sign f(r - sign n _PI_LO), to first order in _PI_LO
-        fr = n * mod.two_k + (sign * fr - n * _PI_LO * _f_prime(mod)(r))
+        two_k = 2.0 * periods(mod, PeriodMethod.ELLIPTIC).K
+        fr = n * two_k + (sign * fr - n * _PI_LO * _f_prime(mod)(r))
     return math.copysign(fr, T)
 
 
@@ -453,8 +454,8 @@ def _reduce(a: float, period: float, what: str) -> tuple[int, float]:
 
 def _phi_route(u: float, mod: Modulus) -> tuple[float, float, float]:
     """dn2(u) by the PHI route, phi(u) and s2(u), from one solve of
-    phi(|u|) = n pi + t, t in [0, pi]: _phi_tabled's inside the reach of
-    Modulus._f_table, and _phi_integrated's beyond it.
+    phi(|u|) = n pi + t, t in [0, pi] up to the table's carry: _phi_tabled's
+    inside the reach of Modulus._f_table, and _phi_integrated's beyond it.
 
     phi is n pi + t with u's sign, and s2 is (-1)^n sin t with u's sign: the
     sine of the rounded phi would carry phi's rounding, up to ulp(phi)/2,
@@ -467,28 +468,28 @@ def _phi_route(u: float, mod: Modulus) -> tuple[float, float, float]:
         a = float(a)  # a numpy.float32 would sum the series in single precision
         n, t = 0, a - mod.kappa**2 * a**3 / 8.0
     else:
-        two_k = mod.two_k
-        n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
         table = mod._f_table
-        t = _phi_integrated(mod, two_k, ur) if table is None else _phi_tabled(table, ur)
+        two_k = 2.0 * periods(mod, PeriodMethod.ELLIPTIC).K if table is None else table.two_k
+        n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
+        t = _phi_integrated(mod, two_k, ur) if table is None else _phi_tabled(table, n, ur)
     sin_t = math.sin(t)
     s = math.copysign(sin_t, u)
     return (math.hypot(math.cos(t), mod.lam * sin_t),
             math.copysign(n * math.pi + (t + n * _PI_LO), u), -s if n % 2 else s)
 
 
-def _phi_tabled(table: _FTable, ur: float) -> float:
-    """The root T in [0, pi] of f(T) = ur inside the table's reach: Newton
-    from the table's linear interpolation, reflected by
-    f(pi - r) = 2K - f(r) for ur above K, on the residual f(T) - ur that
-    is -ur plus f_forward's exact terms of f(T), rounded once.
-    """
-    def g(T: float) -> float:  # f(T) - ur, as phi's docstring says
-        return math.fsum((-ur, *_f_terms(table, T, 0, T)))
+def _phi_tabled(table: _FTable, n: int, ur: float) -> float:
+    """The root T of f(T) = u - n 2K = ur - n carry inside the table's reach,
+    by Newton from the table's linear interpolation on -ur, n carry and
+    f_forward's terms of f(T), rounded once; f' >= 1 puts T within n |carry|
+    of [0, pi], and the bracket leaves one carry more for rounding."""
+    def g(T: float) -> float:  # f(T) - (u - n 2K)
+        return math.fsum((-ur, n * table.carry, *_f_terms(table, T, 0, T)))
 
-    half = table.f[-1]  # K
-    x0 = math.pi - _table_start(table, 2.0 * half - ur) if ur > half else _table_start(table, ur)
-    return newton_invert(g, table.f_prime, 0.0, math.pi, x0)
+    two_k = table.two_k
+    x0 = math.pi - _table_start(table, two_k - ur) if ur > 0.5 * two_k else _table_start(table, ur)
+    w = (n + 1) * abs(table.carry)
+    return newton_invert(g, table.f_prime, -w, math.pi + w, x0)
 
 
 def _phi_integrated(mod: Modulus, two_k: float, ur: float) -> float:
@@ -519,22 +520,21 @@ def phi(u: float, mod: Modulus) -> float:
     """Inverse of f on the whole real line.
 
     phi is odd, so it solves for |u| and takes u's sign.  Reduction uses
-    f(T + pi) = f(T) + 2K, then a safeguarded Newton solve of f(T) = u_r on
-    [0, pi], where f runs from 0 to 2K; the derivative of f is at least 1
-    everywhere; the reduction is by Modulus.two_k, the ELLIPTIC 2K.  Inside
-    the reach of Modulus._f_table, kappa up to about 0.9639, the first
-    iterate interpolates the table's f(T_k) linearly, and the residual
-    f(T) - u_r is -u_r plus f_forward's exact terms of f(T), rounded once:
-    about two residuals, of five f' - 1 evaluations each, decide phi, with
-    no tanh-sinh.  Beyond the reach the first iterate is u_r pi / 2K, and
-    the residual comes from the nearer end of [0, pi] at the first iterate
-    and at one across 3 pi/4 from the last, by tanh-sinh of f'; at any
-    other it is the last residual plus f' integrated over the step.
-    Below |u| = 1e-4 it returns the series u - kappa^2 u^3 / 8 instead,
-    whose next term is below 1e-17 u there: quadrature cannot integrate
-    over an interval as short as [0, 5e-324].  Raises DomainError
-    when |u| is so large (or not finite) that fewer than 8 significant
-    digits of u survive reduction modulo 2K.
+    f(T + pi) = f(T) + 2K, then a safeguarded Newton solve of f(T) = u_r,
+    where f runs from 0 to 2K on [0, pi] and f' >= 1.  Inside the reach of
+    Modulus._f_table, kappa up to about 0.9639, 2K is the table's own, the
+    first iterate interpolates the table's f(T_k) linearly, and the
+    residual is f_forward's exact terms of f(T), rounded once: about two
+    residuals, of five f' - 1 evaluations each, decide phi, with no
+    tanh-sinh and no ELLIPTIC K.  Beyond the reach 2K is ELLIPTIC's, the
+    first iterate is u_r pi / 2K, and the residual comes from the nearer
+    end of [0, pi] at the first iterate and at one across 3 pi/4 from the
+    last, by tanh-sinh of f'; at any other it is the last residual plus f'
+    integrated over the step.  Below |u| = 1e-4 it returns the series
+    u - kappa^2 u^3 / 8 instead, whose next term is below 1e-17 u there:
+    quadrature cannot integrate over an interval as short as [0, 5e-324].
+    Raises DomainError when |u| is so large (or not finite) that fewer than
+    8 significant digits of u survive reduction modulo 2K.
     """
     return _phi_route(u, mod)[1]
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 from functools import partial
 
 import numpy as np
@@ -739,7 +740,7 @@ class TestAmplitude:
                     assert abs(got - sign * ref_s2) <= 1e-13 * ref_s2, sign * u
 
     @pytest.mark.parametrize("kappa, bound", [(0.3, 2e-16), (0.6, 2e-16), (0.9, 2e-16),
-                                              (0.95, 3.5e-16), (0.999, 5e-15)])
+                                              (0.95, 2e-16), (0.999, 5e-15)])
     def test_phi_relative_accuracy_against_mpmath(self, kappa, bound):
         # u seeded over three periods either side of 0, log-spaced over
         # +-[1e-4, 1], and 1e-9 and an ulp either side of each multiple of
@@ -751,7 +752,9 @@ class TestAmplitude:
         # bounds were 2e-15); on 400 other seeded u per kappa the worst is
         # 1.8e-16 / 1.6e-16 / 1.6e-16 / 2.8e-16, against 3.6e-16 / 4.9e-16 /
         # 4.6e-16 / 4.7e-16.  From the table of f(T) - T the worst here is
-        # 1.3e-16 / 1.3e-16 / 1.7e-16 / 1.6e-16
+        # 1.3e-16 / 1.3e-16 / 1.7e-16 / 1.6e-16, and reduced by the table's
+        # own 2K 1.5e-16 / 1.5e-16 / 1.5e-16 / 1.3e-16 (the bound at 0.95
+        # was 3.5e-16)
         mod = Modulus(kappa)
         two_k = 2.0 * periods(mod).K
         rng = random.Random(f"phi:{kappa}")
@@ -781,8 +784,9 @@ class TestAmplitude:
         for _ in range(24):
             T = rng.uniform(-3.0 * math.pi, 3.0 * math.pi)
             assert _rel_err(f_forward(T, mod), _mp_f(T, kappa)) <= f_bound, T
+        two_k = 2.0 * periods(mod).K
         for _ in range(24):
-            u = rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k)
+            u = rng.uniform(-3.0 * two_k, 3.0 * two_k)
             assert _rel_err(phi(u, mod), _mp_phi(u, kappa)) <= phi_bound, u
 
     def test_phi_past_the_peak_at_kappa_0999(self):
@@ -862,10 +866,11 @@ class TestAmplitude:
         monkeypatch.setattr(core, "integrate", _no_integrate)
         mod = Modulus(kappa)
         mod._f_table
+        two_k = 2.0 * periods(mod).K
         evaluations[0] = 0
         rng = random.Random(f"evaluations:{kappa}")
         for _ in range(40):
-            phi(rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k), mod)
+            phi(rng.uniform(-3.0 * two_k, 3.0 * two_k), mod)
         assert evaluations[0] / 40 <= per_solve
         evaluations[0] = 0
         for _ in range(40):
@@ -880,9 +885,10 @@ class TestAmplitude:
         # 3.1 / 3.9 / 4.3 at kappa = 0.3 / 0.6 / 0.9 / 0.95 on average
         mod = Modulus(kappa)
         rng = random.Random(f"one quadrature:{kappa}")
-        us = [rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k) for _ in range(100)]
-        us += [mod.two_k * n + e for n in range(1, 4) for e in (1e-9, -1e-9, 1e-3, -1e-3)]
-        us += [0.5 * mod.two_k * n for n in range(-5, 6)]
+        two_k = 2.0 * periods(mod).K
+        us = [rng.uniform(-3.0 * two_k, 3.0 * two_k) for _ in range(100)]
+        us += [two_k * n + e for n in range(1, 4) for e in (1e-9, -1e-9, 1e-3, -1e-3)]
+        us += [0.5 * two_k * n for n in range(-5, 6)]
         ts = [rng.uniform(-3.0 * math.pi, 3.0 * math.pi) for _ in range(100)]
         ts += [0.5 * math.pi * n for n in range(-5, 6)]
         monkeypatch.setattr(core, "integrate", _no_integrate)
@@ -892,6 +898,74 @@ class TestAmplitude:
             dn2(u, mod, Route.PHI)
         for t in ts:
             f_forward(t, mod)
+
+    @pytest.mark.parametrize("kappa", [KAPPA_MIN, 1e-9, 0.05, 0.3, 0.6, 0.9, 0.95, LARGEST_TABLED])
+    def test_phi_route_runs_no_elliptic_code(self, monkeypatch, kappa):
+        # inside the table's reach f, phi, s2 and the PHI route reduce by
+        # the table's own 2K: with hyper's complete_K and agm raising in
+        # every dn2 module, each still returns, where the reduction by
+        # ELLIPTIC's 2K raised on every phi call
+        from dn2 import hyper
+
+        rng = random.Random(f"no elliptic:{kappa}")
+        two_k = 2.0 * periods(Modulus(kappa)).K
+        us = [rng.uniform(-3.0 * two_k, 3.0 * two_k) for _ in range(20)]
+        ts = [rng.uniform(-3.0 * math.pi, 3.0 * math.pi) for _ in range(20)]
+
+        def elliptic(*args):
+            raise AssertionError("ELLIPTIC code ran")
+
+        for name in ("complete_K", "agm"):
+            original = getattr(hyper, name)
+            for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "dn2"]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, elliptic)
+        mod = Modulus(kappa)
+        assert not hasattr(mod, "two_k")
+        with pytest.raises(AssertionError, match="ELLIPTIC"):
+            periods(mod)
+        for u in us:
+            phi(u, mod)
+            s2(u, mod)
+            dn2(u, mod, Route.PHI)
+        for t in ts:
+            f_forward(t, mod)
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.75, 0.95])
+    def test_phi_inverts_f_to_an_ulp(self, kappa):
+        # phi(f(T)) is T to within an ulp of T on seeded T over a thousand
+        # periods either side of 0.  Reduced by ELLIPTIC's 2K, which is 1.34
+        # ulp off at 0.05 and 1.00 at 0.75, phi carried n times its error,
+        # and this was 2 ulp at each of these kappa
+        mod = Modulus(kappa)
+        rng = random.Random(f"round trip:{kappa}")
+        for _ in range(400):
+            T = rng.uniform(-1000.0 * math.pi, 1000.0 * math.pi)
+            assert abs(phi(f_forward(T, mod), mod) - T) <= math.ulp(T), T
+
+    def test_phi_next_to_the_multiples_of_its_period_against_mpmath(self):
+        # u within 4 ulps either side of n 2K, by the table's 2K and by
+        # ELLIPTIC's, at seeded tabled kappa.  The reduction by the double
+        # two_k leaves a target u - n 2K up to n |carry| outside [0, 2K]:
+        # on the bracket [0, pi], Newton raised "f has no root on the
+        # bracket" at 12 of these 16 kappa.  By ELLIPTIC's 2K phi was
+        # 2.5e-16 off at one of them
+        rng = random.Random("edges of the period")
+        kappas = [KAPPA_MIN, 1e-9, 0.05, 0.3, 0.6, 0.9, 0.95, LARGEST_TABLED]
+        kappas += [math.exp(rng.uniform(math.log(KAPPA_MIN), math.log(LARGEST_TABLED)))
+                   for _ in range(4)]
+        kappas += [rng.uniform(0.0, LARGEST_TABLED) for _ in range(4)]
+        for kappa in kappas:
+            mod = Modulus(kappa)
+            for two_k in (mod._f_table.two_k, 2.0 * periods(mod).K):
+                for n in (1, 2, 3):
+                    u = n * two_k
+                    for _ in range(4):
+                        u = math.nextafter(u, 0.0)
+                    for _ in range(9):
+                        for x in (u, -u):
+                            assert _rel_err(phi(x, mod), _mp_phi(x, kappa)) <= 2e-16, (kappa, x)
+                        u = math.nextafter(u, math.inf)
 
     def test_table_reach(self):
         # n = ceil((pi/2) / (0.08 asinh(lam / kappa))) steps, up to 72: kappa
@@ -907,7 +981,7 @@ class TestAmplitude:
             dn2(complex(0.3, 0.2), mod, Route.WP)
             assert "_f_table" not in vars(mod), kappa
             f_forward(0.5, mod)
-            assert len(mod._f_table.t) == n + 1, kappa
+            assert len(mod._f_table.hi) == n + 1, kappa
         for kappa in (math.nextafter(LARGEST_TABLED, 1.0), 0.964, 0.97, 0.999, 1.0 - 1e-12):
             mod = Modulus(kappa)
             assert mod._f_table is None, kappa
@@ -921,7 +995,7 @@ class TestAmplitude:
         import mpmath
 
         table = Modulus(kappa)._f_table
-        nodes = list(zip(table.t, table.hi, table.lo, table.f))
+        nodes = list(zip([k * table.h for k in range(len(table.hi))], table.hi, table.lo, table.f))
         for t, hi, lo, f in nodes[1::3] + nodes[-1:]:
             ref = _mp_f(t, kappa)
             with mpmath.workdps(40):
@@ -929,6 +1003,17 @@ class TestAmplitude:
                 assert f == float(t + (mpmath.mpf(hi) + lo)), t
         assert table.two_k_less_pi[0] + table.two_k_less_pi[1] == 2.0 * table.hi[-1]
         assert abs(table.two_k_less_pi[2] - 2.0 * table.lo[-1]) <= 2.0**-25 * abs(table.lo[-1])
+        # two_k is the double nearest pi plus those parts, and two_k + carry
+        # their sum to far below an ulp: within 0.23 ulp of 2K on 38 kappa
+        # across the reach, where ELLIPTIC's 2K is up to 1.34 ulp off
+        with mpmath.workdps(40):
+            two_k = mpmath.pi + sum(mpmath.mpf(c) for c in table.two_k_less_pi)
+            assert table.two_k == float(two_k)
+            assert abs(table.two_k + mpmath.mpf(table.carry) - two_k) <= 1e-31
+            k = mpmath.mpf(kappa)
+            lam = mpmath.sqrt((1 - k) * (1 + k))
+            ref = 2 * mpmath.ellipk((1 - lam) / (1 + lam)) / mpmath.sqrt((1 + lam) / 2)
+            assert abs(two_k - ref) <= 0.25 * math.ulp(table.two_k)
 
     def test_table_that_fails_its_check_raises(self, monkeypatch):
         # an integrand with a jump is not the analytic f' - 1 the steps
@@ -944,28 +1029,27 @@ class TestAmplitude:
         monkeypatch.undo()
         assert f_forward(1.0, mod) == f_forward(1.0, Modulus(0.6))
 
-    @pytest.mark.parametrize("kappa, phi_bound", [(1e-9, 2e-16), (0.05, 3.5e-16), (0.3, 2e-16),
-                                                  (0.6, 2e-16), (0.9, 2e-16), (0.95, 3.5e-16),
-                                                  (LARGEST_TABLED, 3.5e-16)])
-    def test_f_and_phi_across_the_table_reach_against_mpmath(self, kappa, phi_bound):
+    @pytest.mark.parametrize("kappa", [1e-9, 0.05, 0.3, 0.6, 0.9, 0.95, LARGEST_TABLED])
+    def test_f_and_phi_across_the_table_reach_against_mpmath(self, kappa):
         # seeded T and u over three periods either side of 0, and T next to
         # the multiples of pi/2 where f reflects and reduces.  f is the
         # exactly rounded sum of exact terms but the rule's and the table's,
         # each far below an ulp: on 200 seeded T per kappa its worst is
-        # 1.0e-16 to 1.5e-16 (4.5e-16 by tanh-sinh).  phi reduces by
-        # Modulus.two_k, and carries n times its error: at 0.05 two_k is
-        # 1.34 ulp off, and phi's worst on 200 seeded u is 2.7e-16; 1.4e-16 to
-        # 1.6e-16 at 0.3, 0.6 and 0.9, 2.3e-16 at 0.95 and 1.9e-16 at
-        # LARGEST_TABLED
+        # 1.0e-16 to 1.5e-16 (4.5e-16 by tanh-sinh).  phi reduces by the
+        # table's 2K, and on 200 seeded u its worst is 1.3e-16 to 1.6e-16
+        # at each kappa but 1e-9.  By ELLIPTIC's 2K, 1.34 ulp off at 0.05,
+        # it carried n times that error: 2.8e-16 at 0.05 and 2.1e-16 at
+        # 0.95, and the bound there was 3.5e-16
         mod = Modulus(kappa)
         rng = random.Random(f"table accuracy:{kappa}")
         ts = [rng.uniform(-3.0 * math.pi, 3.0 * math.pi) for _ in range(30)]
         ts += [n * 0.5 * math.pi * (1.0 + s * 1e-9) for n in (1, 2, 3, -5) for s in (1, -1)]
         for T in ts:
             assert _rel_err(f_forward(T, mod), _mp_f(T, kappa)) <= 2e-16, T
+        two_k = 2.0 * periods(mod).K
         for _ in range(30):
-            u = rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k)
-            assert _rel_err(phi(u, mod), _mp_phi(u, kappa)) <= phi_bound, u
+            u = rng.uniform(-3.0 * two_k, 3.0 * two_k)
+            assert _rel_err(phi(u, mod), _mp_phi(u, kappa)) <= 2e-16, u
 
     def test_f_and_phi_where_integrate_stopped_early(self):
         # tanh-sinh stopped at level 3 on a level difference small by
@@ -1034,9 +1118,10 @@ class TestAmplitude:
 
         mod = Modulus(kappa)
         bound = 2e-15 if kappa > 0.9 else 1e-15
+        two_k = 2.0 * periods(mod).K
         rng = random.Random(f"s2:{kappa}")
         for _ in range(40):
-            u = (rng.randint(-3, 3) + rng.uniform(-0.03, 0.03)) * mod.two_k
+            u = (rng.randint(-3, 3) + rng.uniform(-0.03, 0.03)) * two_k
             with mpmath.workdps(40):
                 ref = mpmath.sin(_mp_phi(u, kappa))
             assert abs(s2(u, mod) - ref) <= bound, u

@@ -29,7 +29,9 @@ X = [0.37, -3.1, 7.5]
 # out of the residual's quadrature (phi(0.37) moved at 0.3, 0.6 and 0.9, and
 # phi(7.5) at 0.9: see tests/test_quadrature_table.py), and when f and phi
 # began to read the per-modulus table of f(T) - T (phi(0.37) moved at 0.9,
-# closer to mpmath)
+# closer to mpmath), and when phi began to reduce by that table's own 2K
+# (phi(7.5) moved at 0.6 and 0.9, closer to mpmath: see
+# tests/test_quadrature_table.py)
 GOLDEN = {
     0.3: (
         [('0x1.fdfef3446e5a5p-1', '-0x1.50a9ba1420891p-7'), ('0x1.557f6090e0a42p-2', '0x1.54ad3c82f438ap-2'), ('0x1.024a250761509p+0', '-0x1.6e82a70dc8fe5p-5')],
@@ -41,13 +43,13 @@ GOLDEN = {
         [('0x1.f7ffbd1d3a5d0p-1', '-0x1.507d0b88ebe10p-5'), ('-0x1.17916abf0d8ecp-1', '0x1.b4582472db42cp-3'), ('0x1.e4273f4ee76e8p-1', '-0x1.a6821d75cb7dcp-3')],
         [('0x1.f7ffbd1d3a5d0p-1', '-0x1.507d0b88ebe10p-5'), ('-0x1.17916abf0d8eep-1', '0x1.b4582472db42dp-3'), ('0x1.e4273f4ee76e7p-1', '-0x1.a6821d75cb7dep-3')],
         ['0x1.f3f1d26c8640dp-1', '0x1.f76f7a6d12edcp-1', '0x1.db61ac8d646f7p-1'],
-        ['0x1.789a156ff5e9fp-2', '-0x1.6aa4e1f8a78fdp+1', '0x1.bcd6f15a6adc0p+2'],
+        ['0x1.789a156ff5e9fp-2', '-0x1.6aa4e1f8a78fdp+1', '0x1.bcd6f15a6adc1p+2'],
     ),
     0.9: (
         [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a72bp-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb37620p-6'), ('0x1.81392a75157d0p-2', '-0x1.00514f342a775p-2')],
         [('0x1.ee0e26cade522p-1', '-0x1.7a38e6dd3a729p-4'), ('-0x1.cdebad4360654p-2', '-0x1.b9b259cb3761fp-6'), ('0x1.81392a75157d4p-2', '-0x1.00514f342a773p-2')],
         ['0x1.e4dd3533d49b4p-1', '0x1.559342b13745cp-1', '0x1.849f9f52fa6cfp-1'],
-        ['0x1.75bbe7d9fd3fap-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e6p+2'],
+        ['0x1.75bbe7d9fd3fap-2', '-0x1.1552d09cb2018p+1', '0x1.5e5ddc12f94e5p+2'],
     ),
 }
 
@@ -189,7 +191,8 @@ def test_f_and_phi_beyond_the_table_keep_their_bits(kappa):
     assert mod._f_table is None
     rng = random.Random(f"beyond the table:{kappa}")
     ts = [rng.uniform(-3.0 * math.pi, 3.0 * math.pi) for _ in range(6)]
-    us = [rng.uniform(-3.0 * mod.two_k, 3.0 * mod.two_k) for _ in range(6)]
+    two_k = 2.0 * periods(mod).K
+    us = [rng.uniform(-3.0 * two_k, 3.0 * two_k) for _ in range(6)]
     assert ([_outcome_or_failure(f_forward, t, mod) for t in ts],
             [_outcome_or_failure(phi, u, mod) for u in us]) == BEYOND_TABLE_F[kappa]
 
@@ -285,7 +288,7 @@ def test_modulus_compares_and_hashes_by_kappa_and_stays_frozen():
     assert hash(warm) == hash(Modulus(0.6))
     assert warm != Modulus(0.7)
     assert len({warm, Modulus(0.6)}) == 1
-    for name in ("kappa", "lam", "d", "m", "m1", "c", "lattice", "two_k", "other"):
+    for name in ("kappa", "lam", "d", "m", "m1", "c", "lattice", "other"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(warm, name, 0.5)
 
@@ -299,7 +302,6 @@ def test_cached_values_are_the_derived_quantities():
     assert mod.c == math.sqrt(0.5 * (1.0 + lam))
     assert (mod.lattice.m, mod.lattice.mc, mod.lattice.scale) == (mod.m, mod.m1, mod.c)
     assert mod.lattice is mod.lattice
-    assert mod.two_k > 0.0
     # what dn2's SN and WP read on every call
     assert mod._re_ladder == _ladder(mod.m, mod.m1) and mod._re_ladder is mod._re_ladder
     assert mod._im_ladder == _ladder(mod.m1, mod.m) and mod._im_ladder is mod._im_ladder
@@ -307,7 +309,7 @@ def test_cached_values_are_the_derived_quantities():
     assert mod._wp_scale == lat.e1 - lat.e3
     assert mod._wp_half_k2 == 0.5 * mod.kappa**2
     # and what f and phi read on every call: 18 steps of the table at 0.6
-    assert mod._f_table is mod._f_table and len(mod._f_table.t) == 19
+    assert mod._f_table is mod._f_table and len(mod._f_table.hi) == 19
 
 
 LATTICE_FIELDS = ("g2", "g3", "delta", "e1", "e2", "e3", "m", "mc", "scale")
