@@ -1,6 +1,6 @@
-"""Gauss hypergeometric 2F1 for zero-balanced parameter families, the closed
-form of F(1/4,3/4;1/2;.), and the complete elliptic integral K(m) via the
-arithmetic-geometric mean.
+"""Gauss hypergeometric 2F1, to x -> 1 for F(1/4,3/4;1;.) and F(1/2,1/2;1;.),
+the closed form of F(1/4,3/4;1/2;.), and the complete elliptic integral K(m)
+via the arithmetic-geometric mean.
 
 The K argument is the parameter m = k^2 throughout.  complete_K and gauss_2f1
 take their argument with its complement, and f14_34_12_closed the complement
@@ -8,11 +8,12 @@ alone, computed by the caller in a form that does not cancel; none forms
 1 - m itself.
 
 Both 2F1 series run from per-family tables of what a term takes apart from
-x (the Pochhammer ratios, the digamma sums and the Gamma prefactor), each
-built whole, for all _MAX_TERMS terms, the first time a call takes its
-series, and cached on the HyperParams family as an immutable tuple.  Each
-table entry is rounded as the per-term formula rounded it, so the sums are
-those of the formulas, bit for bit.
+x (the Pochhammer ratios, and for the connection series the digamma sums
+and the Gamma prefactor, from their closed forms), each built whole, for
+all _MAX_TERMS terms, the first time a call takes its series, and cached on
+the HyperParams family as an immutable tuple.  The direct table's entries
+are rounded as the per-term formula rounded them, so its sums are those of
+the formula, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from .kernel import ConvergenceError, DomainError, _check_pair
 # both regimes are overlap-tested on [0.7, 0.8]
 _CUTOVER = 0.75
 _MAX_TERMS = 2000
+# the two families that take the connection series, by (min(a, b), max(a, b), c),
+# with a + b = c = 1: the prefactor Gamma(1)/(Gamma(a) Gamma(1 - a)) =
+# sin(pi a)/pi (DLMF 5.5.3) and D_0 = 2 psi(1) - psi(a) - psi(1 - a) (DLMF 5.4)
+_CLOSED_FORMS = {
+    (0.25, 0.75, 1.0): (math.sqrt(0.5) / math.pi, 6.0 * math.log(2.0)),
+    (0.5, 0.5, 1.0): (1.0 / math.pi, 4.0 * math.log(2.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -37,11 +45,11 @@ class HyperParams:
     series tables are cached on first use of their regime, as ``_direct``:
     the ratios r_n = (a+n)(b+n)/((c+n)(n+1)), and as ``_connection``: the
     pair (Gamma(c)/(Gamma(a) Gamma(b)), ((D_n, R_n), ...)) with
-    D_n = 2 psi(n+1) - psi(a+n) - psi(b+n), the digammas accumulated by
-    psi(y+1) = psi(y) + 1/y, and R_n = (a+n)(b+n)/(n+1)^2.  ``_connection``
-    is None for a family without the connection series: one that is not
-    zero-balanced (c = a + b), or whose a or b is a pole of Gamma, so that
-    its direct series is a polynomial.  Each table is a pure function of
+    D_n = 2 psi(n+1) - psi(a+n) - psi(b+n) and R_n = (a+n)(b+n)/(n+1)^2.
+    The prefactor and D_0 are closed forms, and D_n runs by
+    D_{n+1} = D_n + 2/(n+1) - 1/(a+n) - 1/(b+n).  Only F(1/4,3/4;1) and
+    F(1/2,1/2;1) have them, in either order of a and b; ``_connection`` is
+    None for every other family.  Each table is a pure function of
     (a, b, c), so threads that race to build one build equal tuples.
     """
 
@@ -60,20 +68,14 @@ class HyperParams:
 
     @cached_property
     def _connection(self) -> tuple[float, tuple[tuple[float, float], ...]] | None:
-        a, b, c = self.a, self.b, self.c
-        if not abs(c - a - b) <= 1e-12 or any(v <= 0.0 and float(v).is_integer() for v in (a, b)):
+        lo, hi, _ = key = (min(self.a, self.b), max(self.a, self.b), self.c)
+        if key not in _CLOSED_FORMS:
             return None
-        # lgamma drops the sign of Gamma, which is negative on (-1, 0), (-3, -2), ...
-        sign = math.prod(-1.0 if v < 0.0 and math.floor(v) % 2 else 1.0 for v in (a, b, c))
-        pref = sign * math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(b))
-        psi_a, psi_b, psi_n = _digamma(a), _digamma(b), _digamma(1.0)
+        pref, d = _CLOSED_FORMS[key]
         pairs = []
         for n in range(_MAX_TERMS):
-            pairs.append((2.0 * psi_n - psi_a - psi_b,
-                          (a + n) * (b + n) / ((n + 1.0) * (n + 1.0))))
-            psi_a += 1.0 / (a + n)
-            psi_b += 1.0 / (b + n)
-            psi_n += 1.0 / (n + 1.0)
+            pairs.append((d, (lo + n) * (hi + n) / ((n + 1.0) * (n + 1.0))))
+            d += 2.0 / (n + 1.0) - 1.0 / (lo + n) - 1.0 / (hi + n)
         return pref, tuple(pairs)
 
 
@@ -106,25 +108,6 @@ def complete_K(m: float, mc: float) -> float:
     complement mc = 1 - m: K(m) = pi / (2 agm(1, sqrt(mc)))."""
     _check_pair("complete_K", m, mc)
     return 0.5 * math.pi / agm(1.0, math.sqrt(mc))
-
-
-def _digamma(x: float) -> float:
-    if x < 0.0:
-        # reflection psi(x) = psi(1 - x) - pi cot(pi x), in constant time;
-        # cot has period pi, and x - round(x) is exact, so pi times it keeps
-        # the digits that pi x would lose
-        return _digamma(1.0 - x) - math.pi / math.tan(math.pi * (x - round(x)))
-    # recurrence into the asymptotic regime, then the Bernoulli tail
-    acc = 0.0
-    while x < 12.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = inv2 * (
-        1.0 / 12.0
-        - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
-    )
-    return acc + math.log(x) - 0.5 / x - tail
 
 
 def _direct_series(p: HyperParams, x: float) -> float:
@@ -175,11 +158,11 @@ def _log_connection(p: HyperParams, xc: float) -> float:
 def gauss_2f1(p: HyperParams, x: float, xc: float) -> float:
     """2F1(a, b; c; x) for 0 <= x < 1, given x and its complement xc = 1 - x.
 
-    Once xc falls below 1 - cutover, zero-balanced families (c = a + b)
-    switch to the logarithmic connection series in xc, so an x that rounds
-    to 1 is still accepted while xc > 0.  Other families, and those whose
-    a or b is zero or a negative integer (a polynomial), stay on the direct
-    series, which fails loudly if it cannot meet its tail bound.
+    Once xc falls below 1 - cutover, F(1/4,3/4;1) and F(1/2,1/2;1) switch
+    to the logarithmic connection series in xc, within 4e-16 relative, so an
+    x that rounds to 1 is still accepted while xc > 0.  Every other family
+    stays on the direct series, which raises ConvergenceError where it
+    cannot meet its tail bound: for F(1/3,2/3;1) from about x = 0.99 on.
     """
     _check_pair("gauss_2f1", x, xc)
     if xc < 1.0 - _CUTOVER and p._connection is not None:

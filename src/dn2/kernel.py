@@ -63,16 +63,19 @@ NEWTON_MAX_ITER = 60
 
 
 @lru_cache(maxsize=MAX_LEVEL + 1)
-def _level(level: int) -> tuple[tuple[float, float, float, float], ...]:
+def _level(level: int) -> tuple[tuple[float, float, float, float, float], ...]:
     """The tanh-sinh nodes t > 0 that integrate adds at refinement level
     ``level``, in increasing t.
 
     Level 0 holds t = 1, ..., 6; level L >= 1 adds t = k h, h = 2**-L, at
-    odd k.  A node is stored as (e, 1 + e, cosh t, cosh(u)**2) with
+    odd k.  A node is stored as (e, 1 + e, cosh t, cosh(u)**2, tail) with
     u = (pi/2) sinh t and e = exp(-2|u|): everything about it that does not
-    depend on the interval.  sinh is odd and cosh even, so the node at -t is
-    the same: integrate walks the table backwards for t < 0, and adds t = 0
-    at level 0 itself.  Built on first use, so a caller pays only for the
+    depend on the interval.  ``tail`` is the sum of cosh t / cosh(u)**2
+    over the node and every later one, added from the last inwards: the
+    unscaled weight of the nodes that integrate drops once this one rounds
+    onto an endpoint.  sinh is odd and cosh even, so the node at -t is the
+    same: integrate walks the table backwards for t < 0, and adds t = 0 at
+    level 0 itself.  Built on first use, so a caller pays only for the
     levels its integrands reach.
     """
     h = math.ldexp(1.0, -level)
@@ -82,7 +85,12 @@ def _level(level: int) -> tuple[tuple[float, float, float, float], ...]:
         u = 0.5 * math.pi * math.sinh(t)
         e = math.exp(-2.0 * u)
         nodes.append((e, 1.0 + e, math.cosh(t), math.cosh(u) ** 2))
-    return tuple(nodes)
+    tail = 0.0
+    tails = []
+    for _, _, cosh_t, cosh_u2 in reversed(nodes):
+        tail += cosh_t / cosh_u2
+        tails.append(tail)
+    return tuple(node + (tail,) for node, tail in zip(nodes, reversed(tails)))
 
 
 def _check_interval(name: str, a: float, b: float) -> None:
@@ -107,6 +115,10 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     3 on whose value differs from the previous level's by at most
     ``QUAD_TOL``, or 1e-15 of the value; levels 0 to 2 never stop it, so
     that a difference small by accident between levels 1 and 2 cannot.
+    ``err_estimate`` is that difference plus, for each endpoint, the weight
+    of the last level's nodes that round onto it times the largest |f| seen
+    on its half of the interval: on an interval much narrower than its
+    distance from 0 those nodes carry real weight.
     Bounds that are not finite, not in order, or so far apart that b - a
     overflows, raise DomainError; a non-finite node sum of a level, which any
     non-finite value of f makes, a level with no node inside (a, b), as on
@@ -125,69 +137,109 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     k = max(0, math.frexp(b - a)[1] - 1000)
     weight_scale = math.ldexp(half * 0.5 * math.pi, -k)
 
-    def node_sum(level: int) -> tuple[float, int]:
+    def node_sum(level: int) -> tuple[float, int, float, float, float, float]:
         # the abscissa is the nearer endpoint moved inwards by
         # d = 2 half e / (1 + e), computed without cancellation, so that
         # endpoint singularities see an accurate abscissa.  A node that
-        # rounds onto an endpoint is dropped: its true weight is far below
-        # double resolution, and so is a node whose weight underflows.
-        # Off the centre e < 1, so d is below (b - a) / 2 but for rounding,
-        # which never carries a left node onto b nor a right node onto a
-        # while b - a is finite; x never decreases along a run, so once a
-        # right node rounds onto b every later one does too.  The left run
-        # (t < 0) is the table walked backwards, in increasing t
+        # rounds onto an endpoint is dropped, and a node whose weight
+        # underflows weighs nothing.  Off the centre e < 1, so d is below
+        # (b - a) / 2 but for rounding, which never carries a left node onto
+        # b nor a right node onto a while b - a is finite; x never decreases
+        # along a run, so the nodes dropped onto a run's endpoint are its
+        # outermost ones, and their unscaled weight is the tail of the
+        # innermost of them.  Besides the sum it returns, per endpoint, the
+        # weight dropped onto it and the largest |f| on its half (t <= 0 for
+        # a, t >= 0 for b): an integrand singular at one endpoint must not
+        # charge its size there to the nodes dropped at the other.  The left
+        # run (t < 0) is the table walked backwards, in increasing t
         nodes = _level(level)
-        acc = 0.0
+        acc = top = bottom = drop_a = drop_b = 0.0
         used = 0
-        for e, one_plus_e, cosh_t, cosh_u2 in reversed(nodes):
+        for e, one_plus_e, cosh_t, cosh_u2, tail in reversed(nodes):
             x = a + two_half * e / one_plus_e
             if x <= a:
+                drop_a = tail
                 continue
             w = weight_scale * cosh_t / cosh_u2
             if w == 0.0:
                 continue
-            acc += w * f(x)
+            y = f(x)
+            acc += w * y
             used += 1
+            if y > top:
+                top = y
+            elif y < bottom:
+                bottom = y
+        peak_a = top if top > -bottom else -bottom
+        top = bottom = 0.0
         # level 0 only: t = 0, so x = mid and w = weight_scale; mid may round
         # onto either endpoint of a short interval, or overflow past b
-        if level == 0 and a < mid < b and weight_scale != 0.0:
-            acc += weight_scale * f(mid)
-            used += 1
-        for e, one_plus_e, cosh_t, cosh_u2 in nodes:
+        if level == 0 and weight_scale != 0.0:
+            if a < mid < b:
+                y = f(mid)
+                acc += weight_scale * y
+                used += 1
+                top, bottom = max(y, 0.0), min(y, 0.0)
+                peak_a = max(peak_a, abs(y))
+            elif mid <= a:
+                drop_a += 1.0
+            else:
+                drop_b = 1.0
+        for e, one_plus_e, cosh_t, cosh_u2, tail in nodes:
             x = b - two_half * e / one_plus_e
             if x >= b:
+                drop_b += tail
                 break
             w = weight_scale * cosh_t / cosh_u2
             if w == 0.0:
                 continue
-            acc += w * f(x)
+            y = f(x)
+            acc += w * y
             used += 1
+            if y > top:
+                top = y
+            elif y < bottom:
+                bottom = y
         # every weight is positive and finite, so a non-finite value of f
         # makes the sum non-finite
         if not math.isfinite(acc):
             raise ConvergenceError(f"non-finite tanh-sinh sum at level {level}")
         if not used:  # no evaluation supports this level's share of the value
             raise ConvergenceError(f"no tanh-sinh node of level {level} lies inside ({a!r}, {b!r})")
-        return acc, used
+        peak_b = top if top > -bottom else -bottom
+        return acc, used, weight_scale * drop_a, peak_a, weight_scale * drop_b, peak_b
+
+    # the value, and the weight that the level's rule dropped onto each
+    # endpoint, halve the previous level's and add this level's new nodes;
+    # the error estimate is the last difference plus, per endpoint, the
+    # dropped weight times the largest |f| seen on its half
+    def estimate() -> float:
+        return math.ldexp(delta + skip_a * peak_a + skip_b * peak_b, k)
 
     h = 1.0
-    acc, used = node_sum(0)
+    acc, used, skip_a, peak_a, skip_b, peak_b = node_sum(0)
     evaluations = used
     total = h * acc
     prev = total
     delta = math.inf
     for level in range(1, MAX_LEVEL + 1):
         h *= 0.5
-        acc, used = node_sum(level)
+        acc, used, drop_a, level_peak_a, drop_b, level_peak_b = node_sum(level)
         evaluations += used
         total = 0.5 * prev + h * acc
+        skip_a = 0.5 * skip_a + h * drop_a
+        skip_b = 0.5 * skip_b + h * drop_b
+        if level_peak_a > peak_a:
+            peak_a = level_peak_a
+        if level_peak_b > peak_b:
+            peak_b = level_peak_b
         delta = abs(total - prev)
         if level >= 3 and delta <= max(QUAD_TOL, 1e-15 * abs(total)):
-            return QuadResult(math.ldexp(total, k), math.ldexp(delta, k), evaluations)
+            return QuadResult(math.ldexp(total, k), estimate(), evaluations)
         prev = total
     raise ConvergenceError(
         f"quadrature did not converge to {QUAD_TOL} within {MAX_LEVEL} levels",
-        best=QuadResult(math.ldexp(total, k), math.ldexp(delta, k), evaluations),
+        best=QuadResult(math.ldexp(total, k), estimate(), evaluations),
     )
 
 

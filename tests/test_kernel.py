@@ -140,6 +140,18 @@ class TestIntegrate:
         assert f"({a!r}, {b!r})" in str(info.value)
         assert calls == [] and info.value.best is None
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0 + 1e-12), (100.0, 100.0 + 1e-10)])
+    def test_error_estimate_counts_the_nodes_dropped_onto_an_endpoint(self, a, b):
+        # nodes within half an ulp of an endpoint round onto it and are
+        # dropped: the value is 1.6e-4 relative off, and err_estimate must
+        # cover that, not only the last level difference
+        from fractions import Fraction
+
+        r = integrate(lambda t: 1.0, a, b)
+        exact = Fraction(b) - Fraction(a)
+        assert abs(Fraction(r.value) - exact) > 1e-4 * exact
+        assert r.err_estimate >= abs(Fraction(r.value) - exact)
+
 
 class TestTrapezoid:
     @pytest.mark.parametrize("a", [1e-3, 0.5, 3.0, 100.0])

@@ -65,7 +65,9 @@ X = [0.37, -3.1, 7.5]
 # it began to reduce by the table's own 2K, not by ELLIPTIC's: phi(7.5) at
 # 0.6, 6.7e-17 to 6.1e-17, and at 0.9, 1.25e-16 to 3.7e-17, each closer to
 # mpmath.  The QuadResult rows integrate f' by tanh-sinh itself and keep
-# their bits)
+# their value and evaluations; their err_estimate moved when integrate
+# began to add the weight of the nodes dropped onto each endpoint times the
+# largest |f| seen on its half)
 GOLDEN = {
     0.3: (
         ['0x1.9a518181dd78cp-2', '0x1.51803b35356f2p+0', '-0x1.7a5268a3cc9c7p+1', '0x1.c762b3c48a348p+2'],
@@ -73,7 +75,7 @@ GOLDEN = {
         ('0x1.2bc3b27509f94p+1', '0x1.994410fba5435p+0'),
         ('0x1.994410fba5435p+0', '0x1.a7ee520651b1ap+1'),
         ('0x1.0000000000000p-51', '-0x1.0000000000000p-51'),
-        ('0x1.51803b35356f2p+0', '0x1.4506000000000p-34', 74),
+        ('0x1.51803b35356f2p+0', '0x1.4506055823ed8p-34', 74),
     ),
     0.6: (
         ['0x1.9c87005260fa8p-2', '0x1.62aa6d30d09d0p+0', '-0x1.957175fa82c6bp+1', '0x1.e35af8012f8cep+2'],
@@ -81,7 +83,7 @@ GOLDEN = {
         ('0x1.e27d6a71d3d3dp+0', '0x1.b472b565457b4p+0'),
         ('0x1.b472b565457b4p+0', '0x1.552c009726818p+1'),
         ('0x0.0p+0', '-0x1.0000000000000p-51'),
-        ('0x1.62aa6d30d09cfp+0', '0x1.0000000000000p-52', 148),
+        ('0x1.62aa6d30d09cfp+0', '0x1.90f8a72eea19cp-52', 148),
     ),
     0.9: (
         ['0x1.a06717659446ep-2', '0x1.95fcf2e530dbap+0', '-0x1.f872eeae67238p+1', '0x1.2402b48c93cfcp+3'],
@@ -89,7 +91,7 @@ GOLDEN = {
         ('0x1.a22a6fbf05361p+0', '0x1.0bc753100a5e0p+1'),
         ('0x1.0bc753100a5e0p+1', '0x1.27b016eefc587p+1'),
         ('0x0.0p+0', '-0x1.0000000000000p-51'),
-        ('0x1.95fcf2e530dbap+0', '0x1.0000000000000p-52', 148),
+        ('0x1.95fcf2e530dbap+0', '0x1.d7bfb9f0bb493p-52', 148),
     ),
 }
 # phi(5.0, Modulus(0.999999)) fails in f's quadrature; its ConvergenceError.best
@@ -104,8 +106,10 @@ GOLDEN = {
 # residual: the failing f is still that at T = 1.8543, which crosses back
 # below 3 pi/4 and so integrates from 0 across the peak, now over the
 # shifted interval, in 13,335 evaluations where it took 19,017; its best
-# estimate moved by 12 ulp and is still 3.5e-10 from mpmath)
-GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.4e65c55c65cc3p+3', '0x1.a6414af880000p-16', 13335)
+# estimate moved by 12 ulp and is still 3.5e-10 from mpmath; its
+# err_estimate moved when integrate began to add the weight of the nodes
+# dropped onto each endpoint times the largest |f| seen on its half)
+GOLDEN_KAPPA_TO_ONE_BEST = ('0x1.4e65c55c65cc3p+3', '0x1.a6414b081c2d9p-16', 13335)
 
 
 def _quad_hex(r: QuadResult):
@@ -143,21 +147,34 @@ def test_kappa_to_one_failure_keeps_its_best_estimate():
 
 def _reference_integrate(f, a, b, *, singular_left=False, tol=1e-12):
     """integrate as it was before the node table: every node worked out anew;
-    it stops from level 3 on, and raises at a level with no node inside
-    (a, b), as integrate does."""
+    it stops from level 3 on, raises at a level with no node inside (a, b),
+    and adds to its error estimate, per endpoint, the weight of the nodes
+    that round onto it, summed from the outermost node inwards, times the
+    largest |f| seen on its half (t <= 0 for a, t >= 0 for b), as integrate
+    does."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     span_eps = 8.0 * math.ulp(max(abs(a), abs(b), 1.0))
 
     def node_sum(ts):
-        acc = 0.0
+        acc = peak_a = peak_b = drop_a = centre = 0.0
         used = 0
+        right = []
         for t in ts:
             u = 0.5 * math.pi * math.sinh(t)
             e = math.exp(-2.0 * abs(u))
             dist = 2.0 * half * e / (1.0 + e)
             x = (a + dist) if t < 0.0 else (b - dist) if t > 0.0 else mid
             if x <= a or x >= b:
+                unscaled = math.cosh(t) / math.cosh(u) ** 2
+                if x <= a and t <= 0.0:
+                    drop_a += unscaled
+                elif t < 0.0:
+                    raise AssertionError("a left node rounded onto b")
+                elif t == 0.0:
+                    centre = unscaled
+                else:
+                    right.append(unscaled)
                 continue
             w = half * 0.5 * math.pi * math.cosh(t) / math.cosh(u) ** 2
             if w == 0.0:
@@ -169,13 +186,22 @@ def _reference_integrate(f, a, b, *, singular_left=False, tol=1e-12):
                     continue
                 raise ConvergenceError(f"non-finite integrand value at x={x}")
             acc += w * fx
+            if t <= 0.0:
+                peak_a = max(peak_a, abs(fx))
+            if t >= 0.0:
+                peak_b = max(peak_b, abs(fx))
         if not used:
             raise ConvergenceError("no node inside the interval")
-        return acc, used
+        outer = 0.0
+        for unscaled in reversed(right):
+            outer += unscaled
+        drop_b = centre + outer
+        scale = half * 0.5 * math.pi
+        return acc, used, scale * drop_a, peak_a, scale * drop_b, peak_b
 
     h = 1.0
     n0 = int(_T_CUTOFF / h)
-    acc, used = node_sum(k * h for k in range(-n0, n0 + 1))
+    acc, used, skip_a, peak_a, skip_b, peak_b = node_sum(k * h for k in range(-n0, n0 + 1))
     evaluations = used
     total = h * acc
     prev = total
@@ -184,14 +210,20 @@ def _reference_integrate(f, a, b, *, singular_left=False, tol=1e-12):
         h *= 0.5
         nmax = int(_T_CUTOFF / h)
         start = nmax if nmax % 2 == 1 else nmax - 1
-        acc, used = node_sum(k * h for k in range(-start, nmax + 1, 2))
+        acc, used, drop_a, level_a, drop_b, level_b = node_sum(
+            k * h for k in range(-start, nmax + 1, 2)
+        )
         evaluations += used
         total = 0.5 * prev + h * acc
+        skip_a = 0.5 * skip_a + h * drop_a
+        skip_b = 0.5 * skip_b + h * drop_b
+        peak_a, peak_b = max(peak_a, level_a), max(peak_b, level_b)
         delta = abs(total - prev)
+        err = delta + skip_a * peak_a + skip_b * peak_b
         if level >= 3 and delta <= max(tol, 1e-15 * abs(total)):
-            return QuadResult(total, delta, evaluations)
+            return QuadResult(total, err, evaluations)
         prev = total
-    raise ConvergenceError("no convergence", best=QuadResult(total, delta, evaluations))
+    raise ConvergenceError("no convergence", best=QuadResult(total, err, evaluations))
 
 
 CASES = [
@@ -288,10 +320,16 @@ def test_level_nodes():
         ts = [k * h for k in range(1, nmax + 1, 1 if level == 0 else 2)]
         assert len(ts) == (6 if level == 0 else (int(_T_CUTOFF * 2**level) + 1) // 2)
         nodes = _level(level)
-        assert nodes == tuple(node(t) for t in ts)
+        assert tuple(n[:4] for n in nodes) == tuple(node(t) for t in ts)
         # integrate walks the table backwards for the nodes at -t: sinh is
         # odd and cosh even, so they are the same nodes, bit for bit
-        assert tuple(node(-t) for t in reversed(ts)) == nodes[::-1]
-        for e, one_plus_e, cosh_t, cosh_u2 in nodes:
+        assert tuple(node(-t) for t in reversed(ts)) == tuple(n[:4] for n in nodes[::-1])
+        for e, one_plus_e, cosh_t, cosh_u2, _ in nodes:
             assert 0.0 < e < 1.0 and one_plus_e == 1.0 + e
             assert cosh_t > 1.0 and math.isfinite(cosh_u2) and cosh_u2 > 1.0
+        # the tail of each node: its unscaled weight and every later one's,
+        # added from the last inwards
+        tail = 0.0
+        for i in reversed(range(len(nodes))):
+            tail += nodes[i][2] / nodes[i][3]
+            assert nodes[i][4] == tail
