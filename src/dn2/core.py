@@ -74,6 +74,10 @@ _TABLE_CAP = 72
 # leaves that a margin, and a gap beyond it means the integrand is not the
 # analytic f' - 1 the step assumes
 _TABLE_TOL = 2.0**-48
+# f reduces by math.pi, and every f call would otherwise recompute this
+_PI_LIMIT = reduction_limit(math.pi)
+# phi's DomainError names its argument so, formatted only when it raises
+_PHI_ARGUMENT = "phi argument {!r} (period 2K)"
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,9 @@ class Modulus:
     call.  These ladders are the package's only ladder cache: jacobi_real
     and jacobi_complex build theirs on every call.  ``_f_table``, built on
     the first f or phi call and never on construction, caches f(T) - T on
-    a grid of [0, pi/2] and the period 2K of f, from which ``f_forward``
-    and ``phi`` take f and reduce with no tanh-sinh and no ELLIPTIC K; it
+    a grid of [0, pi/2], the derivatives of f's inverse there, and the
+    period 2K of f, from which ``f_forward`` and ``phi`` take f, start
+    phi's solve and reduce with no tanh-sinh and no ELLIPTIC K; it
     is None beyond the table's reach, kappa above about 0.9639.
     Every Modulus, a complement too, has 2**-510 <= kappa <= 1 and lam > 0;
     kappa is 1.0 only for the complement of a kappa below about 6.6e-9,
@@ -314,18 +319,23 @@ def _integral(mod: Modulus, a: float, b: float) -> float:
 
 class _FTable(NamedTuple):
     """f(T_k) - T_k at T_k = k h, k = 0..n, n h = pi/2, as the unevaluated
-    sums hi_k + lo_k; f(T_k) rounded, for phi's start; 2K - pi, twice the
-    last sum, in three parts of at most 26 significant bits; 2K as two_k,
-    the double nearest pi plus those parts, and carry, the rest; and the
-    closures f' - 1, which the rule integrates, and f'."""
+    sums hi_k + lo_k; f(T_k) rounded, and the inverse's derivatives
+    T'(f_k) = 1/f'(T_k) and T''(f_k) = -f''(T_k)/f'(T_k)^3, for phi's
+    start; 2K - pi, twice the last sum, in three parts of at most 26
+    significant bits; 2K as two_k, the double nearest pi plus those parts,
+    carry, the rest, and limit, reduction_limit(two_k); and the closures
+    f' - 1, which the rule integrates, and f'."""
 
     h: float
     hi: tuple[float, ...]
     lo: tuple[float, ...]
     f: tuple[float, ...]
+    t_prime: tuple[float, ...]
+    t_second: tuple[float, ...]
     two_k_less_pi: tuple[float, float, float]
     two_k: float
     carry: float
+    limit: float
     excess: Callable[[float], float]
     f_prime: Callable[[float], float]
 
@@ -335,7 +345,11 @@ def _build_f_table(mod: Modulus) -> _FTable | None:
     steps, kappa above about 0.9639.  Each step adds the rule over its two
     halves to the running sum exactly, by fsum, which hi + lo carries; a
     step whose rule differs from the sum over its halves by more than
-    _TABLE_TOL h raises ConvergenceError."""
+    _TABLE_TOL h raises ConvergenceError.  The inverse's derivatives at
+    each node take f' = g/p in _f_prime's closed form, g = sqrt((1 + p)/2):
+    T' = p/g, and T'' = -kappa^2 sin t cos t (2 + p)/(1 + p)^2, which is
+    -f''/f'^3 with f'' = (1/(4 g p) - g/p^2) (-kappa^2 sin t cos t / p)
+    written without its quotients by g and p."""
     n = max(1, math.ceil(0.5 * math.pi / (_TABLE_STEP * math.asinh(mod.lam / mod.kappa))))
     if n > _TABLE_CAP:
         return None
@@ -352,12 +366,19 @@ def _build_f_table(mod: Modulus) -> _FTable | None:
         hi.append(math.fsum(parts))
         lo.append(math.fsum((*parts, -hi[-1])))
     f = [math.fsum(parts) for parts in zip(t, hi, lo)]
+    kappa, l2 = mod.kappa, mod.lam * mod.lam
+    t_prime, t_second = [], []
+    for x in t:
+        kc = kappa * math.cos(x)
+        p = math.sqrt(l2 + kc * kc)
+        t_prime.append(p / math.sqrt(0.5 * (1.0 + p)))
+        t_second.append(-kappa * math.sin(x) * kc * (2.0 + p) / ((1.0 + p) * (1.0 + p)))
     # f's reduction multiplies these by n + 1 < 2**27, exactly
     two_k_less_pi = (*_split(2.0 * hi[-1]), _split(2.0 * lo[-1])[0])
     two_k = math.fsum((math.pi, _PI_LO, *two_k_less_pi))
     carry = math.fsum((math.pi, _PI_LO, *two_k_less_pi, -two_k))
-    return _FTable(h, tuple(hi), tuple(lo), tuple(f), two_k_less_pi, two_k, carry, excess,
-                   _f_prime(mod))
+    return _FTable(h, tuple(hi), tuple(lo), tuple(f), tuple(t_prime), tuple(t_second),
+                   two_k_less_pi, two_k, carry, reduction_limit(two_k), excess, _f_prime(mod))
 
 
 def _split(x: float) -> tuple[float, float]:
@@ -391,11 +412,24 @@ def _f_terms(table: _FTable, a: float, n: int, r: float) -> list[float]:
 
 
 def _table_start(table: _FTable, v: float) -> float:
-    """The T with f(T) = v >= 0 by linear interpolation between the table's
-    f(T_k); from v = K on, the last step's line extended."""
+    """The T with f(T) = v by the quintic inverse between the table's
+    nodes: with f_k <= v < f_(k+1), H = f_(k+1) - f_k and s = (v - f_k)/H,
+    the quintic in s that takes T_k, H T'_k and H^2 T''_k at s = 0 and those
+    of node k + 1 at s = 1; past the first or last node, that step's
+    quintic extended.  Its error goes as the sixth derivative of T(v) times
+    (H s (1 - s))^6 / 720: on 400 kappa across the reach, at most 5e-10 of
+    T, half of NEWTON_RTOL, and 1e-11 to 1e-14 in the median."""
     fs = table.f
-    k = min(bisect.bisect_right(fs, v) - 1, len(fs) - 2)
-    return k * table.h + (v - fs[k]) * table.h / (fs[k + 1] - fs[k])
+    k = bisect.bisect_right(fs, v, 1, len(fs) - 1) - 1
+    big_h = fs[k + 1] - fs[k]
+    s = (v - fs[k]) / big_h
+    r = 1.0 - s
+    s2, s3, r2 = s * s, s * s * s, r * r
+    return (k * table.h + table.h * s3 * (10.0 + s * (6.0 * s - 15.0))
+            + big_h * (table.t_prime[k] * s * r2 * r * (1.0 + 3.0 * s)
+                       - table.t_prime[k + 1] * s3 * r * (4.0 - 3.0 * s)
+                       + 0.5 * big_h * (table.t_second[k] * s2 * r2 * r
+                                        + table.t_second[k + 1] * s3 * r2)))
 
 
 def f_forward(T: float, mod: Modulus) -> float:
@@ -420,7 +454,7 @@ def f_forward(T: float, mod: Modulus) -> float:
         T = float(T)  # a numpy.float32 would sum the series in single precision
         return T + mod.kappa**2 * T**3 / 8.0
     a = abs(T)
-    n, r = _reduce(a, math.pi, f"f argument {T!r}")
+    n, r = _reduce(a, math.pi, _PI_LIMIT, "f argument {!r}", T)
     table = mod._f_table
     if table is not None:
         return math.copysign(math.fsum(_f_terms(table, float(a), n, r)), T)
@@ -435,17 +469,17 @@ def f_forward(T: float, mod: Modulus) -> float:
     return math.copysign(fr, T)
 
 
-def _reduce(a: float, period: float, what: str) -> tuple[int, float]:
+def _reduce(a: float, period: float, limit: float, what: str, x: object) -> tuple[int, float]:
     """n and r with a = n period + r, 0 <= r < period, exactly, for a >= 0.
 
-    Raises DomainError for ``not a <= reduction_limit(period)``: fewer than 8
-    significant digits of a survive the reduction there, and inf and nan
-    fail the test too.
+    Raises DomainError for ``not a <= limit``, limit being
+    reduction_limit(period): fewer than 8 significant digits of a survive
+    the reduction there, and inf and nan fail the test too.  The message
+    names the caller's argument x by what.format(x), formatted only then.
     """
-    limit = reduction_limit(period)
     if not a <= limit:
         raise DomainError(
-            f"{what} is beyond {limit:.6g}: fewer than 8 "
+            f"{what.format(x)} is beyond {limit:.6g}: fewer than 8 "
             f"digits survive reduction modulo {period!r}"
         )
     r = math.fmod(a, period)  # exact
@@ -469,9 +503,13 @@ def _phi_route(u: float, mod: Modulus) -> tuple[float, float, float]:
         n, t = 0, a - mod.kappa**2 * a**3 / 8.0
     else:
         table = mod._f_table
-        two_k = 2.0 * periods(mod, PeriodMethod.ELLIPTIC).K if table is None else table.two_k
-        n, ur = _reduce(a, two_k, f"phi argument {u!r} (period 2K)")
-        t = _phi_integrated(mod, two_k, ur) if table is None else _phi_tabled(table, n, ur)
+        if table is None:
+            two_k = 2.0 * periods(mod, PeriodMethod.ELLIPTIC).K
+            n, ur = _reduce(a, two_k, reduction_limit(two_k), _PHI_ARGUMENT, u)
+            t = _phi_integrated(mod, two_k, ur)
+        else:
+            n, ur = _reduce(a, table.two_k, table.limit, _PHI_ARGUMENT, u)
+            t = _phi_tabled(table, n, ur)
     sin_t = math.sin(t)
     s = math.copysign(sin_t, u)
     return (math.hypot(math.cos(t), mod.lam * sin_t),
@@ -480,14 +518,19 @@ def _phi_route(u: float, mod: Modulus) -> tuple[float, float, float]:
 
 def _phi_tabled(table: _FTable, n: int, ur: float) -> float:
     """The root T of f(T) = u - n 2K = ur - n carry inside the table's reach,
-    by Newton from the table's linear interpolation on -ur, n carry and
-    f_forward's terms of f(T), rounded once; f' >= 1 puts T within n |carry|
-    of [0, pi], and the bracket leaves one carry more for rounding."""
+    by Newton on -ur, n carry and f_forward's terms of f(T), rounded once;
+    f' >= 1 puts T within n |carry| of [0, pi], and the bracket leaves one
+    carry more for rounding.  The first iterate is the table's quintic
+    inverse at v = ur - n carry, or pi less it at 2K - v past K: within
+    5e-10 of T, so that Newton's first step meets NEWTON_RTOL and
+    the solve takes one residual, next to the multiples of 2K too, where
+    T is as small as n carry."""
     def g(T: float) -> float:  # f(T) - (u - n 2K)
         return math.fsum((-ur, n * table.carry, *_f_terms(table, T, 0, T)))
 
     two_k = table.two_k
-    x0 = math.pi - _table_start(table, two_k - ur) if ur > 0.5 * two_k else _table_start(table, ur)
+    v = ur - n * table.carry
+    x0 = math.pi - _table_start(table, two_k - v) if v > 0.5 * two_k else _table_start(table, v)
     w = (n + 1) * abs(table.carry)
     return newton_invert(g, table.f_prime, -w, math.pi + w, x0)
 
@@ -523,16 +566,17 @@ def phi(u: float, mod: Modulus) -> float:
     f(T + pi) = f(T) + 2K, then a safeguarded Newton solve of f(T) = u_r,
     where f runs from 0 to 2K on [0, pi] and f' >= 1.  Inside the reach of
     Modulus._f_table, kappa up to about 0.9639, 2K is the table's own, the
-    first iterate interpolates the table's f(T_k) linearly, and the
-    residual is f_forward's exact terms of f(T), rounded once: about two
-    residuals, of five f' - 1 evaluations each, decide phi, with no
-    tanh-sinh and no ELLIPTIC K.  Beyond the reach 2K is ELLIPTIC's, the
-    first iterate is u_r pi / 2K, and the residual comes from the nearer
-    end of [0, pi] at the first iterate and at one across 3 pi/4 from the
-    last, by tanh-sinh of f'; at any other it is the last residual plus f'
-    integrated over the step.  Below |u| = 1e-4 it returns the series
-    u - kappa^2 u^3 / 8 instead, whose next term is below 1e-17 u there:
-    quadrature cannot integrate over an interval as short as [0, 5e-324].
+    first iterate is the table's quintic inverse, from f(T_k) and the
+    inverse's first two derivatives there, and the residual is f_forward's
+    exact terms of f(T), rounded once: one residual, of five f' - 1
+    evaluations, decides phi, with no tanh-sinh and no ELLIPTIC K.  Beyond
+    the reach 2K is ELLIPTIC's, the first iterate is u_r pi / 2K, and the
+    residual comes from the nearer end of [0, pi] at the first iterate and
+    at one across 3 pi/4 from the last, by tanh-sinh of f'; at any other it
+    is the last residual plus f' integrated over the step.  Below
+    |u| = 1e-4 it returns the series u - kappa^2 u^3 / 8 instead, whose next
+    term is below 1e-17 u there: quadrature cannot integrate over an
+    interval as short as [0, 5e-324].
     Raises DomainError when |u| is so large (or not finite) that fewer than
     8 significant digits of u survive reduction modulo 2K.
     """

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 from functools import partial
 
@@ -1029,6 +1030,59 @@ class TestAmplitude:
         monkeypatch.undo()
         assert f_forward(1.0, mod) == f_forward(1.0, Modulus(0.6))
 
+    @pytest.mark.parametrize("kappa", [0.05, 0.6, LARGEST_TABLED])
+    def test_table_inverse_derivatives_against_mpmath(self, kappa):
+        # phi's start reads T'(f_k) = 1/f'(T_k) and T''(f_k) =
+        # -f''(T_k)/f'(T_k)^3 at every node: each within 1e-15 relative of
+        # mpmath's derivatives of f at 40 digits, 0 at T_0 = 0
+        import mpmath
+
+        table = Modulus(kappa)._f_table
+        with mpmath.workdps(40):
+            k = mpmath.mpf(kappa)
+
+            def f_prime(t):
+                c = mpmath.sqrt(1 - (k * mpmath.sin(t)) ** 2)
+                return mpmath.sqrt((1 + c) / 2) / c
+
+            for i, (t1, t2) in enumerate(zip(table.t_prime, table.t_second)):
+                t = mpmath.mpf(i * table.h)
+                d1, d2 = f_prime(t), mpmath.diff(f_prime, t)
+                assert abs(t1 - 1 / d1) <= 1e-15 * abs(1 / d1), i
+                assert abs(t2 + d2 / d1**3) <= 1e-15 * abs(d2 / d1**3), i
+
+    @pytest.mark.parametrize("kappa", [1e-9, 1e-3, 0.05, 0.3, 0.6, 0.9, LARGEST_TABLED])
+    def test_phi_takes_one_residual_per_solve(self, kappa, monkeypatch):
+        # the table's quintic inverse starts Newton within 5e-10 of the root
+        # (on 400 kappa across the reach), so its first step meets
+        # NEWTON_RTOL: one residual per solve, where the chord between the
+        # f_k took 2.0 to 2.3.  Next to the multiples of 2K, where T is as
+        # small as n carry, the start aims at ur - n carry too
+        counts = []
+        newton_invert = core.newton_invert
+
+        def counted(f, *args):
+            calls = [0]
+
+            def residual(x):
+                calls[0] += 1
+                return f(x)
+
+            root = newton_invert(residual, *args)
+            counts.append(calls[0])
+            return root
+
+        monkeypatch.setattr(core, "newton_invert", counted)
+        mod = Modulus(kappa)
+        K = periods(mod).K
+        rng = random.Random(f"one residual:{kappa}")
+        us = [rng.uniform(1e-4, 6.0 * K) for _ in range(500)]
+        for n in (1, 2, 3):
+            us += [n * mod._f_table.two_k * (1.0 + d) for d in (-1e-12, -1e-15, 0.0, 1e-15, 1e-12)]
+        for u in us:
+            phi(u, mod)
+        assert counts == [1] * len(us)
+
     @pytest.mark.parametrize("kappa", [1e-9, 0.05, 0.3, 0.6, 0.9, 0.95, LARGEST_TABLED])
     def test_f_and_phi_across_the_table_reach_against_mpmath(self, kappa):
         # seeded T and u over three periods either side of 0, and T next to
@@ -1158,6 +1212,21 @@ class TestAmplitude:
             phi(u, Modulus(0.6))
         with pytest.raises(DomainError):
             s2(u, Modulus(0.6))
+
+    @pytest.mark.parametrize("fn, kappa, x, text", [
+        (f_forward, 0.6, 1e300, "f argument 1e+300 is beyond 2.68435e+08: fewer than 8 digits "
+                                "survive reduction modulo 3.141592653589793"),
+        (phi, 0.6, 1e300, "phi argument 1e+300 (period 2K) is beyond 2.68435e+08: fewer than "
+                          "8 digits survive reduction modulo 3.4097506279458347"),
+        (phi, 0.99, -1e300, "phi argument -1e+300 (period 2K) is beyond 2.68435e+08: fewer "
+                            "than 8 digits survive reduction modulo 5.7231768242640015"),
+    ])
+    def test_unreducible_argument_message(self, fn, kappa, x, text):
+        # the message is formatted only when the reduction refuses its
+        # argument, in these words: by the table's 2K at 0.6, by
+        # ELLIPTIC's beyond the reach
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            fn(x, Modulus(kappa))
 
     @pytest.mark.parametrize("kappa", [0.3, 0.9])
     def test_float32_argument_takes_the_path_of_its_value(self, kappa):
