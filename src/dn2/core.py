@@ -441,23 +441,23 @@ def f_forward(T: float, mod: Modulus) -> float:
     table's f(T_k) - T_k at the nearest T_k, the 5-point Gauss-Legendre
     rule's integral of f' - 1 from T_k to r or pi - r, and the table's
     2K - pi, times the number of periods and reflections, exactly: no
-    tanh-sinh.  Beyond the reach the reflection is past 3 pi/4, 2K is
-    ELLIPTIC's, and f(r) is _integral's tanh-sinh of f' over [0, r], with
-    no nodes spent next to 0.  Either way the reduction is by math.pi;
-    the n (pi - math.pi) it drops is restored through f'.  Below
-    |T| = 1e-4 it returns the series T + kappa^2 T^3 / 8 instead, as phi
-    does: quadrature finds no node inside an interval as short as
-    [0, 5e-324].  Raises DomainError when |T| is so large (or not finite)
-    that fewer than 8 significant digits of T survive reduction modulo pi.
+    tanh-sinh, at every |T| down to the smallest subnormal.  Beyond the
+    reach the reflection is past 3 pi/4, 2K is ELLIPTIC's, and f(r) is
+    _integral's tanh-sinh of f' over [0, r], with no nodes spent next to 0;
+    below |T| = 1e-4 it is the series T + kappa^2 T^3 / 8 instead, as phi
+    takes its own there: tanh-sinh finds no node inside an interval as
+    short as [0, 5e-324].  Either way the reduction is by math.pi; the
+    n (pi - math.pi) it drops is restored through f'.  T is reduced in
+    double whatever real type it has, a numpy.float32 too.  Raises
+    DomainError when |T| is so large (or not finite) that fewer than 8
+    significant digits of T survive reduction modulo pi.
     """
-    if abs(T) < 1e-4:
-        T = float(T)  # a numpy.float32 would sum the series in single precision
-        return T + mod.kappa**2 * T**3 / 8.0
-    a = abs(T)
-    n, r = _reduce(a, math.pi, _PI_LIMIT, "f argument {!r}", T)
+    a, n, r = _reduce(T, math.pi, _PI_LIMIT, "f argument {!r}")
     table = mod._f_table
     if table is not None:
-        return math.copysign(math.fsum(_f_terms(table, float(a), n, r)), T)
+        return math.copysign(math.fsum(_f_terms(table, a, n, r)), T)
+    if a < 1e-4:
+        return math.copysign(a + mod.kappa**2 * a**3 / 8.0, T)
     sign = 1.0
     if r > _REFLECT:
         n, r, sign = n + 1, math.pi - r, -1.0  # math.pi - r is exact
@@ -469,27 +469,37 @@ def f_forward(T: float, mod: Modulus) -> float:
     return math.copysign(fr, T)
 
 
-def _reduce(a: float, period: float, limit: float, what: str, x: object) -> tuple[int, float]:
-    """n and r with a = n period + r, 0 <= r < period, exactly, for a >= 0.
+def _reduce(x: float, period: float, limit: float, what: str) -> tuple[float, int, float]:
+    """a = |x| as a float, and n and r with a = n period + r, 0 <= r < period,
+    exactly: the real line's one conversion of its argument.
 
     Raises DomainError for ``not a <= limit``, limit being
-    reduction_limit(period): fewer than 8 significant digits of a survive
-    the reduction there, and inf and nan fail the test too.  The message
-    names the caller's argument x by what.format(x), formatted only then.
+    reduction_limit(period): fewer than 8 significant digits of x survive
+    the reduction there, and inf, nan and an int beyond the floats fail the
+    test too.  The test and the reduction see the float, so that a
+    numpy.float32 x, which NumPy 2 would keep in single precision, is
+    refused where its float is, and has (a - r) / period rounded in double.
+    The message names x by what.format(x), formatted only then.
     """
+    try:
+        a = abs(float(x))
+    except OverflowError:  # an int beyond the floats
+        a = math.inf
     if not a <= limit:
         raise DomainError(
             f"{what.format(x)} is beyond {limit:.6g}: fewer than 8 "
             f"digits survive reduction modulo {period!r}"
         )
     r = math.fmod(a, period)  # exact
-    return round((a - r) / period), r
+    return a, round((a - r) / period), r
 
 
 def _phi_route(u: float, mod: Modulus) -> tuple[float, float, float]:
     """dn2(u) by the PHI route, phi(u) and s2(u), from one solve of
-    phi(|u|) = n pi + t, t in [0, pi] up to the table's carry: _phi_tabled's
-    inside the reach of Modulus._f_table, and _phi_integrated's beyond it.
+    phi(|u|) = n pi + t, t in [0, pi] up to the table's carry, after one
+    _reduce of u: _phi_tabled's inside the reach of Modulus._f_table, at
+    every |u|, and beyond it _phi_integrated's, or below |u| = 1e-4 the
+    series u - kappa^2 u^3 / 8, whose next term is below 1e-17 u there.
 
     phi is n pi + t with u's sign, and s2 is (-1)^n sin t with u's sign: the
     sine of the rounded phi would carry phi's rounding, up to ulp(phi)/2,
@@ -497,19 +507,14 @@ def _phi_route(u: float, mod: Modulus) -> tuple[float, float, float]:
     sqrt(cos^2 t + lam^2 sin^2 t), which is sqrt(1 - (kappa s2)^2) without
     its cancellation where kappa s2 nears 1.
     """
-    a = abs(u)
-    if a < 1e-4:
-        a = float(a)  # a numpy.float32 would sum the series in single precision
-        n, t = 0, a - mod.kappa**2 * a**3 / 8.0
+    table = mod._f_table
+    if table is not None:
+        _, n, ur = _reduce(u, table.two_k, table.limit, _PHI_ARGUMENT)
+        t = _phi_tabled(table, n, ur)
     else:
-        table = mod._f_table
-        if table is None:
-            two_k = 2.0 * periods(mod, PeriodMethod.ELLIPTIC).K
-            n, ur = _reduce(a, two_k, reduction_limit(two_k), _PHI_ARGUMENT, u)
-            t = _phi_integrated(mod, two_k, ur)
-        else:
-            n, ur = _reduce(a, table.two_k, table.limit, _PHI_ARGUMENT, u)
-            t = _phi_tabled(table, n, ur)
+        two_k = 2.0 * periods(mod, PeriodMethod.ELLIPTIC).K
+        a, n, ur = _reduce(u, two_k, reduction_limit(two_k), _PHI_ARGUMENT)
+        t = a - mod.kappa**2 * a**3 / 8.0 if a < 1e-4 else _phi_integrated(mod, two_k, ur)
     sin_t = math.sin(t)
     s = math.copysign(sin_t, u)
     return (math.hypot(math.cos(t), mod.lam * sin_t),
@@ -573,10 +578,12 @@ def phi(u: float, mod: Modulus) -> float:
     the reach 2K is ELLIPTIC's, the first iterate is u_r pi / 2K, and the
     residual comes from the nearer end of [0, pi] at the first iterate and
     at one across 3 pi/4 from the last, by tanh-sinh of f'; at any other it
-    is the last residual plus f' integrated over the step.  Below
+    is the last residual plus f' integrated over the step, and below
     |u| = 1e-4 it returns the series u - kappa^2 u^3 / 8 instead, whose next
-    term is below 1e-17 u there: quadrature cannot integrate over an
-    interval as short as [0, 5e-324].
+    term is below 1e-17 u there: tanh-sinh cannot integrate over an
+    interval as short as [0, 5e-324].  Inside the reach the table serves
+    every |u|, down to the smallest subnormal.  u is reduced in double
+    whatever real type it has, a numpy.float32 too.
     Raises DomainError when |u| is so large (or not finite) that fewer than
     8 significant digits of u survive reduction modulo 2K.
     """

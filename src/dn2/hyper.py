@@ -89,10 +89,16 @@ def agm(a: float, b: float) -> float:
 
     It runs as max(a, b) agm(1, min/max), so that a b can neither overflow
     nor underflow; at a = 1 >= b, as complete_K calls it, the scaling is
-    exact.  A ratio min/max that underflows raises ConvergenceError.
+    exact.  An argument that is not positive, or an int beyond the floats,
+    raises DomainError, and the rest run in double, a numpy.float32 too; a
+    ratio min/max that underflows raises ConvergenceError.
     """
     if a <= 0.0 or b <= 0.0:
         raise DomainError("agm requires positive arguments")
+    try:
+        a, b = float(a), float(b)  # a numpy.float32 would run in single precision
+    except OverflowError:  # an int beyond the floats
+        raise DomainError(f"agm requires arguments within the floats, got ({a}, {b})") from None
     if a < b:
         a, b = b, a
     s, b, a = a, b / a, 1.0
@@ -165,6 +171,7 @@ def gauss_2f1(p: HyperParams, x: float, xc: float) -> float:
     cannot meet its tail bound: for F(1/3,2/3;1) from about x = 0.99 on.
     """
     _check_pair("gauss_2f1", x, xc)
+    x, xc = float(x), float(xc)  # a numpy.float32 would sum in single precision
     if xc < 1.0 - _CUTOVER and p._connection is not None:
         return _log_connection(p, xc)
     return _direct_series(p, x)

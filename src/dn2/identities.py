@@ -34,6 +34,7 @@ def identity_bbg_92(lam: float, tol: float = 1e-12) -> ResidualReport:
     """F(1/4,3/4;1;1-lam^2) = sqrt(2/(1+lam)) F(1/2,1/2;1;(1-lam)/(1+lam))."""
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must lie in (0, 1), got {lam}")
+    lam = float(lam)  # a numpy.float32 would compute both sides in single precision
     lhs = gauss_2f1(F_QUARTER_ONE, (1.0 - lam) * (1.0 + lam), lam * lam)
     rhs = math.sqrt(2.0 / (1.0 + lam)) * gauss_2f1(
         F_HALF_ONE,
@@ -47,6 +48,7 @@ def identity_bbg_91(lam: float, tol: float = 1e-12) -> ResidualReport:
     """F(1/4,3/4;1;lam^2) = sqrt(1/(1+lam)) F(1/2,1/2;1;2 lam/(1+lam))."""
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must lie in (0, 1), got {lam}")
+    lam = float(lam)  # a numpy.float32 would compute both sides in single precision
     lhs = gauss_2f1(F_QUARTER_ONE, lam * lam, (1.0 - lam) * (1.0 + lam))
     rhs = math.sqrt(1.0 / (1.0 + lam)) * gauss_2f1(
         F_HALF_ONE,
@@ -60,6 +62,7 @@ def symmetric_pair(x: float) -> float:
     """The involution y = (1-x)/(1+3x), i.e. the solution of x + y + 3xy = 1."""
     if not 0.0 <= x < 1.0:
         raise DomainError(f"x must lie in [0, 1), got {x}")
+    x = float(x)  # a numpy.float32 would round y in single precision
     return (1.0 - x) / (1.0 + 3.0 * x)
 
 
@@ -67,6 +70,7 @@ def transform_signature4(x: float, tol: float = 1e-11) -> ResidualReport:
     """sqrt(1+3x) F(1/4,3/4;1;x^2) = F(1/4,3/4;1;1-y^2) with y = (1-x)/(1+3x)."""
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x}")
+    x = float(x)  # a numpy.float32 would compute both sides in single precision
     y = symmetric_pair(x)
     lhs = math.sqrt(1.0 + 3.0 * x) * gauss_2f1(
         F_QUARTER_ONE, x * x, (1.0 - x) * (1.0 + x)
@@ -86,6 +90,7 @@ PERIOD_RELATION_LABELS = (
 def period_relations(kappa: float, tol: float = 1e-12) -> list[ResidualReport]:
     """Residuals of the four symmetric period relations, in label order."""
     mod = Modulus(kappa)
+    kappa = mod.kappa  # a float, where Modulus converts a numpy.float32 kappa
     com = mod.complement
     pk = periods(mod, PeriodMethod.ELLIPTIC)
     pl = periods(com, PeriodMethod.ELLIPTIC)

@@ -93,10 +93,20 @@ def _level(level: int) -> tuple[tuple[float, float, float, float, float], ...]:
     return tuple(node + (tail,) for node, tail in zip(nodes, reversed(tails)))
 
 
-def _check_interval(name: str, a: float, b: float) -> None:
-    """DomainError unless a < b are finite and so is b - a."""
-    if not (-math.inf < a < b < math.inf and b - a < math.inf):
+def _check_interval(name: str, a: float, b: float) -> tuple[float, float]:
+    """(a, b) as floats; DomainError unless a < b are finite and so is b - a.
+
+    The test and every later use see the floats, so that numpy.float32
+    bounds, which NumPy 2 would keep in single precision, are used in
+    double; an int beyond the floats is refused, not overflowed.
+    """
+    try:
+        fa, fb = float(a), float(b)
+    except OverflowError:  # an int beyond the floats
+        fa = fb = math.nan
+    if not (-math.inf < fa < fb < math.inf and fb - fa < math.inf):
         raise DomainError(f"{name} requires finite a < b and b - a, got a={a}, b={b}")
+    return fa, fb
 
 
 def _check_pair(name: str, m: float, mc: float) -> None:
@@ -125,7 +135,7 @@ def integrate(f: Callable[[float], float], a: float, b: float) -> QuadResult:
     [100, 100 + 1e-14], or no convergence by ``MAX_LEVEL``, raises
     ConvergenceError, as in ``trapezoid``.
     """
-    _check_interval("integrate", a, b)
+    a, b = _check_interval("integrate", a, b)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     # hoisted out of the node loop: Python groups 2.0 * half * e as
@@ -260,7 +270,7 @@ def trapezoid(f: Callable[[float], float], a: float, b: float, n: int) -> QuadRe
     integer, raise DomainError; a non-finite sum, or no convergence by
     n * 2**MAX_LEVEL intervals, raises ConvergenceError.
     """
-    _check_interval("trapezoid", a, b)
+    a, b = _check_interval("trapezoid", a, b)
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"trapezoid requires a positive integer n, got {n!r}")
     h = (b - a) / n

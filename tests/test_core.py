@@ -1228,22 +1228,74 @@ class TestAmplitude:
         with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
             fn(x, Modulus(kappa))
 
-    @pytest.mark.parametrize("kappa", [0.3, 0.9])
+    @pytest.mark.parametrize("kappa", [0.3, 0.9, 0.99])
     def test_float32_argument_takes_the_path_of_its_value(self, kappa):
         # the series below |u| = 1e-4 was summed in the type of u, single
-        # precision for a float32: 2.5e-10 relative off at 5e-5, kappa = 0.9
+        # precision for a float32: 2.5e-10 relative off at 5e-5, kappa = 0.9.
+        # From |u| about 1.4e7 the reduction's (a - r) / period rounded in
+        # single precision too, and round() could pick the wrong n: phi off
+        # by multiples of pi, s2 of the wrong sign, f off by multiples of
+        # 2K - pi, inside the table's reach and beyond it (0.99).  A float32
+        # 2**28 passed the limit test in single precision, where its float
+        # is refused
         np32 = pytest.importorskip("numpy").float32
         mod = Modulus(kappa)
-        for v in (5e-5, -3e-6, 1e-30, 0.0, 0.3, -2.0, 9.5):
+        fns = (f_forward, phi, s2, partial(dn2, route=Route.PHI))
+
+        def hex_or_error(fn, x):
+            try:
+                return fn(x, mod).hex()
+            except DomainError:
+                return "DomainError"
+
+        for v in (5e-5, -3e-6, 1e-30, 0.0, 0.3, -2.0, 9.5, 1.4e7, -1.4e7, 2e7, -2e7,
+                  1.5e8, -1.5e8, 2.6e8, 2.0**28):
             u = np32(v)
             x = float(u)
-            assert phi(u, mod).hex() == phi(x, mod).hex(), v
-            assert s2(u, mod).hex() == s2(x, mod).hex(), v
-            assert dn2(u, mod, Route.PHI).hex() == dn2(x, mod, Route.PHI).hex(), v
+            for fn in fns:
+                assert hex_or_error(fn, u) == hex_or_error(fn, x), (fn, v)
         # a huge int is still refused by the reduction, not overflowed by float()
-        for fn in (phi, s2, partial(dn2, route=Route.PHI)):
+        for fn in fns:
             with pytest.raises(DomainError):
                 fn(10**400, mod)
+
+    def test_tiny_arguments_read_the_table(self, monkeypatch):
+        # inside the table's reach f and phi below 1e-4 are no longer the
+        # series: the table serves every argument
+        calls = []
+
+        def counted(name):
+            fn = getattr(core, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("_f_terms", "newton_invert"):
+            monkeypatch.setattr(core, name, counted(name))
+        mod = Modulus(0.6)
+        for x in (1e-6, -1e-6):
+            calls.clear()
+            f_forward(x, mod)
+            assert calls == ["_f_terms"], x
+            calls.clear()
+            phi(x, mod)
+            assert calls.count("newton_invert") == 1, x
+
+    @pytest.mark.parametrize("kappa", [1e-9, 0.3, 0.9639])
+    def test_tiny_arguments_keep_the_series_bits(self, kappa):
+        # the table gives f and phi below 1e-4 the bits of the series
+        # T + kappa^2 T^3 / 8 and u - kappa^2 u^3 / 8 that served there
+        mod = Modulus(kappa)
+        assert mod._f_table is not None
+        k2 = kappa * kappa
+        rng = random.Random(f"tiny:{kappa}")
+        for _ in range(300):
+            x = min(10.0 ** rng.uniform(-323.3, -4.0), math.nextafter(1e-4, 0.0))
+            for v in (x, -x):
+                assert f_forward(v, mod) == v + k2 * v**3 / 8.0, v
+                assert phi(v, mod) == v - k2 * v**3 / 8.0, v
 
     def test_s2_landmarks(self):
         mod = Modulus(0.7)

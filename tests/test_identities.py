@@ -13,7 +13,8 @@ from dn2.identities import (
     symmetric_pair,
     transform_signature4,
 )
-from dn2.kernel import DomainError
+from dn2.hyper import F_HALF_ONE, agm, gauss_2f1
+from dn2.kernel import ConvergenceError, DomainError, integrate
 
 GRID = [0.05 * i for i in range(1, 20)]
 
@@ -162,3 +163,50 @@ def test_bbg_pair_implies_transform():
 def test_tol_not_finite_and_positive_is_a_domain_error(check, tol):
     with pytest.raises(DomainError):
         check(0.5, tol=tol)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (agm, (1.0, 0.3)),
+    (agm, (0.0, 0.3)),
+    (gauss_2f1, (F_HALF_ONE, 0.3, 0.7)),
+    (gauss_2f1, (F_HALF_ONE, 0.3, 0.6)),
+    (integrate, (math.exp, 0.1, 0.1003)),
+    (integrate, (math.exp, 2.0, 2.0001)),
+    (identity_bbg_91, (0.3,)),
+    (identity_bbg_92, (0.3,)),
+    (transform_signature4, (0.3,)),
+    (symmetric_pair, (0.3,)),
+    (symmetric_pair, (1.0,)),
+    (period_relations, (0.3,)),
+])
+def test_float32_argument_computes_as_its_float(fn, args):
+    # NumPy 2 keeps a float32 in single precision through Python float
+    # arithmetic: agm and gauss_2f1 returned float32s, integrate's nodes
+    # were float32 (2.5e-5 relative off on the first interval, and a
+    # spurious ConvergenceError on the second), and identity_bbg_92 failed
+    # its 1e-12 tolerance with a residual of -1.19e-7.  Each converts after
+    # its domain test, so a float32 returns what its float returns, in
+    # Python floats, or raises the same typed error
+    np32 = pytest.importorskip("numpy").float32
+
+    def outcome(*xs):
+        try:
+            return repr(fn(*xs))
+        except (DomainError, ConvergenceError) as exc:
+            return type(exc).__name__
+
+    narrow = [np32(x) if type(x) is float else x for x in args]
+    wide = [float(x) if type(x) is np32 else x for x in narrow]
+    assert outcome(*narrow) == outcome(*wide)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (agm, (10**400, 1.0)),
+    (integrate, (math.exp, 0.0, 10**400)),
+    (integrate, (math.exp, -10**400, 0.0)),
+])
+def test_int_beyond_the_floats_is_a_domain_error(fn, args):
+    # float() would overflow: integrate raised OverflowError, and agm a
+    # ConvergenceError from the ratio that underflowed
+    with pytest.raises(DomainError):
+        fn(*args)
