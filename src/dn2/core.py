@@ -42,19 +42,23 @@ _REFLECT = 0.75 * math.pi
 # i_gamma's trapezoid rule starts from n0 = max(4, ceil(_STRIP_N / a))
 # intervals, a = asinh(cot gamma) the half-width of h's strip of
 # analyticity.  Its error with n intervals is about A e^(-4 a n), A between
-# 0.2 and 2 for n >= 4 from cot gamma = 0.07 up, and the first doubling
-# changes the sum by about the error of n0, at most A e^(-4 _STRIP_N).  For
-# that to meet QUAD_TOL at A = 1 takes _STRIP_N >= 5.8; 7 is the least
-# integer that meets it with a margin wider than the spread of A: the
-# largest first change is 3e-13, 1/336 of QUAD_TOL (at 6, 1/6).  The
-# doubled sum is then off by about A e^(-56), far below rounding
+# 0.2 and 2 for n >= 4 from cot gamma = 0.04 up (0.33 below 0.0708), and
+# the first doubling changes the sum by about the error of n0, at most
+# A e^(-4 _STRIP_N).  For that to meet QUAD_TOL at A = 1 takes
+# _STRIP_N >= 5.8; 7 is the least integer that meets it with a margin wider
+# than the spread of A: the largest first change is 3e-13, 1/336 of
+# QUAD_TOL (at 6, 1/6), and 2.3e-13 below 0.0708.  The doubled sum is then
+# off by about A e^(-56), far below rounding
 _STRIP_N = 7.0
 # i_gamma sums by that trapezoid rule where cot gamma is at least this, and
 # below it by tanh-sinh over the sinh map of [0, pi/4] and over [pi/4, pi/2].
-# The regimes cost the same here: the map takes 199 evaluations from
-# cot gamma = 2.6e-19 up, and the trapezoid rule 2 n0 + 1 = 199 from
-# sinh(7/99) = 0.07077 up, but 201 just below
-_TRAPEZOID_COT = 0.0708
+# The map takes 199 evaluations from cot gamma = 2.6e-19 up, and the rule
+# 2 n0 + 1, 353 at most from 0.04 up (n0 = 176).  A rule evaluation reads
+# its node's sine from kernel's table and costs about a third of a map
+# evaluation, which works out a sinh, a cosh and a node (0.15 against
+# 0.44 us, best of 10, Python 3.11 on an x86-64 Xeon), so the rule's 353
+# cost less than the map's 199; K and K' together then take at most 362
+_TRAPEZOID_COT = 0.04
 # inside the reach, f and phi read a table of f(T_k) - T_k at T_k = k h on
 # [0, pi/2], each step the 5-point Gauss-Legendre rule's integral of f' - 1
 # over its two halves.  f' has its branch points at pi/2 +- ib,
@@ -604,39 +608,62 @@ def i_gamma(cos_g: float, sin_g: float) -> float:
     [0, pi/2] of h(s) = cos(t/2) / cos t = F(1/4, 3/4; 1/2; sin^2 t), taken
     from p^2 = cos^2 t = cos^2 gamma + (sin gamma sin s)^2, which does not
     cancel.  h is smooth, even and pi-periodic, with its poles at
-    Im s = +-a, a = asinh(cot gamma).  Where cot gamma >= _TRAPEZOID_COT the
-    trapezoid rule sums it from max(4, ceil(7 / a)) intervals, a start that
-    the strip's width makes enough for its first doubling.  Below, h peaks at
-    s = 0 with a width of about cot gamma: sin s = cot gamma sinh v maps
+    Im s = +-a, a = asinh(cot gamma), and a function of sin s.  Where
+    cot gamma >= _TRAPEZOID_COT the trapezoid rule sums it from
+    max(4, ceil(7 / a)) intervals, a start that the strip's width makes
+    enough for its first doubling, at the node sines that kernel keeps for
+    each start.  Below, h peaks at s = 0 with a width of about cot gamma:
+    sin s = cot gamma sinh v maps
     [0, pi/4] onto [0, asinh(tan gamma / sqrt 2)], where h ds is
     sqrt((1 + p)/2) / (sin gamma cos s) dv with p = cos gamma cosh v, which
     lies between 0.7 and 1.4 at any cot gamma, and tanh-sinh sums that piece
-    and h over [pi/4, pi/2].  Either way the cost is bounded: at most 199
-    evaluations from cot gamma = 2.6e-19 up, and 348 down to 2**-510.
+    and h over [pi/4, pi/2].  Either way the cost is bounded: the rule takes
+    at most 353 evaluations, each about a third of a map evaluation, and the
+    map 199 from cot gamma = 2.6e-19 up, and 348 down to 2**-510.
     Raises DomainError unless both members are positive, cos^2 + sin^2 = 1
     within 1e-12, and cos gamma >= 2**-510, below which its square is
-    subnormal, as for kappa.
+    subnormal, as for kappa.  Both are tested and used as floats: a
+    numpy.float32 pair, which NumPy 2 would keep in single precision, where
+    cos^2 + sin^2 - 1 can round to 0 off the circle, gives its floats' value
+    or error.
     """
-    if not (KAPPA_MIN <= cos_g and 0.0 < sin_g
-            and abs(cos_g * cos_g + sin_g * sin_g - 1.0) <= 1e-12):
+    c = s = math.nan
+    if KAPPA_MIN <= cos_g and 0.0 < sin_g:  # a str raises TypeError here
+        try:
+            c, s = float(cos_g), float(sin_g)
+        except OverflowError:  # an int beyond the floats lies off the circle
+            pass
+    # KAPPA_MIN again on the float: NumPy 2 finds a float32 0 >= 2**-510
+    if not (KAPPA_MIN <= c and abs(c * c + s * s - 1.0) <= 1e-12):
         raise DomainError(
             "i_gamma requires a positive pair on the unit circle with cos gamma "
             f">= 2**-510, got ({cos_g!r}, {sin_g!r})"
         )
+    cos_g, sin_g = c, s
     c2 = cos_g * cos_g
     cot = cos_g / sin_g
     sin, sinh, cosh, sqrt = math.sin, math.sinh, math.cosh, math.sqrt  # closure cells
 
+    # h is f14_34_12_closed(c2 + x * x), x = sin_g sin s, written out with
+    # the same operations in the same order, as in _f_prime: at the node
+    # sines of a trapezoid level, or at one s for integrate
+    if cos_g >= _TRAPEZOID_COT * sin_g:
+        def h_of_sines(sines) -> list[float]:
+            values = []
+            append = values.append
+            for sin_s in sines:
+                x = sin_g * sin_s
+                p = sqrt(c2 + x * x)
+                append(sqrt(0.5 * (1.0 + p)) / p)
+            return values
+
+        n = max(4, math.ceil(_STRIP_N / math.asinh(cot)))
+        return trapezoid(h_of_sines, 0.0, 0.5 * math.pi, n).value
+
     def h(s: float) -> float:
-        # f14_34_12_closed(c2 + x * x), written out with the same operations
-        # in the same order, as in _f_prime
         x = sin_g * sin(s)
         p = sqrt(c2 + x * x)
         return sqrt(0.5 * (1.0 + p)) / p
-
-    if cos_g >= _TRAPEZOID_COT * sin_g:
-        n = max(4, math.ceil(_STRIP_N / math.asinh(cot)))
-        return trapezoid(h, 0.0, 0.5 * math.pi, n).value
 
     def mapped(v: float) -> float:  # h(s) ds / dv with sin s = cot sinh v
         p = cos_g * cosh(v)

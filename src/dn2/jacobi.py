@@ -134,9 +134,14 @@ def jacobi_complex(z: complex, m: float, mc: float) -> JacobiTriple:
     Raises PoleError within about 1e-6 of a pole (z congruent to iK' modulo 2K
     and 2iK') at every m, and where sn^2 would overflow (m below 1e-296 only).
     At m = 0, where sn and cn are sin and cos, |Im z| beyond 710 (or not
-    finite), where they would overflow, raises DomainError.
+    finite), where they would overflow, raises DomainError.  m and mc are
+    used as floats once the pair is checked, so that a numpy.float32 pair,
+    which NumPy 2 would keep in single precision, gives its floats' triple;
+    the check refuses an int beyond the floats, which is not below 1.
     """
     z = complex(z)
+    _check_pair("jacobi_real", m, mc)
+    m, mc = float(m), float(mc)
     if (split := _addition(z, m, mc, _ladder(m, mc), _ladder(mc, m) if m else None)) is None:
         return JacobiTriple(cmath.sin(z), cmath.cos(z), complex(1.0))
     sn, s, c, d, s1, c1, d1, denom = split

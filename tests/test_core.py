@@ -1369,6 +1369,25 @@ class TestPeriods:
         assert abs(i_gamma(0.6, 0.8 + 1e-13) - i_gamma(0.6, 0.8)) <= 1e-12
         assert i_gamma(2.0**-510, 1.0) > 0.0
 
+    def test_i_gamma_float32_pair_is_tested_and_summed_as_its_floats(self):
+        # cos^2 + sin^2 - 1 rounded to 0 in single precision, and the
+        # float32 pair returned 1.8847261655621106; its floats lie 4.8e-8
+        # off the unit circle.  NumPy 2 also finds a float32 0 >= 2**-510
+        for cos_g, sin_g in [(0.6, 0.8), (0.0, 1.0)]:
+            with pytest.raises(DomainError):
+                i_gamma(np.float32(cos_g), np.float32(sin_g))
+            with pytest.raises(DomainError):
+                i_gamma(float(np.float32(cos_g)), float(np.float32(sin_g)))
+        # a float32 pair on the circle in double gives its floats' value
+        cos_g, sin_g = np.float32(1.0), np.float32(2.0**-20)
+        got = i_gamma(cos_g, sin_g)
+        assert type(got) is float and got == i_gamma(1.0, 2.0**-20)
+        # an int beyond the floats lies off the circle; a str is no number
+        with pytest.raises(DomainError):
+            i_gamma(10**400, 1.0)
+        with pytest.raises(TypeError):
+            i_gamma("0.6", "0.8")
+
 
 class TestGreenhill:
     def test_symmetric_cubic(self):

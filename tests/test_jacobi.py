@@ -173,6 +173,20 @@ class TestComplex:
         with pytest.raises(DomainError):
             jacobi_complex(complex(0.3, math.nan), m, 1.0)
 
+    def test_float32_pair_computes_as_its_floats(self):
+        # NumPy 2 kept the addition formula's denominator c1^2 + m s^2 s1^2
+        # and dn's m s c s1 in single precision: sn came back as a complex64
+        m32, mc32 = np.float32(0.3), np.float32(0.7)
+        for z in (0.3, complex(0.4, 0.7), complex(-1.3, 2.5)):
+            got = jacobi_complex(z, m32, mc32)
+            assert all(type(v) is complex for v in got), z
+            assert got == jacobi_complex(z, float(m32), float(mc32)), z
+
+    @pytest.mark.parametrize("m, mc", [(10**400, 0.5), (0.5, 10**400), (-(10**400), 1.0)])
+    def test_int_beyond_the_floats_is_a_domain_error(self, m, mc):
+        with pytest.raises(DomainError, match="jacobi_real"):
+            jacobi_complex(complex(0.3, 0.2), m, mc)
+
 
 def _outcome(fn, z, m, mc):
     """The sn as hex, or the error's type and message."""

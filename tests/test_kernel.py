@@ -153,12 +153,17 @@ class TestIntegrate:
         assert r.err_estimate >= abs(Fraction(r.value) - exact)
 
 
+def _each(g):
+    """An integrand of trapezoid: g at each node sine of a level."""
+    return lambda sines: [g(x) for x in sines]
+
+
 class TestTrapezoid:
     @pytest.mark.parametrize("a", [1e-3, 0.5, 3.0, 100.0])
     def test_even_periodic_integrand(self, a):
         # 1/(1 + a sin^2 s) is smooth, even and pi-periodic, and its
         # integral over [0, pi/2] is pi / (2 sqrt(1 + a))
-        r = trapezoid(lambda s: 1.0 / (1.0 + a * math.sin(s) ** 2), 0.0, 0.5 * math.pi, 8)
+        r = trapezoid(lambda S: [1.0 / (1.0 + a * x * x) for x in S], 0.0, 0.5 * math.pi, 8)
         ref = 0.5 * math.pi / math.sqrt(1.0 + a)
         assert abs(r.value - ref) <= 1e-15 * ref, a
         assert 0.0 <= r.err_estimate <= QUAD_TOL
@@ -168,17 +173,17 @@ class TestTrapezoid:
 
     def test_non_finite_value_raises(self):
         with pytest.raises(ConvergenceError):
-            trapezoid(lambda s: math.nan, 0.0, 1.0, 8)
+            trapezoid(_each(lambda x: math.nan), 0.0, 1.0, 8)
         # a single non-finite value, at an endpoint or at a midpoint added by
         # a doubling
         with pytest.raises(ConvergenceError):
-            trapezoid(lambda s: math.inf if s == 0.0 else 1.0, 0.0, 1.0, 8)
+            trapezoid(_each(lambda x: math.inf if x == 0.0 else 1.0), 0.0, 1.0, 8)
         with pytest.raises(ConvergenceError):
-            trapezoid(lambda s: math.nan if s == 1.0 / 16.0 else 1.0, 0.0, 1.0, 8)
+            trapezoid(_each(lambda x: math.nan if x == math.sin(1.0 / 16.0) else 1.0), 0.0, 1.0, 8)
 
     @pytest.mark.parametrize("f", [
-        lambda s: math.inf if s < 0.5 else -math.inf,  # fsum meets inf - inf
-        lambda s: 1e308,  # fsum overflows on the way
+        _each(lambda x: math.inf if x < math.sin(0.5) else -math.inf),  # fsum meets inf - inf
+        _each(lambda x: 1e308),  # fsum overflows on the way
     ])
     def test_sum_that_fsum_rejects_raises_convergence_error(self, f):
         # math.fsum raises ValueError or OverflowError, not a non-finite sum
@@ -188,29 +193,59 @@ class TestTrapezoid:
     @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0), (1.0, 1.0)])
     def test_bounds_not_finite_and_ordered_raise(self, a, b):
         with pytest.raises(DomainError):
-            trapezoid(lambda s: 1.0, a, b, 8)
+            trapezoid(_each(lambda x: 1.0), a, b, 8)
 
     def test_start_is_the_callers(self):
         # the first doubling of n = 5 intervals stops on a constant: 2 n + 1
         # values, none computed twice
         calls = []
-        r = trapezoid(lambda s: calls.append(s) or 1.0, 0.0, 1.0, 5)
+        r = trapezoid(_each(lambda x: calls.append(x) or 1.0), 0.0, 1.0, 5)
         assert r == (1.0, 0.0, 11)
         assert len(calls) == len(set(calls)) == 11
+
+    def test_sines_are_those_of_the_per_node_abscissae(self):
+        # level 0 holds sin a, sin(a + j h) and sin b, in increasing s, and
+        # each later level the sines of the midpoints of the one before, h
+        # halved; two calls with the same (a, b, n) share one table
+        a, b, n = 0.25, 1.5, 3
+        seen = []
+        trapezoid(lambda S: seen.append(S) or [1.0] * len(S), a, b, n)
+        h = (b - a) / n
+        assert list(seen[0]) == [math.sin(a), *(math.sin(a + j * h) for j in range(1, n)), math.sin(b)]
+        assert list(seen[1]) == [math.sin(a + (j + 0.5) * h) for j in range(n)]
+        again = []
+        trapezoid(lambda S: again.append(S) or [1.0] * len(S), a, b, n)
+        assert [id(S) for S in again] == [id(S) for S in seen]
+        # which no integrand can change
+        with pytest.raises(TypeError):
+            seen[0][1] = 0.0
+        # a level past the first doubling: 2 n midpoints of the n intervals of h / 2
+        seen.clear()
+        with pytest.raises(ConvergenceError):
+            trapezoid(lambda S: seen.append(S) or [abs(math.asin(x) - 0.6) ** 0.5 for x in S], a, b, n)
+        assert list(seen[2]) == [math.sin(a + (j + 0.5) * (0.5 * h)) for j in range(2 * n)]
+
+    def test_a_signed_zero_bound_is_zero(self):
+        # -0.0 and 0.0 are one key of the table: both take sin(0.0) = 0.0
+        for a in (-0.0, 0.0, -0.0):
+            seen = []
+            trapezoid(lambda S: seen.append(S) or [1.0] * len(S), a, 1.0, 4)
+            assert math.copysign(1.0, seen[0][0]) == 1.0
 
     @pytest.mark.parametrize("n", [0, -8, 8.0])
     def test_start_that_is_not_a_positive_integer_raises(self, n):
         with pytest.raises(DomainError, match="positive integer"):
-            trapezoid(lambda s: 1.0, 0.0, 1.0, n)
+            trapezoid(_each(lambda x: 1.0), 0.0, 1.0, n)
 
     def test_width_that_overflows_raises(self):
         with pytest.raises(DomainError):
-            trapezoid(lambda s: 1.0, -1.7e308, 1.7e308, 8)
+            trapezoid(_each(lambda x: 1.0), -1.7e308, 1.7e308, 8)
 
     def test_nonconvergence_carries_best(self):
-        # an interior kink: the error falls only algebraically
+        # an interior kink at s = 0.3, s = asin(sin s) on [0, 1]: the error
+        # falls only algebraically
         with pytest.raises(ConvergenceError) as info:
-            trapezoid(lambda s: abs(s - 0.3) ** 0.5, 0.0, 1.0, 8)
+            trapezoid(_each(lambda x: abs(math.asin(x) - 0.3) ** 0.5), 0.0, 1.0, 8)
         assert abs(info.value.best.value - 0.5) <= 1e-4
 
 
@@ -321,3 +356,16 @@ class TestNewtonInvert:
         # cap comes first, and f(hi) > 0 shows a root may lie on the bracket
         with pytest.raises(ConvergenceError, match="iteration cap"):
             newton_invert(lambda t: t - 1.0, lambda t: 1e300, 0.0, 2.0, 0.0)
+
+    def test_float32_bounds_and_start_compute_as_their_floats(self):
+        # NumPy 2 kept float32 iterates in single precision: they stalled,
+        # every step failed the NEWTON_RTOL stop, and the cap raised
+        np32 = pytest.importorskip("numpy").float32
+        x = newton_invert(lambda t: t * t - 2.0, lambda t: 2.0 * t, np32(1), np32(2), np32(1.5))
+        assert type(x) is float and x == 1.4142135623730951
+        assert x == newton_invert(lambda t: t * t - 2.0, lambda t: 2.0 * t, 1.0, 2.0, 1.5)
+
+    @pytest.mark.parametrize("lo, hi, x0", [(-(10**400), 2.0, 1.0), (0.0, 10**400, 1.0), (0.0, 2.0, 10**400)])
+    def test_int_beyond_the_floats_raises_domain_error(self, lo, hi, x0):
+        with pytest.raises(DomainError, match="newton_invert"):
+            newton_invert(lambda t: t * t - 2.0, lambda t: 2.0 * t, lo, hi, x0)

@@ -64,12 +64,17 @@ def test_elliptic_and_hyper_periods(kappa):
             assert abs(p.Kprime / Kp - 1) <= 1e-14, (method, "K'")
 
 
-# INTEGRAL's rule changes where cot gamma = 0.0708: for K', kappa / lam =
-# 0.0708 near kappa = 0.070623, between 0.07062 (sinh map) and 0.07063
-# (trapezoid rule); for K, lam / kappa = 0.0708 near kappa = 0.997503,
-# between 0.9975 (trapezoid rule) and 0.99751 (sinh map).  The first four
-# examples straddle cot gamma = 0.05, the switch of v0.18.0, inside the map
+# INTEGRAL's rule changes where cot gamma = 0.04: for K', kappa / lam =
+# 0.04 near kappa = 0.039968, between 0.03996 (sinh map) and 0.03997
+# (trapezoid rule); for K, lam / kappa = 0.04 near kappa = 0.999201,
+# between 0.99920 (trapezoid rule) and 0.99921 (sinh map).  The other
+# examples straddle cot gamma = 0.05, the switch of v0.18.0, and 0.0708,
+# the switch of v0.19.0 to v0.25.0, now inside the trapezoid rule's reach
 @given(KAPPA)
+@example(0.03996)
+@example(0.03997)
+@example(0.99920)
+@example(0.99921)
 @example(0.0499)
 @example(0.0500)
 @example(0.99874)

@@ -1,11 +1,15 @@
-"""The tanh-sinh node table: integrate adds up precomputed nodes instead of
-working them out on every call, without changing a single bit of any result."""
+"""The node tables: integrate adds up precomputed tanh-sinh nodes, and
+trapezoid reads its node sines, instead of working them out on every call,
+without changing a single bit of any result."""
 
 import math
+import random
 
 import pytest
 
 from dn2.core import (
+    _STRIP_N,
+    _TRAPEZOID_COT,
     Modulus,
     PeriodMethod,
     _f_prime,
@@ -16,12 +20,16 @@ from dn2.core import (
     phi,
 )
 from dn2.kernel import (
+    _SINES_CACHE,
     _T_CUTOFF,
     MAX_LEVEL,
+    QUAD_TOL,
     ConvergenceError,
     QuadResult,
     _level,
+    _sines,
     integrate,
+    trapezoid,
 )
 
 T = [0.4, 1.3, -2.9, 7.0]
@@ -333,3 +341,106 @@ def test_level_nodes():
         for i in reversed(range(len(nodes))):
             tail += nodes[i][2] / nodes[i][3]
             assert nodes[i][4] == tail
+
+
+def _reference_trapezoid(f, a, b, n):
+    """trapezoid as it was before the sine table: f of each abscissa, worked
+    out on every call, with the same levels, sums and stop."""
+    h = (b - a) / n
+    levels = [math.fsum([0.5 * f(a), 0.5 * f(b), *(f(a + j * h) for j in range(1, n))])]
+    total = h * levels[0]
+    delta = math.inf
+    for _ in range(MAX_LEVEL):
+        levels.append(math.fsum([f(a + (j + 0.5) * h) for j in range(n)]))
+        n *= 2
+        h *= 0.5
+        prev, total = total, h * math.fsum(levels)
+        delta = abs(total - prev)
+        if delta <= QUAD_TOL:
+            return QuadResult(total, delta, n + 1)
+    raise ConvergenceError("no convergence", best=QuadResult(total, delta, n + 1))
+
+
+def _reference_i_gamma(cos_g, sin_g):
+    """i_gamma's trapezoid regime as it was before the sine table: h of each
+    node from math.sin of its abscissa."""
+    c2 = cos_g * cos_g
+
+    def h(s):
+        x = sin_g * math.sin(s)
+        p = math.sqrt(c2 + x * x)
+        return math.sqrt(0.5 * (1.0 + p)) / p
+
+    n = max(4, math.ceil(_STRIP_N / math.asinh(cos_g / sin_g)))
+    return _reference_trapezoid(h, 0.0, 0.5 * math.pi, n).value
+
+
+def _trapezoid_pairs():
+    """(cos gamma, sin gamma) of seeded moduli, both orders, where
+    cot gamma >= 0.0708, the trapezoid rule's reach before the sine table,
+    and of the golden kappas."""
+    rng = random.Random("sine table")
+    kappas = sorted(GOLDEN) + [rng.random() for _ in range(1500)]
+    kappas += [2.0**-e for e in range(1, 60)] + [1.0 - 2.0**-e for e in range(1, 9)]
+    pairs = []
+    for kappa in kappas:
+        mod = Modulus(kappa)
+        pairs += [(c, s) for c, s in ((mod.lam, mod.kappa), (mod.kappa, mod.lam)) if c >= 0.0708 * s]
+    return pairs
+
+
+def test_i_gamma_matches_the_per_node_trapezoid_bit_for_bit():
+    pairs = _trapezoid_pairs()
+    assert len(pairs) > 2500
+    expected = [_reference_i_gamma(c, s).hex() for c, s in pairs]
+    _sines.cache_clear()
+    assert [i_gamma(c, s).hex() for c, s in pairs] == expected  # cold table
+    assert [i_gamma(c, s).hex() for c, s in pairs] == expected  # warm table
+
+
+TRAPEZOID_CASES = [
+    # (g of sin s, a, b, n)
+    (lambda x: 1.0 / (1.0 + 0.7 * x * x), 0.0, 0.5 * math.pi, 8),
+    (lambda x: math.exp(x), -math.pi, math.pi, 5),
+    (lambda x: 1.0 / math.sqrt(1.0 - 0.99 * x * x), 0.0, 0.5 * math.pi, 4),
+    (lambda x: x * x, 0.3, 1.1, 3),
+    (lambda x: 1.0, -0.0, 1.0, 1),
+    # cannot meet the stop tolerance: the failure carries the same best estimate
+    (lambda x: abs(x - 0.123456789) ** 0.5, 0.0, 1.0, 8),
+]
+
+
+def _trapezoid_outcome(fn, f, a, b, n):
+    try:
+        return ("ok", _quad_hex(fn(f, a, b, n)))
+    except ConvergenceError as exc:
+        return ("fail", _quad_hex(exc.best))
+
+
+@pytest.mark.parametrize("case", range(len(TRAPEZOID_CASES)))
+def test_trapezoid_matches_the_per_node_reference(case):
+    g, a, b, n = TRAPEZOID_CASES[case]
+    expected = _trapezoid_outcome(_reference_trapezoid, lambda s: g(math.sin(s)), a, b, n)
+    _sines.cache_clear()
+    for _table in ("cold", "warm"):
+        assert _trapezoid_outcome(trapezoid, lambda S: [g(x) for x in S], a, b, n) == expected
+
+
+def test_sine_table_holds_every_start_that_i_gamma_takes():
+    # from cot gamma = _TRAPEZOID_COT up, i_gamma starts from n0 = 4 to 176
+    # and stops at its first doubling: levels 0 and 1 of each n0, about
+    # 31,000 sines, within the table's bound
+    n_max = math.ceil(_STRIP_N / math.asinh(_TRAPEZOID_COT))
+    assert n_max == 176
+    _sines.cache_clear()
+    starts = set()
+    for n in range(n_max, 3, -1):
+        # a cot gamma whose start is n, midway between those of n and n - 1
+        cot = max(_TRAPEZOID_COT, math.sinh(_STRIP_N / (n - 0.5)))
+        sin_g = 1.0 / math.sqrt(1.0 + cot * cot)
+        i_gamma(cot * sin_g, sin_g)
+        starts.add(max(4, math.ceil(_STRIP_N / math.asinh(cot))))
+    assert starts == set(range(4, n_max + 1))
+    info = _sines.cache_info()
+    assert info.currsize == 2 * len(starts) <= _SINES_CACHE
+    assert sum(len(_sines(0.0, 0.5 * math.pi, n, level)) for n in starts for level in (0, 1)) < 32000

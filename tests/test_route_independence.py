@@ -8,9 +8,9 @@ hyper's AGM, which the ELLIPTIC periods run on.  Inside the reach of its
 table of f the PHI route reduces by the table's own 2K, and reads nothing
 of it either.  Nor do the other kernels that one route or period method
 runs move any other: scaled by 1 + 1e-9, each moves its owner alone, but
-for integrate near kappa = 1, which INTEGRAL runs there as PHI does beyond
-the reach of its table of f, and complete_K there, whose 2K PHI reduces
-by beyond that reach.
+for integrate near kappa = 1, which PHI runs beyond the reach of its table
+of f, and INTEGRAL too where cot gamma < 0.04, and complete_K there, whose
+2K PHI reduces by beyond that reach.
 """
 
 import math
@@ -157,18 +157,23 @@ def test_each_kernel_moves_one_route_or_method(monkeypatch, kernel, modules, own
     assert _moved(monkeypatch, kernel, modules, kappa) == ([owner] if owner else [])
 
 
-# at moduli where cot gamma < 0.0708 for K' or for K, below about 0.0706
-# and above 0.9975, INTEGRAL sums the peak of its integrand by integrate:
-# there integrate moves INTEGRAL, and at 0.999, beyond the table's reach,
-# where PHI integrates f' by tanh-sinh, runs no Gauss-Legendre step and
-# reduces by ELLIPTIC's 2K, PHI too, as complete_K does; every other kernel
-# still moves its owner alone
-END_KAPPAS = [0.05, 0.999]
+# at moduli where cot gamma < 0.04 for K' or for K, below about 0.03997
+# and above 0.99920, INTEGRAL sums the peak of its integrand by integrate:
+# there, at 0.03 and 0.9995, integrate moves INTEGRAL.  At 0.05 and 0.999
+# INTEGRAL runs the trapezoid rule for both periods, and integrate moves
+# nothing at 0.05.  Beyond the table's reach, at 0.999 and 0.9995, PHI
+# integrates f' by tanh-sinh, runs no Gauss-Legendre step and reduces by
+# ELLIPTIC's 2K, so integrate and complete_K move PHI too; every other
+# kernel still moves its owner alone
+END_KAPPAS = [0.03, 0.05, 0.999, 0.9995]
 END_OWNERS = {
     ("complete_K", 0.999): ["elliptic", "phi"],
-    ("integrate", 0.05): ["integral"],
-    ("integrate", 0.999): ["integral", "phi"],
+    ("complete_K", 0.9995): ["elliptic", "phi"],
+    ("integrate", 0.03): ["integral"],
+    ("integrate", 0.999): ["phi"],
+    ("integrate", 0.9995): ["integral", "phi"],
     ("gauss_legendre", 0.999): [],
+    ("gauss_legendre", 0.9995): [],
 }
 
 
