@@ -39,26 +39,35 @@ _PI_LO = 1.2246467991473532e-16
 # would stop failing as kappa -> 1; bench/test_bench_harness.py pins one
 # such failure, so that waits for a benchmark change (ROADMAP item 1)
 _REFLECT = 0.75 * math.pi
-# i_gamma's trapezoid rule starts from n0 = max(4, ceil(_STRIP_N / a))
-# intervals, a = asinh(cot gamma) the half-width of h's strip of
-# analyticity.  Its error with n intervals is about A e^(-4 a n), A between
-# 0.2 and 2 for n >= 4 from cot gamma = 0.04 up (0.33 below 0.0708), and
-# the first doubling changes the sum by about the error of n0, at most
+# i_gamma's trapezoid rules start from n0 = max(4, ceil(_STRIP_N / a))
+# intervals, a the half-width of the integrand's strip of analyticity:
+# asinh(cot gamma) for h, and atanh(sqrt(cos gamma)) for the mapped g of the
+# band below _MAPPED_COT.  The error with n intervals is about A e^(-4 a n),
+# A between 0.15 and 0.71 for h (n0 > 4) and about 1.3 for g, and the first
+# doubling changes the sum by about the error of n0, at most
 # A e^(-4 _STRIP_N).  For that to meet QUAD_TOL at A = 1 takes
 # _STRIP_N >= 5.8; 7 is the least integer that meets it with a margin wider
-# than the spread of A: the largest first change is 3e-13, 1/336 of
-# QUAD_TOL (at 6, 1/6), and 2.3e-13 below 0.0708.  The doubled sum is then
-# off by about A e^(-56), far below rounding
+# than the spread of A: the largest first change is 9.0e-13, 1/112 of
+# QUAD_TOL, for g, and 3.1e-13 for h.  The doubled sum is then off by about
+# A e^(-56), far below rounding.  The starts run 4 to 99 for h and 26 to 35
+# for g
 _STRIP_N = 7.0
-# i_gamma sums by that trapezoid rule where cot gamma is at least this, and
-# below it by tanh-sinh over the sinh map of [0, pi/4] and over [pi/4, pi/2].
-# The map takes 199 evaluations from cot gamma = 2.6e-19 up, and the rule
-# 2 n0 + 1, 353 at most from 0.04 up (n0 = 176).  A rule evaluation reads
-# its node's sine from kernel's table and costs about a third of a map
+# i_gamma sums by a trapezoid rule where cot gamma is at least this, and
+# below it by tanh-sinh over the sinh map of [0, pi/4] and over [pi/4, pi/2],
+# 199 evaluations from cot gamma = 2.6e-19 up and 348 down to 2**-510.  A
+# rule takes 2 n0 + 1: at most 71 for g and 199 for h.  A rule evaluation
+# reads its node's sine from kernel's table and costs about a third of a map
 # evaluation, which works out a sinh, a cosh and a node (0.15 against
-# 0.44 us, best of 10, Python 3.11 on an x86-64 Xeon), so the rule's 353
-# cost less than the map's 199; K and K' together then take at most 362
+# 0.44 us, best of 10, Python 3.11 on an x86-64 Xeon); K and K' together
+# take at most 357
 _TRAPEZOID_COT = 0.04
+# from _TRAPEZOID_COT up to this, i_gamma's rule sums g in sigma,
+# tan s = sqrt(cos gamma) tan sigma, whose strip is 3.8 to 5 times wider
+# than h's: 53 to 71 evaluations where h took 199 to 353.  From here up h
+# stays, bit for bit: the per-node reference test and the golden kappas pin
+# it, and g gains no accuracy there (a mean relative error of 7.3e-17
+# against h's 7.2e-17 on 400 seeded pairs with cot gamma in [0.0708, 0.25))
+_MAPPED_COT = 0.0708
 # inside the reach, f and phi read a table of f(T_k) - T_k at T_k = k h on
 # [0, pi/2], each step the 5-point Gauss-Legendre rule's integral of f' - 1
 # over its two halves.  f' has its branch points at pi/2 +- ib,
@@ -236,7 +245,11 @@ def dn2(z: float | complex, mod: Modulus, route: Route = Route.SN) -> float | co
 
     # sn of c z: jacobi_real's and jacobi_complex's arithmetic, on mod's ladders
     if on_axis:
-        sn = _ascent(float(z.real) * mod.c, mod._re_ladder, mod.m)[0]
+        try:
+            x = float(z.real)
+        except OverflowError:  # an int beyond the floats, refused as inf is
+            x = math.inf
+        sn = _ascent(x * mod.c, mod._re_ladder, mod.m)[0]
     else:
         sn = _addition(complex(z) * mod.c, mod.m, mod.m1, mod._re_ladder, mod._im_ladder)[0]
     sn2 = sn * sn
@@ -259,7 +272,11 @@ def dn2_deriv(x: float, mod: Modulus) -> float:
     """
     if x.imag != 0.0:
         raise DomainError(f"dn2_deriv is defined on the real axis only, got {x!r}")
-    sn, cn, dn = _ascent(float(x.real) * mod.c, mod._re_ladder, mod.m)
+    try:
+        xr = float(x.real)
+    except OverflowError:  # an int beyond the floats, refused as inf is
+        xr = math.inf
+    sn, cn, dn = _ascent(xr * mod.c, mod._re_ladder, mod.m)
     return -2.0 * mod.d * sn * cn * dn * mod.c
 
 
@@ -608,18 +625,28 @@ def i_gamma(cos_g: float, sin_g: float) -> float:
     [0, pi/2] of h(s) = cos(t/2) / cos t = F(1/4, 3/4; 1/2; sin^2 t), taken
     from p^2 = cos^2 t = cos^2 gamma + (sin gamma sin s)^2, which does not
     cancel.  h is smooth, even and pi-periodic, with its poles at
-    Im s = +-a, a = asinh(cot gamma), and a function of sin s.  Where
-    cot gamma >= _TRAPEZOID_COT the trapezoid rule sums it from
-    max(4, ceil(7 / a)) intervals, a start that the strip's width makes
-    enough for its first doubling, at the node sines that kernel keeps for
-    each start.  Below, h peaks at s = 0 with a width of about cot gamma:
-    sin s = cot gamma sinh v maps
-    [0, pi/4] onto [0, asinh(tan gamma / sqrt 2)], where h ds is
-    sqrt((1 + p)/2) / (sin gamma cos s) dv with p = cos gamma cosh v, which
-    lies between 0.7 and 1.4 at any cot gamma, and tanh-sinh sums that piece
-    and h over [pi/4, pi/2].  Either way the cost is bounded: the rule takes
-    at most 353 evaluations, each about a third of a map evaluation, and the
-    map 199 from cot gamma = 2.6e-19 up, and 348 down to 2**-510.
+    Im s = +-a, a = asinh(cot gamma), and a function of sin s.  It is summed
+    in one of three regimes, each at a bounded cost:
+    - cot gamma >= _MAPPED_COT: the trapezoid rule sums h from
+      max(4, ceil(7 / a)) intervals, a start that the strip's width makes
+      enough for its first doubling, at the node sines that kernel keeps
+      for each start: at most 199 evaluations.
+    - _TRAPEZOID_COT <= cot gamma < _MAPPED_COT: tan s = sqrt(c) tan sigma,
+      c = cos gamma, turns h ds into g d sigma, g = sqrt((1 + p)/2) / sqrt(M D)
+      with M = c cos^2 sigma + sin^2 sigma, D = cos^2 sigma + c sin^2 sigma
+      and p = sqrt(c M / D), sums of positive terms that do not cancel.  g
+      is even and pi-periodic too, with its strip widened to
+      atanh(sqrt(c)), and the same rule sums it from
+      max(4, ceil(7 / atanh(sqrt(c)))) intervals, 26 to 35, reading each
+      node's cosine as the sine of its mirror node: at most 71
+      evaluations.
+    - cot gamma < _TRAPEZOID_COT: h peaks at s = 0 with a width of about
+      cot gamma, and sin s = cot gamma sinh v maps [0, pi/4] onto
+      [0, asinh(tan gamma / sqrt 2)], where h ds is
+      sqrt((1 + p)/2) / (sin gamma cos s) dv with p = cos gamma cosh v,
+      which lies between 0.7 and 1.4 at any cot gamma; tanh-sinh sums that
+      piece and h over [pi/4, pi/2]: 199 evaluations from
+      cot gamma = 2.6e-19 up, and 348 down to 2**-510.
     Raises DomainError unless both members are positive, cos^2 + sin^2 = 1
     within 1e-12, and cos gamma >= 2**-510, below which its square is
     subnormal, as for kappa.  Both are tested and used as floats: a
@@ -647,7 +674,7 @@ def i_gamma(cos_g: float, sin_g: float) -> float:
     # h is f14_34_12_closed(c2 + x * x), x = sin_g sin s, written out with
     # the same operations in the same order, as in _f_prime: at the node
     # sines of a trapezoid level, or at one s for integrate
-    if cos_g >= _TRAPEZOID_COT * sin_g:
+    if cos_g >= _MAPPED_COT * sin_g:
         def h_of_sines(sines) -> list[float]:
             values = []
             append = values.append
@@ -659,6 +686,32 @@ def i_gamma(cos_g: float, sin_g: float) -> float:
 
         n = max(4, math.ceil(_STRIP_N / math.asinh(cot)))
         return trapezoid(h_of_sines, 0.0, 0.5 * math.pi, n).value
+
+    if cos_g >= _TRAPEZOID_COT * sin_g:
+        # g of sigma, tan s = sqrt(cos gamma) tan sigma, as one root of
+        # (1 + p) / (2 M D).  The node cosines are the node sines in reverse,
+        # cos sigma_j = sin sigma_(n - j) on every level: no new table, and a
+        # sum that the rounding of pi/2 and of the step leaves unchanged to
+        # first order, where exact cosines of the rounded nodes would not.
+        # So the mirror node's M and D are this node's D and M, bit for bit,
+        # and each pair of nodes shares them and their product
+        def g_of_sines(sines) -> list[float]:
+            last = len(sines) - 1
+            values = [0.0] * (last + 1)
+            for j in range(last // 2 + 1):
+                sin_v = sines[j]
+                cos_v = sines[last - j]
+                ss = sin_v * sin_v
+                cc = cos_v * cos_v
+                m = cos_g * cc + ss
+                d = cc + cos_g * ss
+                md = m * d
+                values[j] = sqrt(0.5 * (1.0 + sqrt(cos_g * m / d)) / md)
+                values[last - j] = sqrt(0.5 * (1.0 + sqrt(cos_g * d / m)) / md)
+            return values
+
+        n = max(4, math.ceil(_STRIP_N / math.atanh(sqrt(cos_g))))
+        return trapezoid(g_of_sines, 0.0, 0.5 * math.pi, n).value
 
     def h(s: float) -> float:
         x = sin_g * sin(s)

@@ -103,7 +103,9 @@ def agm(a: float, b: float) -> float:
         a, b = b, a
     s, b, a = a, b / a, 1.0
     for _ in range(64):
-        if abs(a - b) <= 1e-15 * a:
+        # a >= b at every test, but where sqrt(a b) rounds above 0.5 (a + b):
+        # both tests stop there
+        if a - b <= 1e-15 * a:
             return s * (0.5 * (a + b))
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     raise ConvergenceError("agm iteration failed to converge")
@@ -117,6 +119,31 @@ def complete_K(m: float, mc: float) -> float:
 
 
 def _direct_series(p: HyperParams, x: float) -> float:
+    if not (p.a > 0.0 and p.b > 0.0 and p.c > 0.0):
+        return _direct_series_signed(p, x)
+    total = 1.0
+    comp = 0.0
+    term = 1.0
+    small = 0
+    for r in p._direct:
+        term *= r * x
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        # with a, b, c > 0 and x >= 0 every ratio, term and total is >= 0
+        if term <= 1e-17 * total:
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise ConvergenceError(f"2F1 series did not converge at x={x}")
+
+
+def _direct_series_signed(p: HyperParams, x: float) -> float:
+    # _direct_series for a family with a parameter <= 0, which can turn the
+    # sign of a ratio and so of a term or the total: the test takes magnitudes
     total = 1.0
     comp = 0.0
     term = 1.0
@@ -150,8 +177,9 @@ def _log_connection(p: HyperParams, xc: float) -> float:
         s = total + y
         comp = (s - total) - y
         total = s
-        # |term| <= 1e-17 max(1, |total|), without a call to max
-        if abs(term) <= 1e-17 or abs(term) <= 1e-17 * abs(total):
+        # term <= 1e-17 max(1, total), without a call to max; every D_n - log xc
+        # and R_n xc is positive here, so every term and the total are too
+        if term <= 1e-17 or term <= 1e-17 * total:
             small += 1
             if small >= 2:
                 return pref * total
@@ -182,9 +210,17 @@ def f14_34_12_closed(uc: float) -> float:
 
     With sin^2(psi) = u it is cos(psi/2)/cos(psi) = sqrt((1 + c)/2)/c,
     c = cos(psi) = sqrt(uc), for every u < 1, negative u included: every uc
-    in (0, inf).  A u that rounds to 1 still works while uc > 0.
+    in (0, inf).  A u that rounds to 1 still works while uc > 0.  uc is
+    converted after its range test: an int beyond the floats raises
+    DomainError, as inf does, and so does a uc whose float is 0.
     """
-    if not 0.0 < uc < math.inf:
+    x = math.nan
+    if 0.0 < uc < math.inf:
+        try:
+            x = float(uc)
+        except OverflowError:  # an int beyond the floats
+            pass
+    if not 0.0 < x < math.inf:
         raise DomainError(f"f14_34_12_closed requires 0 < uc = 1 - u < inf, got {uc!r}")
-    c = math.sqrt(uc)
+    c = math.sqrt(x)
     return math.sqrt(0.5 * (1.0 + c)) / c

@@ -405,6 +405,23 @@ def _outcome(z, mod, route):
     return type(v), v.hex() if type(v) is float else (v.real.hex(), v.imag.hex())
 
 
+@pytest.mark.parametrize("call", [
+    lambda mod, x: dn2(x, mod, Route.SN),
+    lambda mod, x: dn2(x, mod, Route.WP),
+    lambda mod, x: dn2_deriv(x, mod),
+    lambda mod, x: f14_34_12_closed(x),
+], ids=["dn2-sn", "dn2-wp", "dn2_deriv", "f14_34_12_closed"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_int_beyond_the_floats_is_a_domain_error(call, sign):
+    # float() would overflow: each raised an untyped OverflowError, where
+    # dn2 by PHI raised DomainError; now each refuses it as it refuses inf
+    mod = Modulus(0.6)
+    with pytest.raises(DomainError):
+        call(mod, sign * 10**400)
+    with pytest.raises(DomainError):
+        call(mod, sign * math.inf)
+
+
 class TestRealAxis:
     """A point on the real axis takes each route's real path, whatever its
     Python type; only a nonzero imaginary part leaves it."""

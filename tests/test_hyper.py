@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -343,7 +344,9 @@ class TestClosedForm:
             assert abs(f14_34_12_closed(uc) - ref) <= 2e-16 * ref, uc
 
     def test_domain(self):
-        for uc in (0.0, -0.5, math.nan, math.inf):
+        # Decimal("1e-400") passes the range test and rounds to the float 0,
+        # where math.sqrt and the division raised ZeroDivisionError
+        for uc in (0.0, -0.5, math.nan, math.inf, Decimal("1e-400")):
             with pytest.raises(DomainError):
                 f14_34_12_closed(uc)
 
@@ -445,3 +448,117 @@ class TestCompleteK:
             with mpmath.workdps(330):
                 ref = mpmath.ellipk(1 - mpmath.mpf(mc))
             assert abs(complete_K(1.0, mc) / ref - 1) <= 1e-15
+
+
+# the series and the AGM as they were while their stop tests took abs: the
+# loops now leave it out where every term is known to be >= 0, and must
+# keep every bit
+def _direct_series_with_abs(p, x):
+    total = 1.0
+    comp = 0.0
+    term = 1.0
+    small = 0
+    for r in p._direct:
+        term *= r * x
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if abs(term) <= 1e-17 * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise ConvergenceError(f"2F1 series did not converge at x={x}")
+
+
+def _log_connection_with_abs(p, xc):
+    pref, pairs = p._connection
+    log_xc = math.log(xc)
+    coef = 1.0
+    total = 0.0
+    comp = 0.0
+    small = 0
+    for d, r in pairs:
+        term = coef * (d - log_xc)
+        y = term - comp
+        s = total + y
+        comp = (s - total) - y
+        total = s
+        if abs(term) <= 1e-17 or abs(term) <= 1e-17 * abs(total):
+            small += 1
+            if small >= 2:
+                return pref * total
+        else:
+            small = 0
+        coef *= r * xc
+    raise ConvergenceError(f"2F1 connection series did not converge at 1-x={xc}")
+
+
+def _gauss_2f1_with_abs(p, x, xc):
+    if xc < 0.25 and p._connection is not None:
+        return _log_connection_with_abs(p, xc)
+    return _direct_series_with_abs(p, x)
+
+
+def _agm_with_abs(a, b):
+    if a < b:
+        a, b = b, a
+    s, b, a = a, b / a, 1.0
+    for _ in range(64):
+        if abs(a - b) <= 1e-15 * a:
+            return s * (0.5 * (a + b))
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    raise ConvergenceError("agm iteration failed to converge")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).hex()
+    except ConvergenceError:
+        return "ConvergenceError"
+
+
+class TestStopTestsWithoutAbs:
+    # one family with a negative parameter keeps the magnitude test
+    FAMILIES = [F_QUARTER_ONE, F_HALF_ONE, F_QUARTER_HALF, HyperParams(-0.6, 0.75, 1.3)]
+
+    @staticmethod
+    def _xs():
+        rng = random.Random("stop tests without abs")
+        xs = [0.0, -0.0, 0.75, 0.25, math.nextafter(0.75, 0.0), math.nextafter(0.75, 1.0)]
+        xs += [0.75 + k * 2.0**-40 for k in range(-20, 21)]
+        xs += [rng.random() for _ in range(1500)]
+        xs += [1.0 - rng.random() ** 4 * 0.25 for _ in range(500)]
+        return xs
+
+    @pytest.mark.parametrize("p", FAMILIES, ids=repr)
+    def test_gauss_2f1_keeps_its_bits(self, p):
+        for x in self._xs():
+            xc = 1.0 - x
+            assert _outcome(gauss_2f1, p, x, xc) == _outcome(_gauss_2f1_with_abs, p, x, xc), (p, x)
+
+    def test_both_series_keep_their_bits_past_the_cutover(self):
+        # each family's direct series, and the connection series too, on both
+        # sides of the cutover, whatever regime gauss_2f1 picks there
+        from dn2.hyper import _direct_series, _log_connection
+
+        rng = random.Random("both series")
+        for p in self.FAMILIES:
+            for x in [0.0, -0.0] + [rng.uniform(0.5, 0.95) for _ in range(300)]:
+                assert _outcome(_direct_series, p, x) == _outcome(_direct_series_with_abs, p, x), (p, x)
+        for p in (F_QUARTER_ONE, F_HALF_ONE):
+            for xc in [rng.uniform(1e-300, 0.35) for _ in range(300)] + [5e-324, 0.25, 0.3]:
+                assert _log_connection(p, xc) == _log_connection_with_abs(p, xc), (p, xc)
+
+    def test_agm_and_complete_k_keep_their_bits(self):
+        rng = random.Random("agm without abs")
+        pairs = [(1.0, 1.0), (1.0, 5e-324), (2.0, 1.0), (1.0, 1.0 - 2.0**-52)]
+        pairs += [(1.0, rng.random()) for _ in range(3000)]
+        pairs += [(10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300)) for _ in range(3000)]
+        pairs = [(a, b) for a, b in pairs if min(a, b) / max(a, b) > 0.0]
+        for a, b in pairs:
+            assert _outcome(agm, a, b) == _outcome(_agm_with_abs, a, b), (a, b)
+        for mc in [rng.random() for _ in range(2000)] + [1e-300, 1.0]:
+            assert complete_K(1.0 - mc, mc) == 0.5 * math.pi / _agm_with_abs(1.0, math.sqrt(mc)), mc

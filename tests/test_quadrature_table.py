@@ -5,9 +5,11 @@ without changing a single bit of any result."""
 import math
 import random
 
+import mpmath
 import pytest
 
 from dn2.core import (
+    _MAPPED_COT,
     _STRIP_N,
     _TRAPEZOID_COT,
     Modulus,
@@ -398,6 +400,109 @@ def test_i_gamma_matches_the_per_node_trapezoid_bit_for_bit():
     assert [i_gamma(c, s).hex() for c, s in pairs] == expected  # warm table
 
 
+def _reference_mapped_i_gamma(cos_g, sin_g):
+    """i_gamma's mapped rule, tan s = sqrt(cos gamma) tan sigma, node by
+    node: g of each node from math.sin of its abscissa and of its mirror's,
+    sigma_(n - j) at level 0 and the midpoint (N - 1 - j) of N at each later
+    level, with _reference_trapezoid's levels, sums and stop."""
+
+    def g_level(abscissae):
+        sines = [math.sin(v) for v in abscissae]
+        values = []
+        for sin_v, cos_v in zip(sines, reversed(sines)):
+            ss = sin_v * sin_v
+            cc = cos_v * cos_v
+            m = cos_g * cc + ss
+            d = cc + cos_g * ss
+            p = math.sqrt(cos_g * m / d)
+            values.append(math.sqrt(0.5 * (1.0 + p) / (m * d)))
+        return values
+
+    a, b = 0.0, 0.5 * math.pi
+    n = max(4, math.ceil(_STRIP_N / math.atanh(math.sqrt(cos_g))))
+    h = (b - a) / n
+    values = g_level([a, *(a + j * h for j in range(1, n)), b])
+    levels = [math.fsum([0.5 * values[0], 0.5 * values[-1], *values[1:-1]])]
+    total = h * levels[0]
+    for _ in range(MAX_LEVEL):
+        levels.append(math.fsum(g_level([a + (j + 0.5) * h for j in range(n)])))
+        n *= 2
+        h *= 0.5
+        prev, total = total, h * math.fsum(levels)
+        if abs(total - prev) <= QUAD_TOL:
+            return total
+    raise ConvergenceError("no convergence")
+
+
+def _band_pairs(seed, count):
+    """(cos gamma, sin gamma) of seeded moduli with _TRAPEZOID_COT <=
+    cot gamma < _MAPPED_COT, count of them at each end: K' for kappa in
+    [0.03997, 0.07062], K for kappa in [0.99751, 0.9992]."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        mod = Modulus(rng.uniform(0.03997, 0.07062))
+        pairs.append((mod.kappa, mod.lam))
+        mod = Modulus(rng.uniform(0.99751, 0.9992))
+        pairs.append((mod.lam, mod.kappa))
+    assert all(_TRAPEZOID_COT * s <= c < _MAPPED_COT * s for c, s in pairs)
+    return pairs
+
+
+def _edge_pairs():
+    """(cos gamma, sin gamma) on both sides of each band edge, both orders."""
+    pairs = []
+    for kappa in (0.03996, 0.03997, 0.07062, 0.07063, 0.9975, 0.99751, 0.9992, 0.99921):
+        mod = Modulus(kappa)
+        pairs += [(mod.lam, mod.kappa), (mod.kappa, mod.lam)]
+    return pairs
+
+
+def test_i_gamma_matches_the_per_node_mapped_rule_bit_for_bit():
+    pairs = _band_pairs("mapped rule", 600)
+    pairs += [(c, s) for c, s in _edge_pairs() if _TRAPEZOID_COT * s <= c < _MAPPED_COT * s]
+    expected = [_reference_mapped_i_gamma(c, s).hex() for c, s in pairs]
+    _sines.cache_clear()
+    assert [i_gamma(c, s).hex() for c, s in pairs] == expected  # cold table
+    assert [i_gamma(c, s).hex() for c, s in pairs] == expected  # warm table
+
+
+def _i_gamma_reference(cos_g, sin_g):
+    """I(gamma) of the exact pair as given, off the unit circle by its
+    rounding too, at 20 digits."""
+    with mpmath.workdps(20):
+        c, s = mpmath.mpf(cos_g), mpmath.mpf(sin_g)
+
+        def h(t):
+            p2 = c * c + (s * mpmath.sin(t)) ** 2
+            return mpmath.sqrt((1 + mpmath.sqrt(p2)) / 2) / mpmath.sqrt(p2)
+
+        # h peaks at s = 0 with a width of about cot gamma
+        return mpmath.quad(h, [0, c, 4 * c, mpmath.pi / 2])
+
+
+def test_mapped_rule_is_as_accurate_as_the_plain_rule_in_the_band():
+    # the plain rule served this band before the map.  Both rules end in the
+    # same roundings inside trapezoid (each level's sum, their sum and the
+    # product by h), and these set the worst relative error of either: here
+    # 2.06e-16 for the mapped rule and 2.07e-16 for the plain one, but
+    # 2.83e-16 against 2.71e-16 on 1,500 other seeded pairs (2.18e-16 to
+    # 2.83e-16 against 2.15e-16 to 2.71e-16 on five sets of 300).  The
+    # mapped rule sums 53-71 values
+    # where the plain one summed 199-353, so the rounding of each value
+    # averages out less; it may lose one more rounding, 2**-53, on its worst
+    pairs = _band_pairs("mapped band", 100)
+    refs = [_i_gamma_reference(c, s) for c, s in pairs]
+
+    def worst(fn):
+        with mpmath.workdps(20):
+            return max(abs(float(fn(c, s) / r - 1)) for (c, s), r in zip(pairs, refs))
+
+    mapped, plain = worst(i_gamma), worst(_reference_i_gamma)
+    assert mapped <= plain + 2.0**-53
+    assert mapped <= 2.5e-16
+
+
 TRAPEZOID_CASES = [
     # (g of sin s, a, b, n)
     (lambda x: 1.0 / (1.0 + 0.7 * x * x), 0.0, 0.5 * math.pi, 8),
@@ -427,20 +532,30 @@ def test_trapezoid_matches_the_per_node_reference(case):
 
 
 def test_sine_table_holds_every_start_that_i_gamma_takes():
-    # from cot gamma = _TRAPEZOID_COT up, i_gamma starts from n0 = 4 to 176
-    # and stops at its first doubling: levels 0 and 1 of each n0, about
-    # 31,000 sines, within the table's bound
-    n_max = math.ceil(_STRIP_N / math.asinh(_TRAPEZOID_COT))
-    assert n_max == 176
+    # from cot gamma = _MAPPED_COT up the plain rule starts from
+    # n0 = max(4, ceil(7 / asinh(cot gamma))) = 4 to 99, and across the band
+    # below the mapped rule from ceil(7 / atanh(sqrt(cos gamma))) = 26 to 35;
+    # each stops at its first doubling: levels 0 and 1 of each n0, about
+    # 10,000 sines, within the table's bound
+    n_max = math.ceil(_STRIP_N / math.asinh(_MAPPED_COT))
+    assert n_max == 99
     _sines.cache_clear()
-    starts = set()
+    plain, mapped = set(), set()
     for n in range(n_max, 3, -1):
         # a cot gamma whose start is n, midway between those of n and n - 1
-        cot = max(_TRAPEZOID_COT, math.sinh(_STRIP_N / (n - 0.5)))
+        cot = max(_MAPPED_COT, math.sinh(_STRIP_N / (n - 0.5)))
         sin_g = 1.0 / math.sqrt(1.0 + cot * cot)
         i_gamma(cot * sin_g, sin_g)
-        starts.add(max(4, math.ceil(_STRIP_N / math.asinh(cot))))
-    assert starts == set(range(4, n_max + 1))
+        plain.add(max(4, math.ceil(_STRIP_N / math.asinh(cot))))
+    for k in range(201):
+        cot = _TRAPEZOID_COT + (_MAPPED_COT - _TRAPEZOID_COT) * k / 201
+        sin_g = 1.0 / math.sqrt(1.0 + cot * cot)
+        i_gamma(cot * sin_g, sin_g)
+        mapped.add(max(4, math.ceil(_STRIP_N / math.atanh(math.sqrt(cot * sin_g)))))
+    assert plain == set(range(4, n_max + 1))
+    assert mapped == set(range(26, 36))
+    assert mapped <= plain
+    starts = plain
     info = _sines.cache_info()
     assert info.currsize == 2 * len(starts) <= _SINES_CACHE
-    assert sum(len(_sines(0.0, 0.5 * math.pi, n, level)) for n in starts for level in (0, 1)) < 32000
+    assert sum(len(_sines(0.0, 0.5 * math.pi, n, level)) for n in starts for level in (0, 1)) < 10000
